@@ -16,7 +16,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalError,
 )
-from .special_fn import MLParams, log_gamma, mittag_leffler, ml_kernel_scaled
+from .special_fn import MLParams, log_gamma, mittag_leffler
 from .potentials import (
     CanonicalDecomposition,
     HomogeneousHermitianPoly,
@@ -86,7 +86,7 @@ __all__ = [
     "FocklabError", "ConfigError", "NumericalError", "NotPositiveDefiniteError",
     "IllConditionedError", "DivergenceError", "FitError",
     # special functions
-    "MLParams", "log_gamma", "mittag_leffler", "ml_kernel_scaled",
+    "MLParams", "log_gamma", "mittag_leffler",
     # potentials
     "HomogeneousHermitianPoly", "MicroscopicPotential", "Spectator",
     "MacroscopicPotential", "CanonicalDecomposition", "detect_k",

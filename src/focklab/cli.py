@@ -292,7 +292,7 @@ def cmd_rescale(args) -> int:
     k = detect_k(Q)
     Qn, lam = normalize_potential(Q, k, c)
     a_micro = (1.0 + c) / k
-    r0col = [bergman_function_r0(k, c, a_micro, x) for x in z]
+    r0col = bergman_function_r0(k, c, a_micro, np.array(z)).tolist()
     homogeneous = set(m for m, q in Qn.radial_coeffs.items() if q != 0.0) == {k}
     cols: dict[int, list[float]] = {}
     rn_map: dict[int, float] = {}

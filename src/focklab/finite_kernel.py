@@ -217,7 +217,7 @@ def convergence_report(Q: MacroscopicPotential, c: float, n_list, z_grid) -> Con
     Qn, lam = normalize_potential(Q, k, c)
     canonical_decompose(Qn, k)  # validates the decomposition hypotheses
     a_micro = (1.0 + c) / k
-    r0 = np.array([bergman_function_r0(k, c, a_micro, float(x)) for x in z])
+    r0 = bergman_function_r0(k, c, a_micro, z)
     n_arr = np.asarray(sorted(int(n) for n in n_list), dtype=int)
     sup_err = np.empty(n_arr.size)
     rn_arr = np.empty(n_arr.size)

@@ -3,7 +3,9 @@
 The reproducing kernel of entire functions square-integrable against
 |z|^{2c} e^{-a|z|^{2k}} dA is diagonal in the monomial basis with moments
 m_j = a^{-(j+c+1)/k} (1/k) Gamma((j+c+1)/k).  The weighted diagonal
-R0(r) = sum_j r^{2j+2c} e^{-a r^{2k}} / m_j tends to the flat density
+R0(r) = sum_j r^{2j+2c} e^{-a r^{2k}} / m_j, split by j mod k, is a sum of
+k regularized incomplete gammas (DLMF 8.2), which bergman_function_r0 and
+disk_mass evaluate in closed form.  R0 tends to the flat density
 Delta Q0 = a k^2 r^{2k-2} with a sharp e^{-a r^{2k}} relative error; the
 decay_report operation measures that rate by least squares.
 """
@@ -14,11 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
-from .errors import ConfigError, FitError
-from .special_fn import ml_kernel_scaled
+from .errors import ConfigError, DivergenceError, FitError
 
 __all__ = [
     "MomentTable",
@@ -58,30 +58,57 @@ class MomentTable:
         return float(np.exp(self.log_moments[j]))
 
 
+def _log_moments(k: int, a: float, p: np.ndarray) -> np.ndarray:
+    # ln m_j with p = (j+c+1)/k
+    return -p * math.log(a) - math.log(k) + gammaln(p)
+
+
 def moments(k: int, c: float, a: float, J: int) -> MomentTable:
     """Moment table for j = 0..J from the closed gamma form."""
     _validate(k, c, a)
     if J < 0:
         raise ConfigError(f"J must be >= 0, got {J}")
     j = np.arange(J + 1, dtype=float)
-    p = (j + c + 1.0) / k
-    logm = -p * math.log(a) - math.log(k) + gammaln(p)
+    logm = _log_moments(k, a, (j + c + 1.0) / k)
     return MomentTable(k=k, c=c, amplitude=a, log_moments=logm)
 
 
 def bergman_function_r0(k: int, c: float, a: float, r):
     """R0(r) for the weight a r^{2k}, scalar in, scalar out (arrays elementwise).
 
-    Uses the exact amplitude scaling R0^(a)(r) = a^{1/k} R0^(1)(a^{1/(2k)} r)
-    on top of the damped unit-amplitude series.
+    Split by j mod k, the series is a sum of k regularized incomplete gammas
+    P (DLMF 8.2): with x = a r^{2k} and beta_s = (s+c+1)/k,
+    R0 = sum_{j<k} r^{2j+2c} e^{-x} / m_j + a k r^{2k-2} sum_{s<k} P(beta_s, x),
+    the first k terms of the series plus the rest of each class.  Every
+    summand is positive, so nothing cancels.  At r = 0 the value is 0 for
+    c > 0 and origin_coefficient for c = 0; for c < 0 it diverges
+    (DivergenceError).
     """
     _validate(k, c, a)
-    scale = a ** (1.0 / k)
-    stretch = a ** (1.0 / (2 * k))
-    if np.ndim(r) == 0:
-        return scale * ml_kernel_scaled(k, c, stretch * float(r))
-    rr = np.asarray(r, dtype=float)
-    return np.array([scale * ml_kernel_scaled(k, c, stretch * float(x)) for x in rr])
+    # points on axis 0 and the k classes on axis 1: every point's sum then
+    # runs in the same order whatever the array size, so a scalar call gives
+    # the same bits as its element of an array call
+    rr = np.asarray(r, dtype=float).reshape(-1, 1)
+    r_min = rr.min(initial=np.inf)
+    if not r_min >= 0:
+        raise ConfigError("r must be >= 0")
+    if r_min == 0.0:
+        if c < 0:
+            raise DivergenceError("density diverges at r = 0 for c < 0")
+        zero = rr == 0.0
+        rr = np.where(zero, 1.0, rr)  # r = 0 is filled in at the end
+    j = np.arange(k)
+    beta = (j + c + 1.0) / k
+    log_m = _log_moments(k, a, beta)
+    x = a * rr ** (2 * k)
+    # the first k terms in the log domain, so that no factor of
+    # r^{2j+2c} e^{-x} / m_j over- or underflows on its own
+    head = np.exp(2 * (j + c) * np.log(rr) - x - log_m)
+    terms = head + a * k * rr ** (2 * k - 2) * gammainc(beta, x)
+    out = terms.sum(axis=1)
+    if r_min == 0.0:
+        out[zero[:, 0]] = 0.0 if c > 0 else origin_coefficient(k, c, a)
+    return float(out[0]) if np.ndim(r) == 0 else out.reshape(np.shape(r))
 
 
 def delta_q0(k: int, c: float, a: float, r):
@@ -99,17 +126,18 @@ def origin_coefficient(k: int, c: float, a: float = 1.0) -> float:
 
 
 def disk_mass(k: int, c: float, a: float, radius: float = 1.0) -> float:
-    """Area integral of R0 over |z| <= radius (dA = dxdy/pi), by quadrature."""
+    """Area integral of R0 over |z| <= radius (dA = dxdy/pi), in closed form.
+
+    The integral is sum_j P((j+c+1)/k, x) with x = a radius^{2k}.  Class
+    j = s + k m sums to (1+x) P(beta_s, x) - beta_s P(beta_s+1, x), the
+    integral over [0, x] of P(beta_s, t) + t^{beta_s-1} e^{-t} / Gamma(beta_s).
+    """
     _validate(k, c, a)
-    val, _ = quad(
-        lambda r: 2.0 * r * bergman_function_r0(k, c, a, r),
-        0.0,
-        radius,
-        epsabs=1e-13,
-        epsrel=1e-11,
-        limit=200,
-    )
-    return float(val)
+    if not radius >= 0:
+        raise ConfigError(f"radius must be >= 0, got {radius}")
+    x = a * radius ** (2 * k)
+    beta = (np.arange(k) + c + 1.0) / k
+    return float(np.sum((1.0 + x) * gammainc(beta, x) - beta * gammainc(beta + 1.0, x)))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,10 @@
-"""Gamma and Mittag-Leffler primitives for radial kernel evaluation.
+"""Gamma and Mittag-Leffler primitives, kept for cross-checks.
 
-Every closed-form kernel in this package is a sum of terms
-r^(2j+2c) e^{-r^(2k)} / m_j with gamma-function moments m_j, i.e. a
-two-parameter Mittag-Leffler series in r^2 times a decaying weight.  The
-raw series value E(r^2) grows like e^{r^(2k)} and overflows quickly, so
-the workhorse here is ``ml_kernel_scaled``, which sums the weighted terms
-directly in the log domain (every term <= 1).  ``mittag_leffler`` is the
-undamped function for moderate arguments, kept for cross-checks.
+The radial density R0 is r^{2c} e^{-r^{2k}} k E_{1/k,(1+c)/k}(r^2) at unit
+amplitude, a two-parameter Mittag-Leffler function times a decaying
+weight.  radial_bergman evaluates it in closed form from incomplete gammas;
+``mittag_leffler`` is the undamped series for moderate arguments, which
+overflows like e^{x^k} beyond them.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DivergenceError, NumericalError
 
-__all__ = ["MLParams", "log_gamma", "mittag_leffler", "ml_kernel_scaled"]
+__all__ = ["MLParams", "log_gamma", "mittag_leffler"]
 
 # Stop a unimodal term series once terms are decreasing and 20 consecutive
 # terms fell below 1e-18 of the running sum.
@@ -47,8 +45,7 @@ def log_gamma(x: float) -> float:
 def mittag_leffler(p: MLParams, x: float) -> float:
     """E_{a,b}(x) = sum_j x^j / Gamma(a j + b) for x >= 0.
 
-    Raises DivergenceError when the value exceeds the double range; use
-    ml_kernel_scaled for damped evaluation in that regime.
+    Raises DivergenceError when the value exceeds the double range.
     """
     if not x >= 0:
         raise ValueError(f"mittag_leffler requires x >= 0, got {x}")
@@ -82,51 +79,3 @@ def mittag_leffler(p: MLParams, x: float) -> float:
     if math.isinf(value):
         raise DivergenceError("mittag_leffler overflow: series sum exceeds double range")
     return value
-
-
-def _log_moment(k: int, c: float, j: int) -> float:
-    # m_j = (1/k) Gamma((j+c+1)/k), the amplitude-1 radial moment
-    return math.lgamma((j + c + 1.0) / k) - math.log(k)
-
-
-def ml_kernel_scaled(k: int, c: float, r: float) -> float:
-    """Weighted Mittag-Leffler density r^{2c} e^{-r^{2k}} * k E_{1/k,(1+c)/k}(r^2).
-
-    Summed as sum_j exp((2j+2c) ln r - r^{2k} - ln m_j) with every term <= 1,
-    so the e^{r^{2k}} growth never materializes.  At r = 0 the value is 0 for
-    c > 0 and 1/m_0 for c = 0; for c < 0 it diverges (DivergenceError).
-    """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"ml_kernel_scaled requires integer k >= 1, got {k}")
-    if not c > -1:
-        raise ValueError(f"ml_kernel_scaled requires c > -1, got {c}")
-    if not r >= 0:
-        raise ValueError(f"ml_kernel_scaled requires r >= 0, got {r}")
-    if r == 0.0:
-        if c > 0:
-            return 0.0
-        if c == 0:
-            return math.exp(-_log_moment(k, c, 0))
-        raise DivergenceError("density diverges at r = 0 for c < 0")
-    lr = math.log(r)
-    damp = r ** (2 * k)
-    terms: list[float] = []
-    total = 0.0
-    prev = -math.inf
-    decreasing = False
-    small_run = 0
-    for j in range(_MAX_TERMS):
-        lt = (2 * j + 2 * c) * lr - damp - _log_moment(k, c, j)
-        t = math.exp(lt)
-        terms.append(t)
-        total += t
-        if lt < prev:
-            decreasing = True
-        prev = lt
-        if decreasing:
-            small_run = small_run + 1 if t < _TAIL_REL * total else 0
-            if small_run >= _TAIL_RUN:
-                break
-    else:
-        raise NumericalError("ml_kernel_scaled series did not converge within the term budget")
-    return math.fsum(terms)

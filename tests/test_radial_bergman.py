@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -93,6 +95,83 @@ class TestBergmanFunctionR0:
         with pytest.raises(DivergenceError):
             bergman_function_r0(1, -0.5, 2.0, 0.0)
 
+    def test_rejects_negative_radius(self):
+        with pytest.raises(ConfigError):
+            bergman_function_r0(1, 0.0, 1.0, np.array([0.5, -0.1]))
+
+    def test_ginibre_flat_at_unit_amplitude(self):
+        for r in [0.0, 0.3, 1.0, 2.5, 4.0]:
+            assert bergman_function_r0(1, 0.0, 1.0, r) == pytest.approx(1.0, abs=1e-13)
+
+    def test_origin_branches_at_unit_amplitude(self):
+        assert bergman_function_r0(1, 1.0, 1.0, 0.0) == 0.0
+        assert bergman_function_r0(2, 0.0, 1.0, 0.0) == pytest.approx(
+            2.0 / math.gamma(0.5), rel=1e-13
+        )
+        with pytest.raises(DivergenceError):
+            bergman_function_r0(1, -0.5, 1.0, 0.0)
+
+    def test_damped_equals_explicit_product_in_safe_range(self):
+        # R0(r) = r^{2c} e^{-r^{2k}} E(r^2) with E the plain series, for small r
+        k, c, r = 2, 1.0, 1.2
+        series = sum(
+            r ** (2 * j) / math.gamma((j + c + 1) / k) * k for j in range(200)
+        )
+        want = r ** (2 * c) * math.exp(-r ** (2 * k)) * series
+        assert bergman_function_r0(k, c, 1.0, r) == pytest.approx(want, rel=1e-12)
+
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.floats(min_value=-0.9, max_value=3.0),
+        st.floats(min_value=1e-3, max_value=3.5),
+    )
+    def test_positive(self, k, c, r):
+        assert bergman_function_r0(k, c, 1.0, r) > 0.0
+
+    @staticmethod
+    def mp_series_r0(k, c, a, r):
+        """The R0 series at 30 digits, summed by class j = s + k m.
+
+        Class s is a k r^{2k-2} x^{beta_s-1} e^{-x} / Gamma(beta_s) times
+        sum_m x^m / (beta_s)_m = 1F1(1; beta_s; x), x = a r^{2k}.
+        """
+        with mp.workdps(30):
+            r, a = mp.mpf(r), mp.mpf(a)
+            x = a * r ** (2 * k)
+            total = mp.mpf(0)
+            for s in range(k):
+                beta = (s + mp.mpf(c) + 1) / k
+                total += x ** (beta - 1) * mp.exp(-x) / mp.gamma(beta) * mp.hyp1f1(1, beta, x)
+            return float(a * k * r ** (2 * k - 2) * total)
+
+    def test_large_argument_accuracy(self):
+        # k=3, c=-0.5 on (0, 5] reaches a r^6 = 15625; a log-domain sum of
+        # the series loses relative accuracy like a r^6 eps past ~860
+        k, c, a = 3, -0.5, 1.0
+        r = np.linspace(0.0, 5.0, 1000)[1:]
+        assert np.count_nonzero(a * r**6 > 860.0) > 300
+        got = bergman_function_r0(k, c, a, r)
+        for x, v in zip(r, got):
+            assert v == pytest.approx(self.mp_series_r0(k, c, a, x), rel=1e-12), x
+
+    def test_flat_limit_far_out(self):
+        # R0/DeltaQ0 - 1 is of order e^{-u}, far below rounding at u = 15625
+        k, c, a, r = 3, -0.5, 1.0, 5.0
+        assert a * r ** (2 * k) >= 1e4
+        ratio = bergman_function_r0(k, c, a, r) / delta_q0(k, c, a, r)
+        assert ratio == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("k,c,a", [(1, 0.0, 1.0), (2, 0.0, 0.7), (3, 1.5, 1.3)])
+    def test_no_floating_point_warnings(self, k, c, a):
+        # r = 0, r so small that x = a r^{2k} underflows, and x up to 1e4,
+        # where e^{-x} underflows
+        u = np.linspace(0.01, 1e4, 200)
+        r = np.concatenate([[0.0, 1e-200], (u / a) ** (1.0 / (2 * k))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = bergman_function_r0(k, c, a, r)
+        assert np.all(np.isfinite(vals))
+
 
 class TestDeltaQ0:
     def test_closed_form(self):
@@ -137,6 +216,18 @@ class TestDiskMass:
 
     def test_radius_argument(self):
         assert disk_mass(1, 0.0, 1.0, radius=0.5) == pytest.approx(0.25, abs=1e-12)
+
+    def test_rejects_negative_radius(self):
+        with pytest.raises(ConfigError):
+            disk_mass(1, 0.0, 1.0, radius=-0.5)
+
+    @pytest.mark.parametrize("k,c,a,radius", [(1, 0.5, 1.0, 1.5), (2, -0.5, 1.0, 1.2),
+                                              (3, 1.0, 0.7, 1.1), (3, -0.5, 1.0, 2.0)])
+    def test_quadrature_route(self, k, c, a, radius):
+        # integral of 2 r R0(r) over [0, radius], checked independently of the closed form
+        val, _ = quad(lambda r: 2.0 * r * bergman_function_r0(k, c, a, r), 0.0, radius,
+                      epsabs=1e-13, epsrel=1e-12, limit=200)
+        assert disk_mass(k, c, a, radius) == pytest.approx(val, rel=1e-10)
 
 
 class TestSmallRadiusLimit:

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from focklab import DivergenceError, MLParams, log_gamma, mittag_leffler, ml_kernel_scaled
+from focklab import DivergenceError, MLParams, log_gamma, mittag_leffler
 from focklab.fixtures import load_log_gamma, load_mittag_leffler
 
 
@@ -57,34 +57,3 @@ class TestMittagLeffler:
     def test_overflow_signalled(self):
         with pytest.raises(DivergenceError):
             mittag_leffler(MLParams(1.0, 1.0), 1000.0)
-
-
-class TestMlKernelScaled:
-    def test_ginibre_flat(self):
-        for r in [0.0, 0.3, 1.0, 2.5, 4.0]:
-            assert ml_kernel_scaled(1, 0.0, r) == pytest.approx(1.0, abs=1e-13)
-
-    def test_origin_branches(self):
-        assert ml_kernel_scaled(1, 1.0, 0.0) == 0.0
-        assert ml_kernel_scaled(2, 0.0, 0.0) == pytest.approx(
-            2.0 / math.gamma(0.5), rel=1e-13
-        )
-        with pytest.raises(DivergenceError):
-            ml_kernel_scaled(1, -0.5, 0.0)
-
-    def test_damped_equals_explicit_product_in_safe_range(self):
-        # R0(r) = r^{2c} e^{-r^{2k}} E(r^2) with E the plain series, for small r
-        k, c, r = 2, 1.0, 1.2
-        series = sum(
-            r ** (2 * j) / math.gamma((j + c + 1) / k) * k for j in range(200)
-        )
-        want = r ** (2 * c) * math.exp(-r ** (2 * k)) * series
-        assert ml_kernel_scaled(k, c, r) == pytest.approx(want, rel=1e-12)
-
-    @given(
-        st.integers(min_value=1, max_value=3),
-        st.floats(min_value=-0.9, max_value=3.0),
-        st.floats(min_value=1e-3, max_value=3.5),
-    )
-    def test_positive(self, k, c, r):
-        assert ml_kernel_scaled(k, c, r) > 0.0
