@@ -188,18 +188,14 @@ def cmd_r0(args) -> int:
     grid = parse_grid(args.grid or "0:3:241")
     if p.is_radial:
         k, c, a = p.k, p.c, p.amplitude
-        rows = []
-        for r in grid:
-            r = float(r)
-            try:
-                val = bergman_function_r0(k, c, a, r)
-            except DivergenceError as exc:
-                print(f"note: grid point r={r:g} rejected: {exc}", file=sys.stderr)
-                rows.append((r, None, delta_q0(k, c, a, r), None))
-                continue
-            dq = delta_q0(k, c, a, r)
-            rows.append((r, val, dq, val / dq - 1.0 if dq != 0.0 else None))
-        write_csv(args.out, ["r", "R0", "deltaQ0", "rel_err"], rows)
+        try:
+            val = bergman_function_r0(k, c, a, grid)
+        except DivergenceError as exc:  # only at r = 0, the first point of an increasing grid
+            print(f"note: grid point r=0 rejected: {exc}", file=sys.stderr)
+            val = np.concatenate([[np.nan], bergman_function_r0(k, c, a, grid[1:])])
+        dq = delta_q0(k, c, a, grid)
+        rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
+        write_csv(args.out, ["r", "R0", "deltaQ0", "rel_err"], zip(grid, val, dq, rel))
         return 0
     N = args.n if args.n is not None else 48
     tk = truncated_kernel(moment_matrix(p, N))
@@ -423,22 +419,14 @@ _FIG1_CASES = [
 
 def cmd_fig1(args) -> int:
     r = np.linspace(0.0, 3.0, 241)
-    table: list[list[float | None]] = [[float(x)] for x in r]
-    curves = []
+    cols, curves = [r], []
     for k, c, a, rmin, _, label in _FIG1_CASES:
-        xs, ys = [], []
-        for i, x in enumerate(r):
-            x = float(x)
-            if x < rmin:
-                table[i].append(None)
-                continue
-            val = bergman_function_r0(k, c, a, x)
-            table[i].append(val)
-            xs.append(x)
-            ys.append(val)
-        curves.append(Curve(x=xs, y=ys, label=label))
+        ok = r >= rmin
+        cols.append(np.full(r.size, np.nan))
+        cols[-1][ok] = bergman_function_r0(k, c, a, r[ok])
+        curves.append(Curve(x=r[ok].tolist(), y=cols[-1][ok].tolist(), label=label))
     prefix = args.out or "fig1"
-    write_csv(f"{prefix}.csv", ["r"] + [name for _, _, _, _, name, _ in _FIG1_CASES], table)
+    write_csv(f"{prefix}.csv", ["r"] + [case[4] for case in _FIG1_CASES], np.column_stack(cols))
     write_svg(
         f"{prefix}.svg",
         curves,

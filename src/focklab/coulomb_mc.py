@@ -290,9 +290,8 @@ def _tabulated_inverse_cdf(Q: MacroscopicPotential, c: float, n: int, j: int, po
         rcut *= 1.25
     if e >= 0.0:
         grid = np.linspace(0.0, rcut, points)
-        with np.errstate(divide="ignore"):
-            logw = np.where(grid > 0, e * np.log(np.maximum(grid, 1e-300)), 0.0 if e == 0 else -np.inf)
-        logw = logw - n * np.array([Q.q_of_r(float(r)) for r in grid])
+        logw = np.where(grid > 0, e * np.log(np.maximum(grid, 1e-300)), 0.0 if e == 0 else -np.inf)
+        logw = logw - n * Q.q_of_r(grid)
         w = np.exp(logw - np.max(logw[np.isfinite(logw)]))
         w[~np.isfinite(w)] = 0.0
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(grid))])
@@ -301,7 +300,7 @@ def _tabulated_inverse_cdf(Q: MacroscopicPotential, c: float, n: int, j: int, po
     beta = e + 1.0
     vgrid = np.linspace(0.0, rcut**beta, points)
     rv = vgrid ** (1.0 / beta)
-    w = np.exp(-n * np.array([Q.q_of_r(float(r)) for r in rv]))
+    w = np.exp(-n * Q.q_of_r(rv))
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(vgrid))])
     return vgrid, cdf / cdf[-1], beta
 

@@ -53,7 +53,7 @@ def _bisect_increasing(f, lo: float, hi: float) -> float:
 
 def _check_monotone_mass(Q: MacroscopicPotential, hi: float) -> None:
     r = np.geomspace(hi * 1e-6, hi, 256)
-    mass = r * np.array([Q.dq_dr(x) for x in r])
+    mass = r * Q.dq_dr(r)
     if np.any(np.diff(mass) < -1e-12 * np.abs(mass[1:])):
         raise ConfigError("r Q'(r) is not increasing: droplet is not a disk")
 

@@ -8,6 +8,11 @@ radius r_n gives R_n(z) = r_n^2 bR_n(r_n z), which increases to the
 closed-form density R0 of radial_bergman as n grows.  Spectator charges
 break the monomial orthogonality and are out of scope here (the Monte
 Carlo module covers them).
+
+finite_moments computes all n norms at once: each integrand, centred on
+its mode in t = ln r and mapped by a sinh substitution, is summed in the
+log domain by one trapezoid rule on a common grid, and the sum over every
+other node gives each norm an error estimate; the worst one is kept.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import logsumexp
 
 from .errors import ConfigError, DivergenceError, NumericalError
 from .potentials import MacroscopicPotential, canonical_decompose, detect_k, normalize_potential
@@ -36,78 +40,78 @@ __all__ = [
     "convergence_report",
 ]
 
-_QUAD_KW = dict(epsabs=1e-15, epsrel=1e-13, limit=300)
+_STEP = 0.025     # first trapezoid step in s; rows that miss _TOL halve it, up to 4 times
+_TOL = 1e-13      # relative error target of each norm
+_BLOCK = 1 << 13  # rows x nodes evaluated at once, to keep the memory peak flat
 
 
-def _expand_root(f, lo: float, description: str) -> float:
-    """Bracket and bisect the root of increasing f starting from lo."""
-    hi = max(lo, 1.0)
-    it = 0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        it += 1
-        if it > 200:
-            raise NumericalError(f"could not bracket {description}")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    return 0.5 * (lo + hi)
+def _trapezoid(Q, n, beta, t_star, sigma, h, S):
+    """ln(h sum_i f_j(s_i)) on the nodes s_i = i h, |s_i| <= S, and its error estimate."""
+    half = math.ceil(S / h)
+    s = h * np.arange(-half, half + 1)
+    logs, est = np.empty(beta.size), np.empty(beta.size)
+    step = max(1, _BLOCK // s.size)
+    for b in range(0, beta.size, step):
+        rows = slice(b, b + step)
+        t = t_star[rows, None] + sigma[rows, None] * np.sinh(s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nq = n * Q.q_of_r(np.exp(t))
+        # where r^{2m} overflows, mixed-sign coefficients give inf - inf; the leading term wins
+        logf = beta[rows, None] * t - np.where(np.isnan(nq), np.inf, nq) + np.log(np.cosh(s))
+        top = logf.max(axis=1)
+        w = np.exp(logf - top[:, None])
+        total = w.sum(axis=1)
+        logs[rows] = math.log(h) + top + np.log(total)
+        # |T_h - T_2h| / T_h, plus the weight left at the ends of the grid
+        est[rows] = (np.abs(total - 2.0 * w[:, half % 2::2].sum(axis=1)) + w[:, 0] + w[:, -1]) / total
+    return logs, est
 
 
-def _log_norm(Q: MacroscopicPotential, c: float, n: int, j: int) -> float:
-    """ln m_j^(n), m_j^(n) = 2 int_0^inf r^{2j+2c+1} e^{-nQ(r)} dr.
+def _log_norms(Q: MacroscopicPotential, c: float, n: int) -> tuple[np.ndarray, float]:
+    """ln m_j^(n) for j < n and the worst relative error estimate.
 
-    Piecewise scheme sized to the integrand: an exact power-flattening
-    substitution u = (r/r1)^{2j+2c+2} below the weight scale r1 (where
-    nQ = 1), a mode-normalized direct integrand between r1 and the mode,
-    and a normalized decaying tail above.  Robust for 2j+2c+1 of either
-    sign and for sharply peaked large-n integrands.
+    Row j is m_j = 2 int exp(beta_j t - nQ(e^t)) dt with beta_j = 2j+2c+2,
+    mapped by t = t*_j + sigma_j sinh(s) with sigma_j = (n d(rQ')/dt)^{-1/2}
+    = (4 n r^2 Delta Q)^{-1/2} at its mode t*_j.  The common grid reaches
+    S = asinh(max_j (46 + nQ(r*_j)) / (beta_j sigma_j)) + 1/2, where the slow
+    left tail e^{beta_j t} of every row has fallen by e^-46 (about 1e-20).
     """
-    e = 2 * j + 2 * c + 1.0
-    beta = e + 1.0
-
-    def g(r: float) -> float:
-        return e * math.log(r) - n * Q.q_of_r(r) if r > 0 else -math.inf
-
-    r1 = _expand_root(lambda r: n * Q.q_of_r(r) - 1.0, 1.0, "the weight scale")
-    if e > 0:
-        rm = _expand_root(lambda r: n * r * Q.dq_dr(r) - e, 1.0, "the integrand mode")
-        r1 = min(r1, rm)
-    else:
-        rm = r1
-    pieces = []
-    # [0, r1]: u = (r/r1)^beta flattens r^e dr exactly
-    val, _ = quad(lambda u: math.exp(-n * Q.q_of_r(r1 * u ** (1.0 / beta))), 0.0, 1.0, **_QUAD_KW)
-    pieces.append(beta * math.log(r1) - math.log(beta) + math.log(val))
-    gref = g(rm)
-    if rm > r1 * (1.0 + 1e-12):
-        val, _ = quad(lambda r: math.exp(g(r) - gref), r1, rm, **_QUAD_KW)
-        if val > 0:
-            pieces.append(gref + math.log(val))
-    rhi = rm
-    while g(rhi) > gref - 120.0:
-        rhi *= 1.5
-        if rhi > 1e12:
-            raise NumericalError("weighted norm integral does not converge")
-    val, _ = quad(lambda r: math.exp(g(r) - gref), rm, rhi, **_QUAD_KW)
-    pieces.append(gref + math.log(val))
-    return math.log(2.0) + float(logsumexp(pieces))
+    beta = 2.0 * np.arange(n) + 2.0 * c + 2.0
+    slope = lambda t: n * np.exp(t) * Q.dq_dr(np.exp(t))  # n r Q'(r) at r = e^t
+    lo, hi = np.full(n, -50.0), np.full(n, 50.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (slope(lo[0]) < beta[0] and slope(hi[0]) > beta[-1]):
+            raise NumericalError("an integrand mode lies outside e^-50 < r < e^50")
+        while np.max(hi - lo) > 1e-10:
+            mid = 0.5 * (lo + hi)
+            below = slope(mid) < beta
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        t_star = 0.5 * (lo + hi)
+        r_star = np.exp(t_star)
+        sigma = 1.0 / np.sqrt(4.0 * n * r_star * r_star * Q.laplacian_radial(r_star))
+    if not np.all(np.isfinite(sigma) & (sigma > 0)):
+        raise NumericalError("an integrand mode is not a strict maximum")
+    reach = (46.0 + np.maximum(n * Q.q_of_r(r_star), 0.0)) / (beta * sigma)
+    S = math.asinh(float(np.max(reach))) + 0.5
+    logs, est = np.empty(n), np.empty(n)
+    todo = np.arange(n)
+    for h in _STEP * 0.5 ** np.arange(5):
+        logs[todo], est[todo] = _trapezoid(Q, n, beta[todo], t_star[todo], sigma[todo], h, S)
+        todo = todo[np.isnan(est[todo]) | (est[todo] > _TOL)]
+        if not todo.size:
+            return math.log(2.0) + np.log(sigma) + logs, float(np.max(est))
+    raise NumericalError(f"norm j={int(todo[0])}: error estimate {est[todo[0]]:.1e} > {_TOL:g} at step {h:g}")
 
 
 @dataclass(frozen=True)
 class FiniteKernel:
-    """Monomial log-norms of one n-point radial ensemble."""
+    """Monomial log-norms of one n-point radial ensemble, with their worst relative error estimate."""
 
     n: int
     c: float
     potential: MacroscopicPotential
     log_norms: np.ndarray
+    error_estimate: float
 
 
 def finite_moments(Q: MacroscopicPotential, c: float, n: int) -> FiniteKernel:
@@ -119,8 +123,7 @@ def finite_moments(Q: MacroscopicPotential, c: float, n: int) -> FiniteKernel:
         raise ConfigError(f"c must be > -1, got {c}")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    logs = np.array([_log_norm(Q, c, n, j) for j in range(n)])
-    return FiniteKernel(n=n, c=c, potential=Q, log_norms=logs)
+    return FiniteKernel(n, c, Q, *_log_norms(Q, c, n))
 
 
 def intensity(fk: FiniteKernel, zeta) -> float:
@@ -170,8 +173,10 @@ def mass_integral(fk: FiniteKernel) -> float:
         if rhi > 1e6:
             break
     f = lambda r: 2.0 * r * intensity(fk, r)
-    inner, _ = quad(f, 0.0, R, epsabs=1e-12, epsrel=1e-11, limit=300)
-    outer, _ = quad(f, R, rhi, epsabs=1e-12, epsrel=1e-11, limit=300)
+    inner, err_in = quad(f, 0.0, R, epsabs=1e-12, epsrel=1e-11, limit=300)
+    outer, err_out = quad(f, R, rhi, epsabs=1e-12, epsrel=1e-11, limit=300)
+    if err_in + err_out > 1e-8 * abs(inner + outer):
+        raise NumericalError(f"mass integral error estimate {err_in + err_out:.1e} exceeds 1e-8 relative")
     return float(inner + outer)
 
 
@@ -179,8 +184,11 @@ def bin_averaged_intensity(fk: FiniteKernel, edges) -> np.ndarray:
     """Mean of bR_n over each radial bin in dA measure: 2 int r bR_n dr / (hi^2 - lo^2)."""
     edges = np.asarray(edges, dtype=float)
     out = np.empty(edges.size - 1)
+    f = lambda r: 2.0 * r * intensity(fk, r)
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        val, _ = quad(lambda r: 2.0 * r * intensity(fk, r), lo, hi, epsabs=1e-13, epsrel=1e-9, limit=200)
+        val, err = quad(f, lo, hi, epsabs=0.0, epsrel=1e-9, limit=200)
+        if err > 1e-9 * abs(val):
+            raise NumericalError(f"bin [{lo:g}, {hi:g}]: error estimate {err:.1e} exceeds 1e-9 relative")
         out[i] = val / (hi * hi - lo * lo)
     return out
 

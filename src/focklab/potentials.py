@@ -244,18 +244,22 @@ class MacroscopicPotential:
             sum(a * z**i * np.conj(z) ** j for (i, j), a in self.hermitian_coeffs.items()).real
         )
 
-    def q_of_r(self, r: float) -> float:
+    def q_of_r(self, r: float | np.ndarray) -> float | np.ndarray:
+        """Q(r) = sum q_m r^{2m}; like the two below, float in, float out, arrays elementwise."""
         self._require_radial()
-        return float(sum(q * r ** (2 * m) for m, q in self.radial_coeffs.items()))
+        v = sum(q * r ** (2 * m) for m, q in self.radial_coeffs.items())
+        return v if isinstance(v, np.ndarray) else float(v)
 
-    def dq_dr(self, r: float) -> float:
+    def dq_dr(self, r: float | np.ndarray) -> float | np.ndarray:
         self._require_radial()
-        return float(sum(q * 2 * m * r ** (2 * m - 1) for m, q in self.radial_coeffs.items()))
+        v = sum(q * 2 * m * r ** (2 * m - 1) for m, q in self.radial_coeffs.items())
+        return v if isinstance(v, np.ndarray) else float(v)
 
-    def laplacian_radial(self, r: float) -> float:
+    def laplacian_radial(self, r: float | np.ndarray) -> float | np.ndarray:
         """Delta Q with Delta = d/dz d/dzbar: sum q_m m^2 r^{2m-2}."""
         self._require_radial()
-        return float(sum(q * m * m * r ** (2 * m - 2) for m, q in self.radial_coeffs.items()))
+        v = sum(q * m * m * r ** (2 * m - 2) for m, q in self.radial_coeffs.items())
+        return v if isinstance(v, np.ndarray) else float(v)
 
     def spectator_log_weight(self, zeta: complex) -> float:
         """h(zeta) = sum 2 cj log|zeta - aj| (0 when there are no spectators)."""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from focklab import (
     ConfigError,
     DivergenceError,
     MacroscopicPotential,
+    NumericalError,
     Spectator,
     bergman_function_r0,
     bin_averaged_intensity,
@@ -70,6 +72,69 @@ class TestFiniteMoments:
         )
         with pytest.raises(ConfigError):
             finite_moments(spect, 0.0, 4)
+
+    def test_mode_outside_the_bracket_fails_loudly(self):
+        # n r Q'(r) stays below beta_j up to r = e^50
+        with pytest.raises(NumericalError):
+            finite_moments(radial({1: 1e-60}), 0.0, 4)
+
+
+def _quad_log_norm(coeffs, c, n, j):
+    """ln m_j^(n) by adaptive quadrature in x = r^2: int_0^inf x^{j+c} e^{-n q(x)} dx.
+
+    With x = xs u, xs the mode of the integrand (or where n x q' = 1 when
+    j + c <= 0), the integrand is at most 1; the x^{j+c} factor on [0, xs]
+    goes into the algebraic weight of QAWS.
+    """
+    q = lambda x: sum(a * x**m for m, a in coeffs.items())
+    xq1 = lambda x: sum(m * a * x**m for m, a in coeffs.items())
+    e = j + c
+    lo, hi = 0.0, 1.0
+    while n * xq1(hi) < max(e, 1.0):
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if n * xq1(mid) < max(e, 1.0) else (lo, mid)
+    xs = 0.5 * (lo + hi)
+    drop = lambda u: -n * (q(xs * u) - q(xs))
+    inner, _ = quad(lambda u: math.exp(drop(u)), 0.0, 1.0, weight="alg", wvar=(e, 0.0),
+                    epsabs=0.0, epsrel=1e-13, limit=200)
+    outer, _ = quad(lambda u: math.exp(e * math.log(u) + drop(u)), 1.0, np.inf,
+                    epsabs=0.0, epsrel=1e-13, limit=200)
+    return (e + 1.0) * math.log(xs) - n * q(xs) + math.log(inner + outer)
+
+
+class TestNormOracles:
+    """The sinh-mapped trapezoid against closed forms and adaptive quadrature."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("c", [-0.95, -0.5, 0.0, 0.75, 3.0])
+    @pytest.mark.parametrize("n", [1, 16, 256])
+    def test_homogeneous_gamma_closed_form(self, k, c, n):
+        # Q = a r^{2k}: m_j = (1/k) (n a)^{-(j+c+1)/k} Gamma((j+c+1)/k)
+        a = 0.8
+        fk = finite_moments(radial({k: a}), c, n)
+        p = (np.arange(n) + c + 1.0) / k
+        want = -p * math.log(n * a) - math.log(k) + gammaln(p)
+        np.testing.assert_allclose(np.exp(fk.log_norms - want), 1.0, rtol=1e-12, atol=0.0)
+        assert fk.error_estimate <= 1e-12
+
+    @pytest.mark.parametrize("coeffs", [{1: 1.0, 2: 1.0}, {2: 1.0, 3: 1.0}])
+    @pytest.mark.parametrize("c", [-0.5, 0.75])
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_inhomogeneous_adaptive_quadrature(self, coeffs, c, n):
+        fk = finite_moments(radial(coeffs), c, n)
+        want = np.array([_quad_log_norm(coeffs, c, n, j) for j in range(n)])
+        np.testing.assert_allclose(np.exp(fk.log_norms - want), 1.0, rtol=1e-12, atol=0.0)
+        assert fk.error_estimate <= 1e-12
+
+    @pytest.mark.parametrize("k,c,n", [(2, -0.5, 64), (3, 0.5, 256)])
+    def test_no_integration_warnings(self, k, c, n):
+        Qn, _ = normalize_potential(radial({k: 1.0}, c=c), k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fk = finite_moments(Qn, c, n)
+        assert np.all(np.isfinite(fk.log_norms))
 
 
 class TestIntensity:
@@ -155,6 +220,25 @@ class TestMassIntegral:
     def test_total_mass_is_n(self, coeffs, c, n):
         fk = finite_moments(radial(coeffs, c=c), c, n)
         assert mass_integral(fk) == pytest.approx(n, rel=1e-10)
+
+
+def _sloppy_quad(*args, **kwargs):
+    val, _ = quad(*args, **kwargs)
+    return val, 1e-3 * abs(val)
+
+
+class TestQuadratureErrorChecks:
+    def test_mass_integral_rejects_a_large_error_estimate(self, monkeypatch):
+        fk = finite_moments(radial({1: 1.0}), 0.0, 4)
+        monkeypatch.setattr("focklab.finite_kernel.quad", _sloppy_quad)
+        with pytest.raises(NumericalError):
+            mass_integral(fk)
+
+    def test_bins_reject_a_large_error_estimate(self, monkeypatch):
+        fk = finite_moments(radial({1: 1.0}), 0.0, 4)
+        monkeypatch.setattr("focklab.finite_kernel.quad", _sloppy_quad)
+        with pytest.raises(NumericalError):
+            bin_averaged_intensity(fk, [0.0, 0.5, 1.0])
 
 
 class TestBinAveraged:

@@ -113,6 +113,19 @@ class TestMacroscopicPotential:
         assert Q.laplacian_radial(r) == pytest.approx(1 + 4 * r**2, rel=1e-14)
         assert Q.value(r * 1j) == pytest.approx(Q.q_of_r(r), rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "coeffs", [{1: 1.0}, {2: 1.0}, {3: 0.7}, {1: 1.0, 2: 1.0}, {1: 1.0, 2: -0.6, 3: 0.15}]
+    )
+    def test_array_evaluation_matches_scalar_calls(self, coeffs):
+        Q = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs=coeffs)
+        r = np.concatenate([[0.0], np.geomspace(1e-8, 40.0, 301)]).reshape(2, -1)
+        for f in (Q.q_of_r, Q.dq_dr, Q.laplacian_radial):
+            got = f(r)
+            assert isinstance(got, np.ndarray) and got.shape == r.shape
+            want = np.array([f(float(x)) for x in r.ravel()]).reshape(r.shape)
+            assert all(type(f(float(x))) is float for x in r.ravel()[:3])
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
     def test_growth_violation(self):
         with pytest.raises(ConfigError):
             MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: -1.0})
