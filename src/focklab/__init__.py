@@ -16,7 +16,6 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalError,
 )
-from .special_fn import MLParams, log_gamma, mittag_leffler
 from .potentials import (
     CanonicalDecomposition,
     HomogeneousHermitianPoly,
@@ -85,8 +84,6 @@ __all__ = [
     # errors
     "FocklabError", "ConfigError", "NumericalError", "NotPositiveDefiniteError",
     "IllConditionedError", "DivergenceError", "FitError",
-    # special functions
-    "MLParams", "log_gamma", "mittag_leffler",
     # potentials
     "HomogeneousHermitianPoly", "MicroscopicPotential", "Spectator",
     "MacroscopicPotential", "CanonicalDecomposition", "detect_k",

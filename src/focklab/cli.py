@@ -115,14 +115,26 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: str | Path | None, doc: dict, to_stderr_if_unset: bool = False) -> None:
-    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    elif to_stderr_if_unset:
-        sys.stderr.write(text)
+def _json_text(doc: dict) -> str:
+    return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
+
+
+def _write_json(path: str | Path | None, doc: dict) -> None:
+    if path is None:
+        sys.stdout.write(_json_text(doc))
     else:
-        sys.stdout.write(text)
+        Path(path).write_text(_json_text(doc), encoding="utf-8")
+
+
+def _write_table_and_report(prefix: str | None, header: list[str], rows, doc: dict) -> None:
+    """CSV and JSON to prefix.csv and prefix.json, or without a prefix CSV to stdout and JSON to stderr."""
+    if prefix:
+        write_csv(f"{prefix}.csv", header, rows)
+        _write_json(f"{prefix}.json", doc)
+        print(f"wrote {prefix}.csv, {prefix}.json")
+    else:
+        write_csv(None, header, rows)
+        sys.stderr.write(_json_text(doc))
 
 
 def _inline_kca(args) -> tuple[int, float, float]:
@@ -180,6 +192,23 @@ def _parse_n_list(text: str | None, default: list[int]) -> list[int]:
     return out
 
 
+def _polar_density(grid: np.ndarray, n_theta: int, density):
+    """r, theta, z and density(z) on a polar grid, in one call, with one angle at r = 0.
+
+    A DivergenceError, which arises only at r = 0 (c < 0), prints a note and
+    drops that point.
+    """
+    thetas = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
+    r, th = np.array([(x, t) for x in grid for t in (thetas if x > 0 else thetas[:1])]).T
+    z = r * np.cos(th) + 1j * (r * np.sin(th))
+    try:
+        return r, th, z, density(z)
+    except DivergenceError as exc:
+        print(f"note: grid point r=0 rejected: {exc}", file=sys.stderr)
+        keep = r != 0.0
+        return r[keep], th[keep], z[keep], density(z[keep])
+
+
 # --- subcommands ----------------------------------------------------------
 
 
@@ -199,21 +228,10 @@ def cmd_r0(args) -> int:
         return 0
     N = args.n if args.n is not None else 48
     tk = truncated_kernel(moment_matrix(p, N))
-    lap = p.q0.laplacian()
-    thetas = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
-    rows = []
-    for r in grid:
-        r = float(r)
-        for th in thetas if r > 0 else thetas[:1]:
-            z = r * complex(math.cos(th), math.sin(th))
-            try:
-                val = bergman_density(tk, p, z)
-            except DivergenceError as exc:
-                print(f"note: grid point r={r:g} rejected: {exc}", file=sys.stderr)
-                break
-            dq = lap.evaluate(z)
-            rows.append((r, float(th), val, dq, val / dq - 1.0 if dq != 0.0 else None))
-    write_csv(args.out, ["r", "theta", "R0", "deltaQ0", "rel_err"], rows)
+    r, th, z, val = _polar_density(grid, 24, lambda z: bergman_density(tk, p, z))
+    dq = p.q0.laplacian().evaluate(z)
+    rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
+    write_csv(args.out, ["r", "theta", "R0", "deltaQ0", "rel_err"], zip(r, th, val, dq, rel))
     return 0
 
 
@@ -269,48 +287,27 @@ def cmd_rescale(args) -> int:
     c = Q.c
     n_list = _parse_n_list(args.n_list, default=[16, 64, 256])
     grid = parse_grid(args.grid or "0.1:2:39")
-    z = [float(x) for x in grid]
-    rejected = []
-    if c < 0:
-        kept = []
-        for x in z:
-            if x == 0.0:
-                rejected.append(x)
-                print(
-                    f"note: grid point z={x:g} rejected: density diverges at 0 for c = {c} < 0",
-                    file=sys.stderr,
-                )
-            else:
-                kept.append(x)
-        z = kept
-    if len(z) < 1:
-        raise ConfigError("no usable grid points remain")
+    rejected = grid[grid == 0.0].tolist() if c < 0 else []
+    for x in rejected:
+        print(f"note: grid point z={x:g} rejected: density diverges at 0 for c = {c} < 0", file=sys.stderr)
+    z = grid[grid != 0.0] if rejected else grid
     k = detect_k(Q)
     Qn, lam = normalize_potential(Q, k, c)
     a_micro = (1.0 + c) / k
-    r0col = bergman_function_r0(k, c, a_micro, np.array(z)).tolist()
+    r0col = bergman_function_r0(k, c, a_micro, z)
     homogeneous = set(m for m, q in Qn.radial_coeffs.items() if q != 0.0) == {k}
-    cols: dict[int, list[float]] = {}
+    cols: dict[int, np.ndarray] = {}
     rn_map: dict[int, float] = {}
     sup_err: dict[int, float] = {}
     identity: dict[int, bool] = {}
     for n in n_list:
         fk = finite_moments(Qn, c, n)
-        rn = microscopic_scale(Qn, c, n)
-        col = [rescaled_intensity(fk, x, rn) for x in z]
-        cols[n] = col
-        rn_map[n] = rn
-        sup_err[n] = float(max(abs(v - r) for v, r in zip(col, r0col)))
+        rn_map[n] = microscopic_scale(Qn, c, n)
+        cols[n] = rescaled_intensity(fk, z, rn_map[n])
+        sup_err[n] = float(np.max(np.abs(cols[n] - r0col)))
         if homogeneous:
-            identity[n] = bool(
-                max(abs(v - truncated_series_r0(k, c, a_micro, n, x)) for v, x in zip(col, z))
-                <= 1e-12
-            )
-    header = ["z", "R0"] + [f"Rn_{n}" for n in n_list]
-    rows = [
-        [x, r0] + [cols[n][i] for n in n_list]
-        for i, (x, r0) in enumerate(zip(z, r0col))
-    ]
+            series = truncated_series_r0(k, c, a_micro, n, z)
+            identity[n] = bool(np.max(np.abs(cols[n] - series)) <= 1e-12)
     doc = {
         "k": k,
         "c": c,
@@ -322,13 +319,9 @@ def cmd_rescale(args) -> int:
         "series_identity": identity if homogeneous else None,
         "rejected_points": rejected,
     }
-    if args.out:
-        write_csv(f"{args.out}.csv", header, rows)
-        _write_json(f"{args.out}.json", doc)
-        print(f"wrote {args.out}.csv, {args.out}.json")
-    else:
-        write_csv(None, header, rows)
-        _write_json(None, doc, to_stderr_if_unset=True)
+    header = ["z", "R0"] + [f"Rn_{n}" for n in n_list]
+    rows = np.column_stack([z, r0col] + [cols[n] for n in n_list])
+    _write_table_and_report(args.out, header, rows, doc)
     return 0
 
 
@@ -443,20 +436,8 @@ def cmd_gram(args) -> int:
     p = _microscopic_from_args(args)
     N = args.n if args.n is not None else 48
     grid = parse_grid(args.grid or "0:2:21")
-    mm = moment_matrix(p, N)
-    tk = truncated_kernel(mm)
-    thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-    rows = []
-    for r in grid:
-        r = float(r)
-        for th in thetas if r > 0 else thetas[:1]:
-            z = r * complex(math.cos(th), math.sin(th))
-            try:
-                val = bergman_density(tk, p, z)
-            except DivergenceError as exc:
-                print(f"note: grid point r={r:g} rejected: {exc}", file=sys.stderr)
-                break
-            rows.append((r, float(th), z.real, z.imag, val))
+    tk = truncated_kernel(moment_matrix(p, N))
+    r, th, z, val = _polar_density(grid, 16, lambda z: bergman_density(tk, p, z))
     doc = {
         "N": N,
         "k": p.k,
@@ -464,13 +445,7 @@ def cmd_gram(args) -> int:
         "condition_number": tk.condition,
         "kappa": [p.kappa.real, p.kappa.imag],
     }
-    if args.out:
-        write_csv(f"{args.out}.csv", ["r", "theta", "x", "y", "R0N"], rows)
-        _write_json(f"{args.out}.json", doc)
-        print(f"wrote {args.out}.csv, {args.out}.json")
-    else:
-        write_csv(None, ["r", "theta", "x", "y", "R0N"], rows)
-        _write_json(None, doc, to_stderr_if_unset=True)
+    _write_table_and_report(args.out, ["r", "theta", "x", "y", "R0N"], zip(r, th, z.real, z.imag, val), doc)
     return 0
 
 

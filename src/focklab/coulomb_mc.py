@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,10 @@ __all__ = [
     "sample_radial_exact",
     "rescaled_histogram",
 ]
+
+_TUNE_TARGET = 0.35  # burn-in acceptance the proposal scale is tuned toward
+_TUNE_INTERVAL = 25  # burn-in sweeps between two tuning steps
+_BATCHES = 32        # batch means behind each error bar
 
 
 def _site_energy(potential: MacroscopicPotential, c: float, n: int, z: complex) -> float:
@@ -92,7 +96,8 @@ class EnsembleConfig:
 
     sweeps counts RECORDED sweeps; the chain runs burn_in + sweeps*thin
     single-particle sweeps in total.  delta0 is tuned during burn-in toward
-    tune_target acceptance and then frozen.
+    an acceptance of 0.35, every 25 sweeps, and then frozen; the recorded
+    sweeps are split into 32 batches for the error bars.
     """
 
     n: int
@@ -103,9 +108,6 @@ class EnsembleConfig:
     thin: int = 1
     delta0: float = 0.3
     seed: int = 0
-    tune_target: float = 0.35
-    tune_interval: int = 25
-    n_batches: int = 32
     collect_moduli: bool = False
 
     def __post_init__(self) -> None:
@@ -188,8 +190,8 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
 
     nbins = edges.size - 1
     counts = np.zeros(nbins, dtype=np.int64)
-    batch_counts = np.zeros((cfg.n_batches, nbins), dtype=np.int64)
-    batch_recorded = np.zeros(cfg.n_batches, dtype=np.int64)
+    batch_counts = np.zeros((_BATCHES, nbins), dtype=np.int64)
+    batch_recorded = np.zeros(_BATCHES, dtype=np.int64)
     moduli = np.empty((cfg.sweeps, n)) if cfg.collect_moduli else None
 
     tuned_acc = 0
@@ -223,9 +225,9 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
                     else:
                         rec_acc += 1
             if burn:
-                if (sweep + 1) % cfg.tune_interval == 0:
-                    rate = tuned_acc / (cfg.tune_interval * n)
-                    delta = float(np.clip(delta * math.exp(1.5 * (rate - cfg.tune_target)), 1e-4, 50.0))
+                if (sweep + 1) % _TUNE_INTERVAL == 0:
+                    rate = tuned_acc / (_TUNE_INTERVAL * n)
+                    delta = float(np.clip(delta * math.exp(1.5 * (rate - _TUNE_TARGET)), 1e-4, 50.0))
                     tuned_acc = 0
                 continue
             post = sweep - cfg.burn_in
@@ -234,7 +236,7 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
             radii = np.abs(pts)
             cnt, _ = np.histogram(radii, edges)
             counts += cnt
-            b = recorded * cfg.n_batches // cfg.sweeps
+            b = recorded * _BATCHES // cfg.sweeps
             batch_counts[b] += cnt
             batch_recorded[b] += 1
             if moduli is not None:

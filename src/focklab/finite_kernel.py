@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, DivergenceError, NumericalError
 from .potentials import MacroscopicPotential, canonical_decompose, detect_k, normalize_potential
@@ -43,6 +42,7 @@ __all__ = [
 _STEP = 0.025     # first trapezoid step in s; rows that miss _TOL halve it, up to 4 times
 _TOL = 1e-13      # relative error target of each norm
 _BLOCK = 1 << 13  # rows x nodes evaluated at once, to keep the memory peak flat
+_HUGE = np.finfo(float).max
 
 
 def _trapezoid(Q, n, beta, t_star, sigma, h, S):
@@ -126,46 +126,53 @@ def finite_moments(Q: MacroscopicPotential, c: float, n: int) -> FiniteKernel:
     return FiniteKernel(n, c, Q, *_log_norms(Q, c, n))
 
 
-def intensity(fk: FiniteKernel, zeta) -> float:
-    """One-point intensity bR_n(zeta) = sum_{j<n} |zeta|^{2j+2c} e^{-nQ}/m_j^(n)."""
-    x = float(abs(complex(zeta)))
-    if x == 0.0:
-        if fk.c < 0:
-            raise DivergenceError("intensity diverges at 0 for c < 0")
-        if fk.c > 0:
-            return 0.0
-        return float(np.exp(-fk.n * fk.potential.q_of_r(0.0) - fk.log_norms[0]))
-    j = np.arange(fk.n)
-    lt = (2 * j + 2 * fk.c) * math.log(x) - fk.n * fk.potential.q_of_r(x) - fk.log_norms
-    m = float(np.max(lt))
-    if m == -math.inf:
-        return 0.0
-    return float(math.exp(m) * np.exp(lt - m).sum())
+def _series(r, c: float, log_norms: np.ndarray, nq):
+    """sum_j |r|^{2j+2c} e^{-nQ(|r|)} / m_j over the log-norms given, in the log domain.
 
-
-def rescaled_intensity(fk: FiniteKernel, z, rn: float) -> float:
-    """R_n(z) = r_n^2 bR_n(r_n z) at the microscopic scale r_n."""
-    if not rn > 0:
-        raise ConfigError(f"rn must be positive, got {rn}")
-    return rn * rn * intensity(fk, rn * abs(complex(z)))
-
-
-def truncated_series_r0(k: int, c: float, a: float, n: int, r) -> float:
-    """First n terms of the closed-form R0 series (the n-term exhaustion)."""
-    mt = moments(k, c, a, n - 1)
-    x = float(abs(r))
-    if x == 0.0:
+    Scalar in, scalar out, elementwise on arrays; nq maps radii to nQ there.
+    Points sit on axis 0 and the terms on axis 1, so a scalar call gives the
+    same bits as its element of an array call.  At r = 0 the value is 0 for
+    c > 0 and e^{-nQ(0)}/m_0 for c = 0; for c < 0 it diverges
+    (DivergenceError).
+    """
+    r = np.asarray(r)
+    x = np.abs(r).reshape(-1, 1).astype(float, copy=False)
+    has_zero = np.count_nonzero(x) < x.size
+    if has_zero:
         if c < 0:
             raise DivergenceError("diverges at 0 for c < 0")
-        return 0.0 if c > 0 else float(np.exp(-mt.log_moments[0]))
-    j = np.arange(n)
-    lt = (2 * j + 2 * c) * math.log(x) - a * x ** (2 * k) - mt.log_moments
-    m = float(np.max(lt))
-    return float(math.exp(m) * np.exp(lt - m).sum())
+        zero = x[:, 0] == 0.0
+        x[zero] = 1.0  # r = 0 is filled in at the end
+    lt = (2.0 * c + np.arange(0.0, 2.0 * log_norms.size, 2.0)) * np.log(x) - nq(x) - log_norms
+    # where every term underflows, the floor keeps lt - top at -inf: the sum is 0
+    top = lt.max(axis=1, keepdims=True, initial=-_HUGE)
+    out = np.exp(top[:, 0]) * np.exp(lt - top).sum(axis=1)
+    if has_zero:
+        out[zero] = 0.0 if c > 0 else np.exp(-nq(0.0) - log_norms[0])
+    return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
+
+
+def intensity(fk: FiniteKernel, zeta):
+    """One-point intensity bR_n(zeta) = sum_{j<n} |zeta|^{2j+2c} e^{-nQ}/m_j^(n); arrays elementwise."""
+    return _series(zeta, fk.c, fk.log_norms, lambda x: fk.n * fk.potential.q_of_r(x))
+
+
+def rescaled_intensity(fk: FiniteKernel, z, rn: float):
+    """R_n(z) = r_n^2 bR_n(r_n z) at the microscopic scale r_n; arrays elementwise."""
+    if not rn > 0:
+        raise ConfigError(f"rn must be positive, got {rn}")
+    return rn * rn * intensity(fk, rn * np.abs(z))
+
+
+def truncated_series_r0(k: int, c: float, a: float, n: int, r):
+    """First n terms of the closed-form R0 series (the n-term exhaustion); arrays elementwise."""
+    return _series(r, c, moments(k, c, a, n - 1).log_moments, lambda x: a * x ** (2 * k))
 
 
 def mass_integral(fk: FiniteKernel) -> float:
     """Area integral of bR_n over the plane (dA = dxdy/pi); equals n exactly."""
+    from scipy.integrate import quad  # imported here: focklab's import stays free of it
+
     R = droplet_radius(fk.potential)
     rhi = R
     while 2.0 * rhi * intensity(fk, rhi) > 1e-16 * fk.n:
@@ -182,6 +189,8 @@ def mass_integral(fk: FiniteKernel) -> float:
 
 def bin_averaged_intensity(fk: FiniteKernel, edges) -> np.ndarray:
     """Mean of bR_n over each radial bin in dA measure: 2 int r bR_n dr / (hi^2 - lo^2)."""
+    from scipy.integrate import quad
+
     edges = np.asarray(edges, dtype=float)
     out = np.empty(edges.size - 1)
     f = lambda r: 2.0 * r * intensity(fk, r)
@@ -233,6 +242,5 @@ def convergence_report(Q: MacroscopicPotential, c: float, n_list, z_grid) -> Con
         fk = finite_moments(Qn, c, int(n))
         rn = microscopic_scale(Qn, c, int(n))
         rn_arr[i] = rn
-        vals = np.array([rescaled_intensity(fk, float(x), rn) for x in z])
-        sup_err[i] = float(np.max(np.abs(vals - r0)))
+        sup_err[i] = float(np.max(np.abs(rescaled_intensity(fk, z, rn) - r0)))
     return ConvergenceReport(k=k, c=c, lam=lam, n=n_arr, rn=rn_arr, sup_err=sup_err)

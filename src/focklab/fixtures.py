@@ -16,8 +16,6 @@ __all__ = [
     "fixture_dir",
     "fixture_path",
     "load_columns",
-    "load_log_gamma",
-    "load_mittag_leffler",
     "load_bergman_r0",
 ]
 
@@ -55,16 +53,6 @@ def load_columns(name: str, ncols: int) -> list[tuple[float, ...]]:
                 raise ValueError(f"{name}:{lineno}: expected {ncols} columns, got {len(parts)}")
             rows.append(tuple(float(p) for p in parts))
     return rows
-
-
-def load_log_gamma() -> list[tuple[float, float]]:
-    """Rows (x, log Gamma(x))."""
-    return [(r[0], r[1]) for r in load_columns("log_gamma.txt", 2)]
-
-
-def load_mittag_leffler() -> list[tuple[float, float, float, float]]:
-    """Rows (a, b, x, E_{a,b}(x))."""
-    return [tuple(r) for r in load_columns("mittag_leffler.txt", 4)]
 
 
 def load_bergman_r0() -> list[tuple[float, float, float, float, float]]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError
 
@@ -37,41 +36,53 @@ _PD_THRESHOLD = 1e-10
 _ANGULAR_SCAN = 512
 
 
-def _angular_values(coeffs: dict[tuple[int, int], complex], theta: np.ndarray) -> np.ndarray:
-    """Evaluate sum a_ij e^{i(i-j)theta} (real for Hermitian coefficient maps)."""
+def _angular_values(coeffs: dict[tuple[int, int], complex], theta: np.ndarray, order: int = 0) -> np.ndarray:
+    """The order-th theta-derivative of sum a_ij e^{i(i-j)theta} (real for Hermitian coefficient maps)."""
     out = np.zeros_like(theta, dtype=float)
     for (i, j), a in coeffs.items():
-        out += (a * np.exp(1j * (i - j) * theta)).real
+        out += (a * (1j * (i - j)) ** order * np.exp(1j * (i - j) * theta)).real
     return out
 
 
-def _angular_derivative(coeffs: dict[tuple[int, int], complex], theta: float) -> float:
-    val = 0.0
-    for (i, j), a in coeffs.items():
-        val += (a * 1j * (i - j) * np.exp(1j * (i - j) * theta)).real
-    return val
-
-
 def _angular_minimum(coeffs: dict[tuple[int, int], complex]) -> tuple[float, float]:
-    """Global minimum of the angular profile: 512-point scan plus refinement.
+    """Global minimum of the angular profile: 512-point scan plus Newton refinement.
 
-    Returns (theta_min, q_min); the refined point satisfies first-order
-    stationarity to 1e-8 relative (checked by the caller's tests).
+    Newton steps on q'/q'' start from the scan minimum and stop once a step
+    falls below 1e-15 or q'' <= 0; the scan point is kept unless the
+    refined point is lower.
     """
     theta = np.linspace(0.0, 2 * np.pi, _ANGULAR_SCAN, endpoint=False)
     q = _angular_values(coeffs, theta)
     i0 = int(np.argmin(q))
-    h = 2 * np.pi / _ANGULAR_SCAN
-    lo, hi = theta[i0] - h, theta[i0] + h
-    res = minimize_scalar(
-        lambda t: float(_angular_values(coeffs, np.array([t]))[0]),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    if res.fun <= q[i0]:
-        return float(res.x), float(res.fun)
+    t = theta[i0:i0 + 1]
+    for _ in range(50):
+        d2 = _angular_values(coeffs, t, 2)[0]
+        if not d2 > 0:
+            break
+        step = _angular_values(coeffs, t, 1)[0] / d2
+        t = t - step
+        if abs(step) < 1e-15:
+            break
+    qt = float(_angular_values(coeffs, t)[0])
+    if qt <= q[i0]:
+        return float(t[0]), qt
     return float(theta[i0]), float(q[i0])
+
+
+def _hermitian_value(coeffs: dict[tuple[int, int], complex], z):
+    """Re sum a_ij z^i conj(z)^j: float for a scalar z, elementwise on an array."""
+    z = np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
+    v = sum(a * z**i * np.conj(z) ** j for (i, j), a in coeffs.items()).real
+    return v if isinstance(v, np.ndarray) else float(v)
+
+
+def _laplacian_coeffs(coeffs: dict[tuple[int, int], complex]) -> dict[tuple[int, int], complex]:
+    """Coefficients of d/dz d/dzbar of sum a_ij z^i conj(z)^j."""
+    out: dict[tuple[int, int], complex] = {}
+    for (i, j), a in coeffs.items():
+        if i >= 1 and j >= 1:
+            out[(i - 1, j - 1)] = out.get((i - 1, j - 1), 0.0) + i * j * a
+    return out
 
 
 def _check_hermitian(coeffs: dict[tuple[int, int], complex]) -> None:
@@ -99,9 +110,9 @@ class HomogeneousHermitianPoly:
                 raise ConfigError(f"coefficient ({i},{j}) has total degree != {self.degree}")
         _check_hermitian(self.coeffs)
 
-    def evaluate(self, z: complex) -> float:
-        z = complex(z)
-        return float(sum(a * z**i * np.conj(z) ** j for (i, j), a in self.coeffs.items()).real)
+    def evaluate(self, z):
+        """Value at z: float for a scalar, elementwise on an array."""
+        return _hermitian_value(self.coeffs, z)
 
     def angular_profile(self, theta: np.ndarray) -> np.ndarray:
         """Values on the unit circle, q(theta) = value at e^{i theta}."""
@@ -115,11 +126,7 @@ class HomogeneousHermitianPoly:
 
     def laplacian(self) -> "HomogeneousHermitianPoly":
         """d/dz d/dzbar of the polynomial (degree drops by 2)."""
-        out: dict[tuple[int, int], complex] = {}
-        for (i, j), a in self.coeffs.items():
-            if i >= 1 and j >= 1:
-                out[(i - 1, j - 1)] = out.get((i - 1, j - 1), 0.0) + i * j * a
-        return HomogeneousHermitianPoly(max(self.degree - 2, 0), out)
+        return HomogeneousHermitianPoly(max(self.degree - 2, 0), _laplacian_coeffs(self.coeffs))
 
     def scaled(self, factor: float) -> "HomogeneousHermitianPoly":
         return HomogeneousHermitianPoly(
@@ -164,7 +171,7 @@ class MicroscopicPotential:
         """Radial amplitude a in Q0 = a r^{2k}; equals the angular mean for radial q0."""
         return float(np.real(self.q0.coeffs.get((self.k, self.k), 0.0)))
 
-    def evaluate(self, z: complex) -> float:
+    def evaluate(self, z):
         return self.q0.evaluate(z)
 
 
@@ -239,10 +246,7 @@ class MacroscopicPotential:
         """Q(zeta), the smooth part only (no charges)."""
         if self.kind == "radial":
             return self.q_of_r(abs(zeta))
-        z = complex(zeta)
-        return float(
-            sum(a * z**i * np.conj(z) ** j for (i, j), a in self.hermitian_coeffs.items()).real
-        )
+        return _hermitian_value(self.hermitian_coeffs, zeta)
 
     def q_of_r(self, r: float | np.ndarray) -> float | np.ndarray:
         """Q(r) = sum q_m r^{2m}; like the two below, float in, float out, arrays elementwise."""
@@ -310,10 +314,7 @@ class CanonicalDecomposition:
         return float(sum(h * z**m for m, h in self.h_coeffs.items()).real) if self.h_coeffs else 0.0
 
     def q1_value(self, z: complex) -> float:
-        z = complex(z)
-        return float(
-            sum(a * z**i * np.conj(z) ** j for (i, j), a in self.q1_coeffs.items()).real
-        ) if self.q1_coeffs else 0.0
+        return _hermitian_value(self.q1_coeffs, z)
 
     def reconstruct(self, z: complex) -> float:
         return self.q0.evaluate(z) + self.re_h(z) + self.q1_value(z)
@@ -321,12 +322,7 @@ class CanonicalDecomposition:
 
 def detect_k(Q: MacroscopicPotential) -> int:
     """Smallest k with a nonzero, positive definite degree-(2k-2) leading part of Delta Q."""
-    taylor = Q.taylor_coeffs()
-    lap: dict[tuple[int, int], complex] = {}
-    for (i, j), a in taylor.items():
-        if i >= 1 and j >= 1 and abs(a) > 0:
-            key = (i - 1, j - 1)
-            lap[key] = lap.get(key, 0.0) + i * j * a
+    lap = _laplacian_coeffs(Q.taylor_coeffs())
     degrees = sorted({i + j for (i, j), a in lap.items() if abs(a) > 0})
     if not degrees:
         raise ConfigError("Delta Q vanishes at 0 to the available order")

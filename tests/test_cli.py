@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -253,3 +255,10 @@ class TestFixtureoverride:
         monkeypatch.setenv("FOCKLAB_FIXTURES", str(alt))
         assert fixtures.fixture_dir() == alt
         assert fixtures.load_columns("log_gamma.txt", 2) == [(1.0, 0.0)]
+
+
+class TestImport:
+    def test_import_leaves_scipy_optimize_and_integrate_unloaded(self):
+        code = "import sys, focklab; print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"

@@ -171,6 +171,39 @@ class TestIntensity:
         assert intensity(fk, x) == pytest.approx(want, rel=1e-10)
 
 
+class TestArrayEvaluation:
+    """Array input gives, point by point, the bits of one call per point."""
+
+    Z = np.concatenate([[0.0], np.geomspace(1e-3, 6.0, 120), 0.4 + 0.3j * np.arange(3)])
+
+    @pytest.mark.parametrize("coeffs,c,n", [({1: 1.0}, 0.0, 16), ({1: 1.0, 2: 1.0}, 0.5, 64), ({3: 1.0}, 0.0, 256)])
+    def test_intensity_and_rescaled(self, coeffs, c, n):
+        fk = finite_moments(radial(coeffs, c=c), c, n)
+        rn = microscopic_scale(fk.potential, c, n)
+        z = self.Z.reshape(-1, 4)  # the shape is kept
+        np.testing.assert_array_equal(intensity(fk, z), np.vectorize(lambda x: intensity(fk, x))(z))
+        np.testing.assert_array_equal(rescaled_intensity(fk, z, rn),
+                                      np.vectorize(lambda x: rescaled_intensity(fk, x, rn))(z))
+
+    @pytest.mark.parametrize("k,c,n", [(1, 0.0, 12), (2, 1.0, 40), (3, -0.5, 100)])
+    def test_truncated_series(self, k, c, n):
+        r = self.Z[1:].real if c < 0 else self.Z.real
+        want = [truncated_series_r0(k, c, 1.3, n, float(x)) for x in r]
+        np.testing.assert_array_equal(truncated_series_r0(k, c, 1.3, n, r), want)
+
+    def test_origin_in_an_array(self):
+        fk0 = finite_moments(radial({1: 1.0}), 0.0, 8)
+        np.testing.assert_allclose(intensity(fk0, [0.0, 0.5, 0.0]), [8.0, intensity(fk0, 0.5), 8.0], rtol=1e-12)
+        r = np.array([0.0, 1.0])
+        assert truncated_series_r0(1, 0.0, 1.0, 5, r)[0] == pytest.approx(1.0, rel=1e-13)
+        assert truncated_series_r0(1, 1.0, 1.0, 5, r).tolist() == [0.0, truncated_series_r0(1, 1.0, 1.0, 5, 1.0)]
+        fkn = finite_moments(radial({1: 1.0}), -0.5, 4)
+        with pytest.raises(DivergenceError):
+            intensity(fkn, np.array([0.5, 0.0]))
+        with pytest.raises(DivergenceError):
+            truncated_series_r0(1, -0.5, 1.0, 5, np.array([0.5, 0.0]))
+
+
 class TestRescaledIdentity:
     @pytest.mark.parametrize("k,c", [(1, 0.0), (1, 1.0), (2, 1.0)])
     def test_matches_truncated_series(self, k, c):
@@ -230,13 +263,13 @@ def _sloppy_quad(*args, **kwargs):
 class TestQuadratureErrorChecks:
     def test_mass_integral_rejects_a_large_error_estimate(self, monkeypatch):
         fk = finite_moments(radial({1: 1.0}), 0.0, 4)
-        monkeypatch.setattr("focklab.finite_kernel.quad", _sloppy_quad)
+        monkeypatch.setattr("scipy.integrate.quad", _sloppy_quad)
         with pytest.raises(NumericalError):
             mass_integral(fk)
 
     def test_bins_reject_a_large_error_estimate(self, monkeypatch):
         fk = finite_moments(radial({1: 1.0}), 0.0, 4)
-        monkeypatch.setattr("focklab.finite_kernel.quad", _sloppy_quad)
+        monkeypatch.setattr("scipy.integrate.quad", _sloppy_quad)
         with pytest.raises(NumericalError):
             bin_averaged_intensity(fk, [0.0, 0.5, 1.0])
 

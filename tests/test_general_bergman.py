@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,13 @@ TWISTED = MicroscopicPotential(
 )
 
 GINIBRE = MicroscopicPotential(k=1, c=0.0, q0=HomogeneousHermitianPoly(2, {(1, 1): 1.0}))
+
+TWISTED_K2 = MicroscopicPotential(
+    k=2, c=0.5,
+    q0=HomogeneousHermitianPoly(4, {(2, 2): 1.0, (4, 0): 0.2, (0, 4): 0.2, (3, 1): 0.1j, (1, 3): -0.1j}),
+)
+
+EPS = np.finfo(float).eps
 
 
 def disk_grid(rmax, nr=8, ntheta=12, rmin=0.1):
@@ -51,8 +59,6 @@ class TestMomentMatrix:
     def test_validation(self):
         with pytest.raises(ConfigError):
             moment_matrix(GINIBRE, 0)
-        with pytest.raises(ConfigError):
-            moment_matrix(GINIBRE, 8, angular_points=4)
 
 
 class TestTruncatedKernel:
@@ -90,11 +96,6 @@ class TestTruncatedKernel:
     def test_refuses_unretrievable_order(self):
         with pytest.raises(IllConditionedError):
             truncated_kernel(moment_matrix(TWISTED, 48))
-
-    def test_cond_limit_override(self):
-        A = moment_matrix(TWISTED, 48)
-        with pytest.raises(IllConditionedError):
-            truncated_kernel(A, cond_limit=1e15)
 
 
 class TestBergmanDensity:
@@ -146,6 +147,32 @@ class TestBergmanDensity:
         tk = truncated_kernel(moment_matrix(GINIBRE, 6))
         with pytest.warns(RuntimeWarning):
             bergman_density(tk, GINIBRE, 2.5)
+
+    def test_array_warns_once(self):
+        tk = truncated_kernel(moment_matrix(GINIBRE, 6))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bergman_density(tk, GINIBRE, disk_grid(3.0))
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert str(caught[0].message).startswith("truncation order N=6 may be too small")
+
+    @pytest.mark.filterwarnings("ignore:truncation order:RuntimeWarning")
+    @pytest.mark.parametrize("p,N", [(GINIBRE, 16), (TWISTED, 24), (TWISTED_K2, 16)])
+    def test_array_matches_pointwise(self, p, N):
+        tk = truncated_kernel(moment_matrix(p, N))
+        z = np.concatenate([[0.0], disk_grid(2.0)]).reshape(-1, 1)  # the shape is kept
+        want = np.vectorize(lambda x: bergman_density(tk, p, x))(z)
+        # one triangular solve on a block sums in another order than one per point
+        np.testing.assert_allclose(bergman_density(tk, p, z), want, rtol=64 * tk.condition * EPS, atol=0.0)
+
+    def test_origin_in_an_array(self):
+        tk0 = truncated_kernel(moment_matrix(GINIBRE, 16))
+        np.testing.assert_allclose(bergman_density(tk0, GINIBRE, [0.0, 0.5]), 1.0, atol=1e-12)
+        pos = MicroscopicPotential(k=1, c=1.0, q0=GINIBRE.q0)
+        assert bergman_density(truncated_kernel(moment_matrix(pos, 16)), pos, [0.0, 0.5])[0] == 0.0
+        neg = MicroscopicPotential(k=1, c=-0.5, q0=GINIBRE.q0)
+        with pytest.raises(DivergenceError):
+            bergman_density(truncated_kernel(moment_matrix(neg, 16)), neg, np.array([0.5, 0.0]))
 
     def test_kernel_potential_mismatch(self):
         tk = truncated_kernel(moment_matrix(GINIBRE, 8))

@@ -43,6 +43,20 @@ class TestHomogeneousHermitianPoly:
         assert math.cos(2 * theta) == pytest.approx(-1.0, abs=1e-6)
         assert q.is_positive_definite()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_angular_minimum_against_a_fine_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        k = 1 + seed % 3
+        coeffs = {(k, k): 1.0}
+        for i in range(k + 1, 2 * k + 1):
+            a = complex(rng.normal(0.0, 0.2), rng.normal(0.0, 0.2))
+            coeffs[(i, 2 * k - i)], coeffs[(2 * k - i, i)] = a, a.conjugate()
+        q = HomogeneousHermitianPoly(2 * k, coeffs)
+        theta, qmin = q.angular_minimum()
+        assert qmin == pytest.approx(q.evaluate(complex(math.cos(theta), math.sin(theta))), abs=1e-14)
+        fine = q.angular_profile(np.linspace(0.0, 2 * np.pi, 200_001))
+        assert fine.min() - 1e-8 <= qmin <= fine.min() + 1e-15  # the scan step is 3e-5
+
     def test_indefinite_detected(self):
         q = HomogeneousHermitianPoly(2, {(1, 1): 1.0, (2, 0): 0.51, (0, 2): 0.51})
         assert not q.is_positive_definite()

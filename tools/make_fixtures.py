@@ -7,8 +7,6 @@ is never imported, so these files are an independent oracle for the
 library's double-precision results.
 
 Definitions used (and nothing else):
-  log_gamma:       ln Gamma(x)
-  mittag_leffler:  E_{a,b}(x) = sum_j x^j / Gamma(a j + b)
   bergman_r0:      R0(r) = sum_j r^{2j+2c} e^{-a r^{2k}} / m_j,
                    m_j = a^{-(j+c+1)/k} (1/k) Gamma((j+c+1)/k)
 
@@ -28,21 +26,6 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "focklab" / "data"
 
 def fmt(x: mp.mpf) -> str:
     return mp.nstr(x, 50, strip_zeros=False)
-
-
-def mittag_leffler(a: mp.mpf, b: mp.mpf, x: mp.mpf) -> mp.mpf:
-    total = mp.mpf(0)
-    small = 0
-    for j in range(100_000):
-        t = x**j / mp.gamma(a * j + b)
-        total += t
-        if abs(t) < mp.mpf(10) ** (-58) * max(abs(total), mp.mpf(1)):
-            small += 1
-            if small >= 8:
-                return total
-        else:
-            small = 0
-    raise RuntimeError("series did not converge")
 
 
 def bergman_r0(k: int, c: mp.mpf, a: mp.mpf, r: mp.mpf) -> mp.mpf:
@@ -86,37 +69,6 @@ def disk_mass(k: int, c: mp.mpf, a: mp.mpf) -> mp.mpf:
     raise RuntimeError("series did not converge")
 
 
-def write_log_gamma() -> None:
-    xs = ["0.25", "0.5", "0.75", "1", "1.5", "2", "3.75", "7.5", "10", "123.456", "1000"]
-    lines = ["# x  log_gamma(x)   [50 significant digits]"]
-    for xs_ in xs:
-        x = mp.mpf(xs_)
-        lines.append(f"{xs_} {fmt(mp.loggamma(x))}")
-    (DATA / "log_gamma.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_mittag_leffler() -> None:
-    cases = [
-        ("1", "1", "0"),
-        ("1", "1", "0.5"),
-        ("1", "1", "1"),
-        ("1", "1", "2"),
-        ("1", "1", "5"),
-        ("1", "2", "1"),
-        ("1", "2", "3"),
-        ("2", "1", "1"),
-        ("2", "1", "4"),
-        ("0.5", "1", "2"),
-        ("0.5", "0.5", "1.5"),
-        ("2", "1.5", "2.25"),
-    ]
-    lines = ["# a  b  x  E_ab(x)   [50 significant digits]"]
-    for a, b, x in cases:
-        val = mittag_leffler(mp.mpf(a), mp.mpf(b), mp.mpf(x))
-        lines.append(f"{a} {b} {x} {fmt(val)}")
-    (DATA / "mittag_leffler.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def write_bergman_r0() -> None:
     lines = ["# k  c  amplitude  r  R0(r)   [50 significant digits]"]
     spot_tuples = [
@@ -153,8 +105,6 @@ def write_bergman_r0() -> None:
 
 def main() -> None:
     DATA.mkdir(parents=True, exist_ok=True)
-    write_log_gamma()
-    write_mittag_leffler()
     write_bergman_r0()
     print("wrote", ", ".join(p.name for p in sorted(DATA.glob("*.txt"))))
     # reference constants used by the test suite (printed, not stored):
