@@ -39,16 +39,18 @@ _TUNE_INTERVAL = 25  # burn-in sweeps between two tuning steps
 _BATCHES = 32        # batch means behind each error bar
 
 
-def _site_energy(potential: MacroscopicPotential, c: float, n: int, z: complex) -> float:
-    """n V_n(z) for one particle; +-inf at the singular points."""
-    az = abs(z)
-    val = n * potential.value(z)
+def _site_energy(potential: MacroscopicPotential, c: float, n: int, z: np.ndarray) -> np.ndarray:
+    """n V_n(z) elementwise over an array of particles; +-inf at the singular points.
+
+    Callers silence numpy's divide-by-zero warning at those points.
+    """
+    r = np.abs(z)
+    val = n * (potential.q_of_r(r) if potential.kind == "radial" else potential.value(z))
     if c != 0.0:
-        if az == 0.0:
-            return math.inf if c > 0 else -math.inf
-        val -= 2.0 * c * math.log(az)
-    h = potential.spectator_log_weight(z)
-    return val - h
+        val = val - 2.0 * c * np.log(r)
+    if potential.spectators:
+        val = val - potential.spectator_log_weight(z)
+    return val
 
 
 def energy(points, potential: MacroscopicPotential, n: int | None = None, c: float | None = None) -> float:
@@ -64,12 +66,11 @@ def energy(points, potential: MacroscopicPotential, n: int | None = None, c: flo
         if z.size > 1 and np.any(d[iu] == 0.0):
             return math.inf
         pair = -2.0 * float(np.sum(np.log(d[iu]))) if z.size > 1 else 0.0
-    site = 0.0
-    for zz in z:
-        site += _site_energy(potential, c, n, complex(zz))
-        if math.isinf(site):
-            return site
-    return pair + site
+        site = _site_energy(potential, c, n, z)
+    singular = np.isinf(site)
+    if singular.any():
+        return float(site[np.argmax(singular)])  # the first singular particle decides
+    return pair + float(np.sum(site))
 
 
 def delta_energy(points, i: int, znew: complex, potential: MacroscopicPotential,
@@ -87,7 +88,8 @@ def delta_energy(points, i: int, znew: complex, potential: MacroscopicPotential,
         if np.any(d_new == 0.0):
             return math.inf
         pair = 2.0 * (float(np.sum(np.log(d_old))) - float(np.sum(np.log(d_new))))
-    return pair + _site_energy(potential, c, n, complex(znew)) - _site_energy(potential, c, n, complex(z[i]))
+        new, old = _site_energy(potential, c, n, np.array([znew, z[i]])).tolist()
+    return pair + new - old
 
 
 @dataclass(frozen=True)
@@ -149,10 +151,13 @@ class IntensityHistogram:
         return self.counts / (self.recorded * self.bin_area)
 
     def stderr(self) -> np.ndarray:
-        """Batch-means standard error of the per-bin intensity."""
-        vals = self.batch_counts / (self.batch_recorded[:, None] * self.bin_area[None, :])
-        B = vals.shape[0]
-        return np.std(vals, axis=0, ddof=1) / math.sqrt(B)
+        """Batch-means standard error of the per-bin intensity, over the non-empty batches.
+
+        Fewer than 32 recorded sweeps leave some of the 32 batches empty.
+        """
+        full = self.batch_recorded > 0
+        vals = self.batch_counts[full] / (self.batch_recorded[full, None] * self.bin_area[None, :])
+        return np.std(vals, axis=0, ddof=1) / math.sqrt(vals.shape[0])
 
     def mass(self) -> float:
         """Sum of intensity * area = mean in-range particles per sweep (~ n)."""
@@ -179,7 +184,19 @@ class McmcResult:
 
 
 def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
-    """Single-particle Gaussian Metropolis chain; reproducible given the seed."""
+    """Single-particle Gaussian Metropolis chain; reproducible given the seed.
+
+    Each sweep moves every particle once, in order, so all its proposals
+    w_i = p_i + step_i are known when it starts, and its O(n^2) work is one
+    block of logs of squared distances over [p; w].  Its row sums give each
+    move's pair energy change against the sweep-start positions p; once
+    move j is accepted, move i > j also needs 2 E[i, j] with
+    E[i, j] = (log|p_i - w_j| - log|p_i - p_j|) - (log|w_i - w_j| - log|w_i - p_j|),
+    which is symmetric, so each acceptance adds one row of 2E to a running
+    correction.  The moves themselves are scalar arithmetic; a non-finite
+    change (a singular site, a coincidence, an overflow) is recomputed by
+    delta_energy and decides the move from there.
+    """
     rng = np.random.default_rng(cfg.seed)
     pot, n, c = cfg.potential, cfg.n, cfg.potential.c
     edges = cfg.bin_edges
@@ -192,56 +209,74 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
     counts = np.zeros(nbins, dtype=np.int64)
     batch_counts = np.zeros((_BATCHES, nbins), dtype=np.int64)
     batch_recorded = np.zeros(_BATCHES, dtype=np.int64)
-    moduli = np.empty((cfg.sweeps, n)) if cfg.collect_moduli else None
+    # recorded radii: every sweep's for collect_moduli, else those of the open batch
+    held = np.empty((cfg.sweeps if cfg.collect_moduli else -(-cfg.sweeps // _BATCHES), n))
+    first = 0  # first recorded sweep of the open batch
+
+    diag = np.arange(n) * (2 * n + 1)  # flat indices of the (i, i) entries of an n x 2n block
 
     tuned_acc = 0
     rec_acc = 0
     total = cfg.burn_in + cfg.sweeps * cfg.thin
     recorded = 0
-    with np.errstate(divide="ignore"):
+    # singular and overflowing energies are infinite: those moves are rejected
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        site = _site_energy(pot, c, n, pts).tolist()
         for sweep in range(total):
             burn = sweep < cfg.burn_in
             steps = rng.standard_normal((n, 2)) * delta
-            us = rng.random(n)
+            us = rng.random(n).tolist()
+            w = pts + steps.view(complex)[:, 0]
+            x = np.concatenate((pts, w))
+            dx = x.real[:, None] - x.real
+            dy = x.imag[:, None] - x.imag
+            dx *= dx
+            dy *= dy
+            dx += dy
+            logs = np.log(dx, out=dx)  # log|x_a - x_b|^2, twice the pair log
+            pair = logs[:n] - logs[n:]
+            pair.flat[diag] = 0.0
+            base = pair[:, :n].sum(axis=1).tolist()
+            cross = pair[:, n:] - pair[:, :n]  # 2E; entries i <= j of row j are never read
+            new = _site_energy(pot, c, n, w).tolist()
+            corr = np.zeros(n)
+            moved = []
             for i in range(n):
-                zi = pts[i]
-                znew = zi + complex(steps[i, 0], steps[i, 1])
-                d_old = np.abs(pts - zi)
-                d_new = np.abs(pts - znew)
-                d_old[i] = 1.0
-                d_new[i] = 1.0
-                if np.any(d_new == 0.0):
-                    continue
-                dh = 2.0 * float(np.sum(np.log(d_old)) - np.sum(np.log(d_new)))
-                dh += _site_energy(pot, c, n, znew) - _site_energy(pot, c, n, zi)
-                # singular targets (and exact singular-point attractors) are
-                # measure zero: rejecting them keeps the chain ergodic
-                if math.isinf(dh) or math.isnan(dh):
-                    continue
+                dh = (base[i] + float(corr[i])) + (new[i] - site[i])
+                if not math.isfinite(dh):
+                    cur = pts.copy()
+                    cur[moved] = w[moved]
+                    dh = delta_energy(cur, i, w[i], pot, n, c)
+                    # singular targets (and exact singular-point attractors) are
+                    # measure zero: rejecting them keeps the chain ergodic
+                    if not math.isfinite(dh):
+                        continue
                 if dh <= 0.0 or us[i] < math.exp(-dh):
-                    pts[i] = znew
-                    if burn:
-                        tuned_acc += 1
-                    else:
-                        rec_acc += 1
+                    moved.append(i)
+                    site[i] = new[i]
+                    corr += cross[i]
+            pts[moved] = w[moved]
             if burn:
+                tuned_acc += len(moved)
                 if (sweep + 1) % _TUNE_INTERVAL == 0:
                     rate = tuned_acc / (_TUNE_INTERVAL * n)
                     delta = float(np.clip(delta * math.exp(1.5 * (rate - _TUNE_TARGET)), 1e-4, 50.0))
                     tuned_acc = 0
                 continue
+            rec_acc += len(moved)
             post = sweep - cfg.burn_in
             if post % cfg.thin != 0:
                 continue
-            radii = np.abs(pts)
-            cnt, _ = np.histogram(radii, edges)
-            counts += cnt
-            b = recorded * _BATCHES // cfg.sweeps
-            batch_counts[b] += cnt
-            batch_recorded[b] += 1
-            if moduli is not None:
-                moduli[recorded] = radii
+            np.abs(pts, out=held[recorded if cfg.collect_moduli else recorded - first])
             recorded += 1
+            b = first * _BATCHES // cfg.sweeps
+            if recorded == cfg.sweeps or recorded * _BATCHES // cfg.sweeps != b:
+                radii = held[first:recorded] if cfg.collect_moduli else held[:recorded - first]
+                cnt, _ = np.histogram(radii, edges)
+                counts += cnt
+                batch_counts[b] = cnt
+                batch_recorded[b] = recorded - first
+                first = recorded
 
     rate = rec_acc / (cfg.sweeps * cfg.thin * n)
     if not 0.2 <= rate <= 0.6:
@@ -264,7 +299,7 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
         delta_final=float(delta),
         seed=cfg.seed,
         config=cfg,
-        moduli=None if moduli is None else moduli.reshape(-1),
+        moduli=held.reshape(-1) if cfg.collect_moduli else None,
     )
 
 

@@ -242,8 +242,8 @@ class MacroscopicPotential:
 
     # --- evaluation ---------------------------------------------------
 
-    def value(self, zeta: complex) -> float:
-        """Q(zeta), the smooth part only (no charges)."""
+    def value(self, zeta: complex | np.ndarray) -> float | np.ndarray:
+        """Q(zeta), the smooth part only (no charges); float in, float out, arrays elementwise."""
         if self.kind == "radial":
             return self.q_of_r(abs(zeta))
         return _hermitian_value(self.hermitian_coeffs, zeta)
@@ -265,15 +265,20 @@ class MacroscopicPotential:
         v = sum(q * m * m * r ** (2 * m - 2) for m, q in self.radial_coeffs.items())
         return v if isinstance(v, np.ndarray) else float(v)
 
-    def spectator_log_weight(self, zeta: complex) -> float:
-        """h(zeta) = sum 2 cj log|zeta - aj| (0 when there are no spectators)."""
-        total = 0.0
-        for s in self.spectators:
-            d = abs(complex(zeta) - complex(s.position))
-            if d == 0.0:
-                return -math.inf if s.charge > 0 else math.inf
-            total += 2.0 * s.charge * math.log(d)
-        return total
+    def spectator_log_weight(self, zeta: complex | np.ndarray) -> float | np.ndarray:
+        """h(zeta) = sum 2 cj log|zeta - aj| (0 when there are no spectators).
+
+        On a spectator it is -inf for a positive charge and +inf otherwise;
+        float in, float out, arrays elementwise.
+        """
+        z = np.asarray(zeta, dtype=complex)
+        total = np.zeros(z.shape)
+        with np.errstate(divide="ignore"):
+            for s in self.spectators:
+                d = np.abs(z - complex(s.position))
+                total += np.where(d == 0.0, -math.inf if s.charge > 0 else math.inf,
+                                  2.0 * s.charge * np.log(d))
+        return total if total.ndim else float(total)
 
     def taylor_coeffs(self) -> dict[tuple[int, int], complex]:
         if self.kind == "radial":

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import focklab
 from focklab import ConfigError
 from focklab.cli import main, parse_grid, read_table, write_csv
 
@@ -260,5 +263,9 @@ class TestFixtureoverride:
 class TestImport:
     def test_import_leaves_scipy_optimize_and_integrate_unloaded(self):
         code = "import sys, focklab; print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        # the child imports the same focklab as this process, whether installed or on a pytest pythonpath
+        src = str(Path(focklab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env=env).stdout
         assert out.strip() == "[]"

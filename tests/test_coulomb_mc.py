@@ -14,6 +14,7 @@ from focklab import (
     run_mcmc,
     sample_radial_exact,
 )
+from focklab.coulomb_mc import _BATCHES, _TUNE_INTERVAL, _TUNE_TARGET, _site_energy
 
 GINIBRE = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0})
 
@@ -50,6 +51,41 @@ class TestEnergy:
         # H depends on n through the site term only
         assert energy([1.0 + 0j], GINIBRE, n=5) == pytest.approx(5.0, rel=1e-14)
 
+    def test_first_singular_particle_decides(self):
+        # the origin (c > 0: +inf) and a negative spectator (-inf) in one configuration
+        Q = radial({1: 1.0}, c=1.0, spectators=[Spectator(position=1.0 + 0j, charge=-0.5)])
+        assert energy([0j, 1.0 + 0j], Q) == math.inf
+        assert energy([1.0 + 0j, 0j], Q) == -math.inf
+
+
+class TestSiteEnergy:
+    SPECTATORS = [Spectator(position=0.8 + 0.2j, charge=0.4), Spectator(position=-0.5j, charge=-0.3)]
+    POTENTIALS = [
+        radial({1: 1.0, 2: 0.5}, c=0.7, spectators=SPECTATORS),
+        radial({1: 1.0}, c=-0.5),
+        MacroscopicPotential(kind="hermitian", c=0.3, spectators=tuple(SPECTATORS),
+                             hermitian_coeffs={(1, 1): 1.0, (2, 0): 0.2, (0, 2): 0.2}),
+    ]
+
+    @pytest.mark.parametrize("pot", POTENTIALS, ids=["radial", "negative-c", "hermitian"])
+    def test_array_equals_scalar_calls(self, pot):
+        rng = np.random.default_rng(3)
+        z = np.concatenate([rng.standard_normal(9) + 1j * rng.standard_normal(9),
+                            [0j] + [s.position for s in pot.spectators]])
+        with np.errstate(divide="ignore"):
+            arr = _site_energy(pot, pot.c, 6, z)
+            one = [_site_energy(pot, pot.c, 6, zz) for zz in z]
+        assert arr.shape == z.shape
+        # a scalar Hermitian sum runs in Python complex arithmetic, an array one in numpy's
+        np.testing.assert_array_max_ulp(arr, np.array(one), maxulp=0 if pot.kind == "radial" else 4)
+        # the finite values are n Q(z) - 2c log|z| - h(z), and the singular ones keep their signs
+        for zz, got in zip(z[:9], arr[:9]):
+            h = sum(2.0 * s.charge * math.log(abs(zz - s.position)) for s in pot.spectators)
+            want = 6 * pot.value(complex(zz)) - 2.0 * pot.c * math.log(abs(zz)) - h
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+        assert arr[9] == (math.inf if pot.c > 0 else -math.inf)
+        assert list(arr[10:]) == [math.inf, -math.inf][:len(pot.spectators)]
+
 
 class TestDeltaEnergy:
     def test_matches_full_recompute(self):
@@ -69,6 +105,96 @@ class TestDeltaEnergy:
     def test_move_onto_neighbor_infinite(self):
         pts = np.array([0.1 + 0j, 1.0 + 0j])
         assert delta_energy(pts, 0, 1.0 + 0j, GINIBRE) == math.inf
+
+
+def reference_chain(cfg):
+    """The per-particle Metropolis loop on delta_energy, one histogram per recorded sweep."""
+    rng = np.random.default_rng(cfg.seed)
+    pot, n, c, edges = cfg.potential, cfg.n, cfg.potential.c, cfg.bin_edges
+    pts = edges[-1] * 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
+    delta = cfg.delta0
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    batch_counts = np.zeros((_BATCHES, edges.size - 1), dtype=np.int64)
+    moduli = []
+    tuned_acc = rec_acc = recorded = 0
+    for sweep in range(cfg.burn_in + cfg.sweeps * cfg.thin):
+        burn = sweep < cfg.burn_in
+        steps = rng.standard_normal((n, 2)) * delta
+        us = rng.random(n)
+        for i in range(n):
+            znew = pts[i] + complex(steps[i, 0], steps[i, 1])
+            with np.errstate(over="ignore"):
+                dh = delta_energy(pts, i, znew, pot, n, c)
+            if math.isfinite(dh) and (dh <= 0.0 or us[i] < math.exp(-dh)):
+                pts[i] = znew
+                if burn:
+                    tuned_acc += 1
+                else:
+                    rec_acc += 1
+        if burn:
+            if (sweep + 1) % _TUNE_INTERVAL == 0:
+                rate = tuned_acc / (_TUNE_INTERVAL * n)
+                delta = float(np.clip(delta * math.exp(1.5 * (rate - _TUNE_TARGET)), 1e-4, 50.0))
+                tuned_acc = 0
+            continue
+        if (sweep - cfg.burn_in) % cfg.thin != 0:
+            continue
+        cnt, _ = np.histogram(np.abs(pts), edges)
+        counts += cnt
+        batch_counts[recorded * _BATCHES // cfg.sweeps] += cnt
+        moduli.append(np.abs(pts))
+        recorded += 1
+    return counts, batch_counts, rec_acc / (cfg.sweeps * cfg.thin * n), delta, np.concatenate(moduli)
+
+
+@pytest.mark.filterwarnings("ignore:acceptance rate:RuntimeWarning")
+class TestSweepBlockedChain:
+    """run_mcmc against the per-particle loop: the same RNG stream gives the same chain."""
+
+    EDGES = np.linspace(0.0, 2.0, 11)
+    CASES = {
+        "radial c=-0.5": dict(n=5, potential=radial({1: 1.0, 2: 0.3}, c=-0.5)),
+        "radial c=0": dict(n=5, potential=radial({1: 1.0, 2: 0.3})),
+        "radial c=1": dict(n=5, potential=radial({1: 1.0, 2: 0.3}, c=1.0)),
+        "spectators": dict(n=4, potential=radial({1: 1.0}, c=0.5, spectators=[
+            Spectator(position=0.5 + 0.2j, charge=0.7), Spectator(position=-0.4j, charge=-0.5)])),
+        "hermitian": dict(n=5, potential=MacroscopicPotential(
+            kind="hermitian", c=0.3, hermitian_coeffs={(1, 1): 1.0, (2, 0): 0.2, (0, 2): 0.2})),
+        "thin=3": dict(n=4, potential=GINIBRE, thin=3),
+        "n=1": dict(n=1, potential=GINIBRE),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_per_particle_loop(self, name, monkeypatch):
+        cfg = EnsembleConfig(bin_edges=self.EDGES, sweeps=120, burn_in=60, seed=17,
+                             collect_moduli=True, **self.CASES[name])
+        # every energy change of these chains is finite, so none needs the fallback
+        monkeypatch.setattr("focklab.coulomb_mc.delta_energy", None)
+        res = run_mcmc(cfg)
+        counts, batch_counts, rate, delta, moduli = reference_chain(cfg)
+        np.testing.assert_array_equal(res.histogram.counts, counts)
+        np.testing.assert_array_equal(res.histogram.batch_counts, batch_counts)
+        assert res.acceptance_rate == rate
+        assert res.delta_final == delta
+        np.testing.assert_array_equal(res.moduli, moduli)
+
+    def test_non_finite_change_falls_back_to_delta_energy(self, monkeypatch):
+        # r^400 overflows past r ~ 5.9, so wide proposals have an infinite site energy
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return delta_energy(*args)
+
+        monkeypatch.setattr("focklab.coulomb_mc.delta_energy", counted)
+        cfg = EnsembleConfig(n=3, potential=radial({1: 1.0, 200: 1.0}), bin_edges=self.EDGES,
+                             sweeps=40, burn_in=0, delta0=8.0, seed=5, collect_moduli=True)
+        res = run_mcmc(cfg)
+        counts, batch_counts, rate, delta, moduli = reference_chain(cfg)
+        assert len(calls) > 10
+        np.testing.assert_array_equal(res.histogram.counts, counts)
+        assert res.acceptance_rate == rate
+        np.testing.assert_array_equal(res.moduli, moduli)
 
 
 class TestEnsembleConfig:
@@ -129,6 +255,15 @@ class TestRunMcmc:
                              sweeps=50, burn_in=10, thin=3, seed=1)
         res = run_mcmc(cfg)
         assert res.histogram.recorded == 50
+
+    def test_stderr_with_fewer_sweeps_than_batches(self, recwarn):
+        cfg = EnsembleConfig(n=2, potential=GINIBRE, bin_edges=np.linspace(0.0, 2.0, 9),
+                             sweeps=10, burn_in=50, seed=1)
+        h = run_mcmc(cfg).histogram
+        assert np.count_nonzero(h.batch_recorded) == 10
+        se = h.stderr()
+        assert np.all(np.isfinite(se))
+        assert not [w for w in recwarn if w.category is RuntimeWarning and "acceptance" not in str(w.message)]
 
     def test_warns_on_poor_acceptance(self):
         cfg = EnsembleConfig(n=3, potential=GINIBRE, bin_edges=np.linspace(0.0, 2.0, 5),

@@ -168,6 +168,18 @@ class TestMacroscopicPotential:
         )
         assert neg.spectator_log_weight(1.0 + 0j) == math.inf
 
+    def test_spectator_log_weight_array(self):
+        Q = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0}, spectators=(
+            Spectator(position=1.0 + 0j, charge=0.5), Spectator(position=-1j, charge=-0.25)))
+        z = np.array([[2.0 + 1.0j, 0j], [1.0 + 0j, -1j]])
+        h = Q.spectator_log_weight(z)
+        assert h.shape == z.shape
+        np.testing.assert_array_equal(h.ravel(), [Q.spectator_log_weight(zz) for zz in z.ravel()])
+        assert h[1, 0] == -math.inf and h[1, 1] == math.inf
+        free = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0})
+        np.testing.assert_array_equal(free.spectator_log_weight(z), np.zeros(z.shape))
+        assert free.spectator_log_weight(1.0 + 0j) == 0.0
+
     def test_duplicate_spectators_rejected(self):
         s = Spectator(position=1.0 + 0j, charge=0.5)
         with pytest.raises(ConfigError):
