@@ -269,8 +269,7 @@ def cmd_verify_thm1(args) -> int:
             f"decay fit degenerate: only {rep.n_used} usable points "
             f"(|rel_err| above rounding floor) on the grid"
         )
-    usable = np.abs(rep.rel_err) >= 1e-13
-    mags = np.abs(rep.rel_err[usable])
+    mags = np.abs(rep.rel_err[rep.usable])
     in_band = -1.05 <= rep.slope <= -0.95
     decaying = bool(mags[0] > mags[-1]) and bool(np.max(mags) < 1.0)
     doc["slope_in_band"] = in_band

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .potentials import MacroscopicPotential
 from .equilibrium import droplet_radius
+from .finite_kernel import _modulus_tables
 
 __all__ = [
     "EnsembleConfig",
@@ -96,10 +97,11 @@ def delta_energy(points, i: int, znew: complex, potential: MacroscopicPotential,
 class EnsembleConfig:
     """One Metropolis run: ensemble, chain lengths, proposal scale, bins.
 
-    sweeps counts RECORDED sweeps; the chain runs burn_in + sweeps*thin
-    single-particle sweeps in total.  delta0 is tuned during burn-in toward
-    an acceptance of 0.35, every 25 sweeps, and then frozen; the recorded
-    sweeps are split into 32 batches for the error bars.
+    sweeps counts RECORDED sweeps, at least 2; the chain runs
+    burn_in + sweeps*thin single-particle sweeps in total.  delta0 is tuned
+    during burn-in toward an acceptance of 0.35, every 25 sweeps, and then
+    frozen; the recorded sweeps are split into 32 batches for the error
+    bars, so at least two batches are never empty.
     """
 
     n: int
@@ -115,8 +117,8 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.sweeps < 1 or self.burn_in < 0 or self.thin < 1:
-            raise ConfigError("sweeps >= 1, burn_in >= 0, thin >= 1 required")
+        if self.sweeps < 2 or self.burn_in < 0 or self.thin < 1:
+            raise ConfigError("sweeps >= 2, burn_in >= 0, thin >= 1 required")
         if not self.delta0 > 0:
             raise ConfigError("delta0 must be positive")
         edges = np.asarray(self.bin_edges, dtype=float)
@@ -153,7 +155,8 @@ class IntensityHistogram:
     def stderr(self) -> np.ndarray:
         """Batch-means standard error of the per-bin intensity, over the non-empty batches.
 
-        Fewer than 32 recorded sweeps leave some of the 32 batches empty.
+        Fewer than 32 recorded sweeps leave some of the 32 batches empty;
+        EnsembleConfig's sweeps >= 2 leaves at least two.
         """
         full = self.batch_recorded > 0
         vals = self.batch_counts[full] / (self.batch_recorded[full, None] * self.bin_area[None, :])
@@ -303,61 +306,17 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
     )
 
 
-def _tabulated_inverse_cdf(Q: MacroscopicPotential, c: float, n: int, j: int, points: int = 4097):
-    """Grid and CDF for the modulus density ~ r^{2j+2c+1} e^{-nQ(r)}."""
-    e = 2 * j + 2 * c + 1.0
-
-    def g(r: float) -> float:
-        return e * math.log(r) - n * Q.q_of_r(r)
-
-    # locate the scale, then extend until the log-density drops 46 below its max
-    hi = 1.0
-    while n * Q.q_of_r(hi) < 1.0:
-        hi *= 2.0
-    if e > 0:
-        while e - n * hi * Q.dq_dr(hi) > 0:
-            hi *= 2.0
-        rm = hi
-        gref = g(rm)
-    else:
-        rm = hi
-        gref = g(min(rm, 1e-3))  # decreasing density; reference near the left
-    rcut = rm
-    while g(rcut) > gref - 46.0 or rcut < rm * 1.5:
-        rcut *= 1.25
-    if e >= 0.0:
-        grid = np.linspace(0.0, rcut, points)
-        logw = np.where(grid > 0, e * np.log(np.maximum(grid, 1e-300)), 0.0 if e == 0 else -np.inf)
-        logw = logw - n * Q.q_of_r(grid)
-        w = np.exp(logw - np.max(logw[np.isfinite(logw)]))
-        w[~np.isfinite(w)] = 0.0
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(grid))])
-        return grid, cdf / cdf[-1], None
-    # singular-integrable at 0: tabulate in v = r^(e+1), where the density is flat
-    beta = e + 1.0
-    vgrid = np.linspace(0.0, rcut**beta, points)
-    rv = vgrid ** (1.0 / beta)
-    w = np.exp(-n * Q.q_of_r(rv))
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(vgrid))])
-    return vgrid, cdf / cdf[-1], beta
-
-
 def sample_radial_exact(Q: MacroscopicPotential, c: float, n: int, seed: int, draws: int) -> np.ndarray:
-    """draws x n moduli of the exact radial ensemble via inverse-CDF tables.
+    """draws x n moduli of the exact radial ensemble by inverse CDFs.
 
     Rotation invariance makes the moduli multiset independent across the
-    monomial indices j = 0..n-1, one inverse-CDF table per index.
+    monomial indices j = 0..n-1; each r_j is drawn from the CDF of ln r_j
+    that finite_kernel tabulates on the grid of its norm m_j.
     """
-    Q._require_radial()
-    if Q.spectators:
-        raise ConfigError("exact radial sampling does not support spectators")
     rng = np.random.default_rng(seed)
     out = np.empty((draws, n))
-    for j in range(n):
-        grid, cdf, beta = _tabulated_inverse_cdf(Q, c, n, j)
-        u = rng.random(draws)
-        v = np.interp(u, cdf, grid)
-        out[:, j] = v if beta is None else v ** (1.0 / beta)
+    for j, (t, cdf) in enumerate(_modulus_tables(Q, c, n)):
+        out[:, j] = np.exp(np.interp(rng.random(draws), cdf, t))
     return out
 
 

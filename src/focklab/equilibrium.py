@@ -133,20 +133,13 @@ def microscale_asymptotic_check(Q: MacroscopicPotential, c: float, n_list) -> As
 
 @dataclass(frozen=True)
 class EquilibriumData:
-    """Droplet radius, modulus tau0, and the microscale solver for one potential."""
+    """Droplet radius and modulus tau0 of one potential with origin charge c."""
 
     potential: MacroscopicPotential
     c: float
     k: int
     droplet_radius: float
     tau0: float
-
-    def density(self, r: float) -> float:
-        """Equilibrium density Delta Q(r) inside the droplet."""
-        return self.potential.laplacian_radial(r)
-
-    def microscale(self, n: int) -> float:
-        return microscopic_scale(self.potential, self.c, n)
 
 
 def equilibrium_data(Q: MacroscopicPotential, c: float | None = None) -> EquilibriumData:

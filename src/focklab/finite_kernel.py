@@ -9,10 +9,12 @@ closed-form density R0 of radial_bergman as n grows.  Spectator charges
 break the monomial orthogonality and are out of scope here (the Monte
 Carlo module covers them).
 
-finite_moments computes all n norms at once: each integrand, centred on
-its mode in t = ln r and mapped by a sinh substitution, is summed in the
-log domain by one trapezoid rule on a common grid, and the sum over every
-other node gives each norm an error estimate; the worst one is kept.
+Every radial integral is decided here.  finite_moments sums all n norm
+integrands, each centred on its mode in t = ln r and mapped by a sinh
+substitution, by one log-domain trapezoid rule; the sum over every other
+node gives each norm an error estimate, and the worst one is kept.  The
+exact sampler of coulomb_mc inverts cumulative sums on the same grid, and
+masses and bin averages use one tanh-sinh rule per bin, checked the same way.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, NumericalError
 from .potentials import MacroscopicPotential, canonical_decompose, detect_k, normalize_potential
 from .radial_bergman import bergman_function_r0, moments
-from .equilibrium import droplet_radius, microscopic_scale
+from .equilibrium import microscopic_scale
 
 __all__ = [
     "FiniteKernel",
@@ -39,43 +41,30 @@ __all__ = [
     "convergence_report",
 ]
 
-_STEP = 0.025     # first trapezoid step in s; rows that miss _TOL halve it, up to 4 times
-_TOL = 1e-13      # relative error target of each norm
-_BLOCK = 1 << 13  # rows x nodes evaluated at once, to keep the memory peak flat
+_STEP = 0.025        # first trapezoid step in s; rows that miss _TOL halve it, up to 4 times
+_TOL = 1e-13         # relative error target of each norm
+_BLOCK = 1 << 13     # rows x nodes (or points x terms) evaluated at once, to keep the memory peak flat
+_TS_STEP = 1.0 / 16  # first tanh-sinh step in u; bins that miss their tolerance halve it, up to 4 times
 _HUGE = np.finfo(float).max
 
 
-def _trapezoid(Q, n, beta, t_star, sigma, h, S):
-    """ln(h sum_i f_j(s_i)) on the nodes s_i = i h, |s_i| <= S, and its error estimate."""
-    half = math.ceil(S / h)
-    s = h * np.arange(-half, half + 1)
-    logs, est = np.empty(beta.size), np.empty(beta.size)
-    step = max(1, _BLOCK // s.size)
-    for b in range(0, beta.size, step):
-        rows = slice(b, b + step)
-        t = t_star[rows, None] + sigma[rows, None] * np.sinh(s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            nq = n * Q.q_of_r(np.exp(t))
-        # where r^{2m} overflows, mixed-sign coefficients give inf - inf; the leading term wins
-        logf = beta[rows, None] * t - np.where(np.isnan(nq), np.inf, nq) + np.log(np.cosh(s))
-        top = logf.max(axis=1)
-        w = np.exp(logf - top[:, None])
-        total = w.sum(axis=1)
-        logs[rows] = math.log(h) + top + np.log(total)
-        # |T_h - T_2h| / T_h, plus the weight left at the ends of the grid
-        est[rows] = (np.abs(total - 2.0 * w[:, half % 2::2].sum(axis=1)) + w[:, 0] + w[:, -1]) / total
-    return logs, est
+def _rows(Q: MacroscopicPotential, c: float, n: int):
+    """Exponents beta_j, modes t*_j, widths sigma_j and reaches S_j of the n radial rows.
 
-
-def _log_norms(Q: MacroscopicPotential, c: float, n: int) -> tuple[np.ndarray, float]:
-    """ln m_j^(n) for j < n and the worst relative error estimate.
-
-    Row j is m_j = 2 int exp(beta_j t - nQ(e^t)) dt with beta_j = 2j+2c+2,
-    mapped by t = t*_j + sigma_j sinh(s) with sigma_j = (n d(rQ')/dt)^{-1/2}
-    = (4 n r^2 Delta Q)^{-1/2} at its mode t*_j.  The common grid reaches
-    S = asinh(max_j (46 + nQ(r*_j)) / (beta_j sigma_j)) + 1/2, where the slow
-    left tail e^{beta_j t} of every row has fallen by e^-46 (about 1e-20).
+    Row j is exp(beta_j t - nQ(e^t)) in t = ln r, beta_j = 2j+2c+2: twice its
+    integral is m_j, and normalised it is the law of ln r_j.  Its mode t*_j
+    solves n r Q'(r) = beta_j, where sigma_j = (4 n r^2 Delta Q)^{-1/2}.  The
+    map t = t*_j + sigma_j sinh(s) on |s| <= S_j covers the row until its slow
+    left tail e^{beta_j t} has fallen by e^-46 (about 1e-20):
+    S_j = asinh((46 + nQ(r*_j)) / (beta_j sigma_j)) + 1/2.
     """
+    Q._require_radial()
+    if Q.spectators:
+        raise ConfigError("spectator charges break the exact radial ensemble (use the Metropolis chain)")
+    if not c > -1:
+        raise ConfigError(f"c must be > -1, got {c}")
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
     beta = 2.0 * np.arange(n) + 2.0 * c + 2.0
     slope = lambda t: n * np.exp(t) * Q.dq_dr(np.exp(t))  # n r Q'(r) at r = e^t
     lo, hi = np.full(n, -50.0), np.full(n, 50.0)
@@ -92,15 +81,55 @@ def _log_norms(Q: MacroscopicPotential, c: float, n: int) -> tuple[np.ndarray, f
     if not np.all(np.isfinite(sigma) & (sigma > 0)):
         raise NumericalError("an integrand mode is not a strict maximum")
     reach = (46.0 + np.maximum(n * Q.q_of_r(r_star), 0.0)) / (beta * sigma)
-    S = math.asinh(float(np.max(reach))) + 0.5
+    return beta, t_star, sigma, np.arcsinh(reach) + 0.5
+
+
+def _grid(h: float, reach: float) -> np.ndarray:
+    """The nodes i h, |i h| <= reach rounded up to a whole step."""
+    half = math.ceil(reach / h)
+    return h * np.arange(-half, half + 1)
+
+
+def _row_blocks(Q, n, beta, t_star, sigma, s):
+    """Row blocks of _BLOCK nodes s: (rows, t, w, top), row_j(t) dt/ds / sigma_j = e^top_j w_j, max w_j = 1."""
+    step = max(1, _BLOCK // s.size)
+    for b in range(0, beta.size, step):
+        rows = slice(b, b + step)
+        t = t_star[rows, None] + sigma[rows, None] * np.sinh(s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nq = n * Q.q_of_r(np.exp(t))
+        # where r^{2m} overflows, mixed-sign coefficients give inf - inf; the leading term wins
+        logf = beta[rows, None] * t - np.where(np.isnan(nq), np.inf, nq) + np.log(np.cosh(s))
+        top = logf.max(axis=1)
+        yield rows, t, np.exp(logf - top[:, None]), top
+
+
+def _log_norms(Q: MacroscopicPotential, c: float, n: int) -> tuple[np.ndarray, float]:
+    """ln m_j^(n) for j < n, m_j = 2 sigma_j int row_j ds, and the worst relative error estimate."""
+    beta, t_star, sigma, S = _rows(Q, c, n)
     logs, est = np.empty(n), np.empty(n)
     todo = np.arange(n)
     for h in _STEP * 0.5 ** np.arange(5):
-        logs[todo], est[todo] = _trapezoid(Q, n, beta[todo], t_star[todo], sigma[todo], h, S)
+        s = _grid(h, S.max())
+        for rows, _, w, top in _row_blocks(Q, n, beta[todo], t_star[todo], sigma[todo], s):
+            total = w.sum(axis=1)
+            j = todo[rows]
+            logs[j] = math.log(h) + top + np.log(total)
+            # |T_h - T_2h| / T_h, plus the weight left at the ends of the grid
+            est[j] = (np.abs(total - 2.0 * w[:, s.size // 2 % 2::2].sum(axis=1)) + w[:, 0] + w[:, -1]) / total
         todo = todo[np.isnan(est[todo]) | (est[todo] > _TOL)]
         if not todo.size:
             return math.log(2.0) + np.log(sigma) + logs, float(np.max(est))
     raise NumericalError(f"norm j={int(todo[0])}: error estimate {est[todo[0]]:.1e} > {_TOL:g} at step {h:g}")
+
+
+def _modulus_tables(Q: MacroscopicPotential, c: float, n: int):
+    """For j = 0..n-1 in turn: the nodes t = ln r of the norm's grid at _STEP, and the CDF of r_j there."""
+    beta, t_star, sigma, S = _rows(Q, c, n)
+    for _, t, w, _ in _row_blocks(Q, n, beta, t_star, sigma, _grid(_STEP, S.max())):
+        cdf = np.zeros_like(w)
+        np.cumsum(w[:, 1:] + w[:, :-1], axis=1, out=cdf[:, 1:])
+        yield from zip(t, cdf / cdf[:, -1:])
 
 
 @dataclass(frozen=True)
@@ -116,13 +145,6 @@ class FiniteKernel:
 
 def finite_moments(Q: MacroscopicPotential, c: float, n: int) -> FiniteKernel:
     """Weighted monomial norms m_j^(n), j = 0..n-1, to 1e-12 relative."""
-    Q._require_radial()
-    if Q.spectators:
-        raise ConfigError("spectator charges are not supported by the exact kernel (use the MC module)")
-    if not c > -1:
-        raise ConfigError(f"c must be > -1, got {c}")
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
     return FiniteKernel(n, c, Q, *_log_norms(Q, c, n))
 
 
@@ -169,37 +191,59 @@ def truncated_series_r0(k: int, c: float, a: float, n: int, r):
     return _series(r, c, moments(k, c, a, n - 1).log_moments, lambda x: a * x ** (2 * k))
 
 
-def mass_integral(fk: FiniteKernel) -> float:
-    """Area integral of bR_n over the plane (dA = dxdy/pi); equals n exactly."""
-    from scipy.integrate import quad  # imported here: focklab's import stays free of it
+def _bin_integrals(fk: FiniteKernel, lo, hi, tol: float, pooled: bool = False) -> np.ndarray:
+    """2 int r bR_n(r) dr over each bin [lo_i, hi_i] by a tanh-sinh rule (Takahasi and Mori 1974).
 
-    R = droplet_radius(fk.potential)
-    rhi = R
-    while 2.0 * rhi * intensity(fk, rhi) > 1e-16 * fk.n:
-        rhi *= 1.3
-        if rhi > 1e6:
-            break
-    f = lambda r: 2.0 * r * intensity(fk, r)
-    inner, err_in = quad(f, 0.0, R, epsabs=1e-12, epsrel=1e-11, limit=300)
-    outer, err_out = quad(f, R, rhi, epsabs=1e-12, epsrel=1e-11, limit=300)
-    if err_in + err_out > 1e-8 * abs(inner + outer):
-        raise NumericalError(f"mass integral error estimate {err_in + err_out:.1e} exceeds 1e-8 relative")
-    return float(inner + outer)
+    The node at u is x = lo + (hi-lo) P = hi - (hi-lo) (1-P), with the end
+    shares P = 1/(1+e^{-v}) and 1-P of v = pi sinh(u), and weight
+    dx/du = (hi-lo) P (1-P) pi cosh(u).  Both shares come from e^{-|v|}, so
+    no node rounds onto a bin end and no weight overflows.  The reach
+    |v| <= max(40, 20/(c+1)), at most 300, leaves e^-40 of an r^{2c+1} end
+    uncovered.  Bins whose every-other-node estimate exceeds tol relative to
+    their value (pooled: to the mean bin, so the estimates sum to at most
+    tol of the total) halve the step, up to 4 times.
+    """
+    reach = math.asinh(min(max(40.0, 20.0 / (fk.c + 1.0)), 300.0) / math.pi)
+    step = max(1, _BLOCK // fk.n)
+    val, est = np.empty(lo.size), np.empty(lo.size)
+    todo = np.arange(lo.size)
+    for h in _TS_STEP * 0.5 ** np.arange(5):
+        u = _grid(h, reach)
+        e = np.exp(-np.pi * np.abs(np.sinh(u)))
+        near = e / (1.0 + e)  # the share of the bin between the node and its nearer end
+        width = (hi - lo)[todo, None]
+        x = np.where(u < 0.0, lo[todo, None] + width * near, hi[todo, None] - width * near).ravel()
+        f = np.empty(x.size)
+        for b in range(0, x.size, step):
+            f[b:b + step] = intensity(fk, x[b:b + step])
+        terms = (2.0 * x * f).reshape(width.shape[0], u.size) * width * (h * np.pi * np.cosh(u) * near / (1.0 + e))
+        val[todo] = terms.sum(axis=1)
+        # |T_h - T_2h|, plus what the ends of the rule still carry
+        est[todo] = np.abs(val[todo] - 2.0 * terms[:, u.size // 2 % 2::2].sum(axis=1)) + terms[:, 0] + terms[:, -1]
+        todo = todo[~(est[todo] <= tol * (val.mean() if pooled else val[todo]))]
+        if not todo.size:
+            return val
+    i = int(todo[0])
+    raise NumericalError(f"bin [{lo[i]:g}, {hi[i]:g}]: error estimate {est[i]:.1e} exceeds {tol:g} relative")
+
+
+def mass_integral(fk: FiniteKernel) -> float:
+    """Area integral of bR_n over the plane (dA = dxdy/pi); equals n exactly.
+
+    The bins' rule runs over [0, r(-S)] and the last row's map
+    r(s) = exp(t* + sigma sinh s) at steps of at most 1 across its reach |s| <= S.
+    """
+    _, t_star, sigma, S = _rows(fk.potential, fk.c, fk.n)
+    s = np.linspace(-S[-1], S[-1], 2 * math.ceil(S[-1]) + 1)
+    edges = np.concatenate(([0.0], np.exp(t_star[-1] + sigma[-1] * np.sinh(s))))
+    return float(np.sum(_bin_integrals(fk, edges[:-1], edges[1:], 1e-8, pooled=True)))
 
 
 def bin_averaged_intensity(fk: FiniteKernel, edges) -> np.ndarray:
     """Mean of bR_n over each radial bin in dA measure: 2 int r bR_n dr / (hi^2 - lo^2)."""
-    from scipy.integrate import quad
-
     edges = np.asarray(edges, dtype=float)
-    out = np.empty(edges.size - 1)
-    f = lambda r: 2.0 * r * intensity(fk, r)
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        val, err = quad(f, lo, hi, epsabs=0.0, epsrel=1e-9, limit=200)
-        if err > 1e-9 * abs(val):
-            raise NumericalError(f"bin [{lo:g}, {hi:g}]: error estimate {err:.1e} exceeds 1e-9 relative")
-        out[i] = val / (hi * hi - lo * lo)
-    return out
+    lo, hi = edges[:-1], edges[1:]
+    return _bin_integrals(fk, lo, hi, 1e-9) / ((hi - lo) * (hi + lo))
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, solve_triangular
-from scipy.special import gammaln
 
 from .errors import ConfigError, DivergenceError, IllConditionedError, NotPositiveDefiniteError, NumericalError
 from .potentials import MicroscopicPotential
@@ -42,7 +40,7 @@ def _assemble(p: MicroscopicPotential, N: int, M: int) -> np.ndarray:
         pw = (d + 2 * c + 2.0) / (2 * k)
         # mean over theta of e^{i(i-j)theta} q^{-pw}, all frequencies at once
         F = np.fft.fft(q ** (-pw)) / M
-        radial = math.exp(gammaln(pw) - math.log(k))
+        radial = math.exp(math.lgamma(pw) - math.log(k))
         for i in range(max(0, d - N + 1), min(d, N - 1) + 1):
             j = d - i
             A[i, j] = radial * F[(j - i) % M]
@@ -93,6 +91,8 @@ def truncated_kernel(A: MomentMatrix) -> "TruncatedKernel":
     guardrail: beyond it the Cholesky inverse carries no retrievable
     accuracy in double precision.
     """
+    from scipy.linalg import LinAlgError, cho_factor  # imported here: focklab's import stays free of scipy.linalg
+
     As = A.scaled
     cond = float(np.linalg.cond(As))
     if cond > COND_LIMIT:
@@ -121,6 +121,8 @@ class TruncatedKernel:
     @cached_property
     def coefficients(self) -> np.ndarray:
         """The coefficient matrix G (inverse Gram, mapped back from the scaled basis)."""
+        from scipy.linalg import solve_triangular
+
         y = solve_triangular(self.chol, np.eye(self.N, dtype=complex), lower=True)
         inv_scaled = y.conj().T @ y
         return np.conj(inv_scaled) / np.outer(self.scale, self.scale)
@@ -131,6 +133,8 @@ class TruncatedKernel:
 
     def evaluate(self, z: complex, w: complex | None = None) -> complex:
         """Kernel value L^(N)(z, w); w defaults to z (then the value is >= 0)."""
+        from scipy.linalg import solve_triangular
+
         yz = solve_triangular(self.chol, self._scaled_vector(z), lower=True)
         if w is None or w == z:
             return complex(np.vdot(yz, yz).real)
@@ -147,6 +151,8 @@ def bergman_density(tk: TruncatedKernel, p: MicroscopicPotential, z):
     the tail indicator |z|^{2N} ||G row N-1|| |z|^{2c} e^{-Q0} suggests the
     truncation order is too small for some z.
     """
+    from scipy.linalg import solve_triangular
+
     if p.k != tk.k or p.c != tk.c:
         raise ConfigError("kernel and potential disagree on (k, c)")
     zz = np.asarray(z, dtype=complex)

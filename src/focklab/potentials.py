@@ -314,16 +314,6 @@ class CanonicalDecomposition:
     h_coeffs: dict[int, complex]
     q1_coeffs: dict[tuple[int, int], complex]
 
-    def re_h(self, z: complex) -> float:
-        z = complex(z)
-        return float(sum(h * z**m for m, h in self.h_coeffs.items()).real) if self.h_coeffs else 0.0
-
-    def q1_value(self, z: complex) -> float:
-        return _hermitian_value(self.q1_coeffs, z)
-
-    def reconstruct(self, z: complex) -> float:
-        return self.q0.evaluate(z) + self.re_h(z) + self.q1_value(z)
-
 
 def detect_k(Q: MacroscopicPotential) -> int:
     """Smallest k with a nonzero, positive definite degree-(2k-2) leading part of Delta Q."""

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .errors import ConfigError, DivergenceError, FitError
 
@@ -54,12 +53,11 @@ class MomentTable:
     amplitude: float
     log_moments: np.ndarray
 
-    def moment(self, j: int) -> float:
-        return float(np.exp(self.log_moments[j]))
-
 
 def _log_moments(k: int, a: float, p: np.ndarray) -> np.ndarray:
-    # ln m_j with p = (j+c+1)/k
+    # ln m_j with p = (j+c+1)/k; scipy.special is imported where used, so focklab's import stays free of it
+    from scipy.special import gammaln
+
     return -p * math.log(a) - math.log(k) + gammaln(p)
 
 
@@ -84,6 +82,8 @@ def bergman_function_r0(k: int, c: float, a: float, r):
     c > 0 and origin_coefficient for c = 0; for c < 0 it diverges
     (DivergenceError).
     """
+    from scipy.special import gammainc
+
     _validate(k, c, a)
     # points on axis 0 and the k classes on axis 1: every point's sum then
     # runs in the same order whatever the array size, so a scalar call gives
@@ -132,6 +132,8 @@ def disk_mass(k: int, c: float, a: float, radius: float = 1.0) -> float:
     j = s + k m sums to (1+x) P(beta_s, x) - beta_s P(beta_s+1, x), the
     integral over [0, x] of P(beta_s, t) + t^{beta_s-1} e^{-t} / Gamma(beta_s).
     """
+    from scipy.special import gammainc
+
     _validate(k, c, a)
     if not radius >= 0:
         raise ConfigError(f"radius must be >= 0, got {radius}")
@@ -148,6 +150,7 @@ class DecayReport:
     with u = a r^{2k}; alpha = -slope * a is the decay rate in r^{2k} units.
     slope_raw is the plain two-parameter fit without the ln u regressor,
     kept as a diagnostic (it absorbs the power prefactor into the rate).
+    usable marks the grid points above the rounding floor, the ones fitted.
     """
 
     k: int
@@ -156,6 +159,7 @@ class DecayReport:
     r: np.ndarray
     u: np.ndarray
     rel_err: np.ndarray
+    usable: np.ndarray
     n_used: int
     n_excluded: int
     identically_zero: bool
@@ -210,7 +214,7 @@ def decay_report(k: int, c: float, a: float, r_grid) -> DecayReport:
     n_used = int(usable.sum())
     n_excluded = int(r.size - n_used)
     base = dict(
-        k=k, c=c, amplitude=a, r=r, u=u, rel_err=rel,
+        k=k, c=c, amplitude=a, r=r, u=u, rel_err=rel, usable=usable,
         n_used=n_used, n_excluded=n_excluded,
     )
     if n_used < 3:

@@ -190,6 +190,10 @@ class TestSample:
     def test_requires_n(self):
         assert run(["sample", "--sweeps", "10"]) == 2
 
+    def test_single_recorded_sweep_refused(self, capsys):
+        assert run(["sample", "--n", "4", "--sweeps", "1", "--burn-in", "50", "--seed", "1"]) == 2
+        assert "sweeps >= 2" in capsys.readouterr().err
+
 
 class TestFig1:
     def test_table_and_svg(self, tmp_path):
@@ -261,8 +265,9 @@ class TestFixtureoverride:
 
 
 class TestImport:
-    def test_import_leaves_scipy_optimize_and_integrate_unloaded(self):
-        code = "import sys, focklab; print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    def test_import_leaves_scipy_submodules_unloaded(self):
+        mods = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.linalg")
+        code = f"import sys, focklab; print(sorted(m for m in {mods!r} if m in sys.modules))"
         # the child imports the same focklab as this process, whether installed or on a pytest pythonpath
         src = str(Path(focklab.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

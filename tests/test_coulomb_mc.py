@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
+from scipy.stats import kstest
 
 from focklab import (
     ConfigError,
@@ -205,6 +208,9 @@ class TestEnsembleConfig:
         with pytest.raises(ConfigError):
             EnsembleConfig(n=2, potential=GINIBRE, bin_edges=edges, sweeps=0)
         with pytest.raises(ConfigError):
+            # one recorded sweep fills one batch, which has no spread
+            EnsembleConfig(n=2, potential=GINIBRE, bin_edges=edges, sweeps=1)
+        with pytest.raises(ConfigError):
             EnsembleConfig(n=2, potential=GINIBRE, bin_edges=edges, thin=0)
         with pytest.raises(ConfigError):
             EnsembleConfig(n=2, potential=GINIBRE, bin_edges=edges, delta0=0.0)
@@ -303,6 +309,29 @@ class TestExactRadialSampler:
         Q = radial({1: 1.0}, spectators=[Spectator(position=1.0 + 0j, charge=0.5)])
         with pytest.raises(ConfigError):
             sample_radial_exact(Q, 0.0, 2, seed=0, draws=10)
+
+    def test_rejects_an_empty_ensemble_and_charges_at_most_minus_one(self):
+        with pytest.raises(ConfigError):
+            sample_radial_exact(GINIBRE, 0.0, 0, seed=0, draws=10)
+        with pytest.raises(ConfigError):
+            sample_radial_exact(GINIBRE, -1.0, 2, seed=0, draws=10)
+
+    @pytest.mark.parametrize("k,c,n", [(1, 0.0, 8), (2, 0.5, 256), (1, -0.75, 1), (3, -0.9, 16)])
+    def test_pooled_moduli_match_the_gamma_law(self, k, c, n):
+        # for Q = r^{2k}, n r_j^{2k} ~ Gamma((j+c+1)/k), so the pooled moduli follow the mean of n CDFs
+        s = sample_radial_exact(radial({k: 1.0}, c=c), c, n, seed=915, draws=16384 // n)
+        shapes = (np.arange(n) + c + 1.0) / k
+        cdf = lambda r: gammainc(shapes, n * np.asarray(r)[:, None] ** (2 * k)).mean(axis=1)
+        assert kstest(s.ravel(), cdf).pvalue >= 0.01
+
+    def test_memory_peak_is_flat(self):
+        tracemalloc.start()
+        try:
+            sample_radial_exact(radial({1: 1.0}, c=0.5), 0.5, 256, seed=1, draws=30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 @pytest.mark.filterwarnings("ignore:acceptance rate:RuntimeWarning")

@@ -128,10 +128,12 @@ class TestEquilibriumData:
         assert data.k == 1
         assert data.droplet_radius == pytest.approx(2.0 ** -0.5, rel=1e-13)
         assert data.tau0 == pytest.approx(1.0, rel=1e-12)
-        assert data.density(0.5) == pytest.approx(1.0 + 4 * 0.25, rel=1e-14)
-        assert data.microscale(100) == pytest.approx(microscopic_scale(Q, 0.0, 100), rel=1e-14)
+        # the equilibrium density Delta Q inside the droplet
+        assert data.potential.laplacian_radial(0.5) == pytest.approx(1.0 + 4 * 0.25, rel=1e-14)
+        assert data.c == 0.0
 
     def test_charge_override(self):
         Q = radial({1: 1.0}, c=0.0)
         data = equilibrium_data(Q, c=1.0)
-        assert data.microscale(100) == pytest.approx(math.sqrt(0.02), rel=1e-12)
+        assert data.c == 1.0
+        assert microscopic_scale(data.potential, data.c, 100) == pytest.approx(math.sqrt(0.02), rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -249,29 +250,53 @@ class TestRescaledIdentity:
 
 
 class TestMassIntegral:
-    @pytest.mark.parametrize("coeffs,c,n", [({1: 1.0}, 0.0, 4), ({1: 1.0, 2: 1.0}, 0.5, 6)])
+    # the third droplet has radius about 1e6, where a search capped at r = 1e6 lost 1e-3 of the mass
+    @pytest.mark.parametrize("coeffs,c,n", [({1: 1.0}, 0.0, 4), ({1: 1.0, 2: 1.0}, 0.5, 6), ({1: 1e-12}, 0.0, 16)])
     def test_total_mass_is_n(self, coeffs, c, n):
         fk = finite_moments(radial(coeffs, c=c), c, n)
         assert mass_integral(fk) == pytest.approx(n, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("c", [-0.9, -0.55, 0.3, 0.8])
+    @pytest.mark.parametrize("coeffs", [{1: 1.0}, {2: 1.0}, {3: 1.0}, {1: 1.0, 2: 1.0}, {2: 1.0, 3: 1.0}])
+    def test_mass_is_n_across_potentials(self, coeffs, c, n):
+        fk = finite_moments(radial(coeffs, c=c), c, n)
+        assert abs(mass_integral(fk) / n - 1.0) <= 1e-10
 
-def _sloppy_quad(*args, **kwargs):
-    val, _ = quad(*args, **kwargs)
-    return val, 1e-3 * abs(val)
+    def test_memory_peak_is_flat(self):
+        fk = finite_moments(radial({1: 1.0}, c=0.5), 0.5, 256)
+        tracemalloc.start()
+        try:
+            mass_integral(fk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestQuadratureErrorChecks:
+    """A tanh-sinh step too coarse for every halving pushes the estimate past its tolerance."""
+
     def test_mass_integral_rejects_a_large_error_estimate(self, monkeypatch):
         fk = finite_moments(radial({1: 1.0}), 0.0, 4)
-        monkeypatch.setattr("scipy.integrate.quad", _sloppy_quad)
+        monkeypatch.setattr("focklab.finite_kernel._TS_STEP", 8.0)
         with pytest.raises(NumericalError):
             mass_integral(fk)
 
     def test_bins_reject_a_large_error_estimate(self, monkeypatch):
         fk = finite_moments(radial({1: 1.0}), 0.0, 4)
-        monkeypatch.setattr("scipy.integrate.quad", _sloppy_quad)
+        monkeypatch.setattr("focklab.finite_kernel._TS_STEP", 8.0)
         with pytest.raises(NumericalError):
             bin_averaged_intensity(fk, [0.0, 0.5, 1.0])
+
+
+def _quad_bin_means(fk, edges):
+    """Bin means of bR_n by adaptive quadrature over scalar intensity calls."""
+    out = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        val, _ = quad(lambda r: 2.0 * r * intensity(fk, r), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)
+        out.append(val / ((hi - lo) * (hi + lo)))
+    return np.array(out)
 
 
 class TestBinAveraged:
@@ -280,6 +305,13 @@ class TestBinAveraged:
         mid = 0.80005
         avg = bin_averaged_intensity(fk, [0.8, 0.8001])
         assert avg[0] == pytest.approx(intensity(fk, mid), rel=1e-6)
+
+    # acceptance criterion 9's bins at n = 16, and one narrow bin at n = 8
+    @pytest.mark.parametrize("c,n,edges", [(c, 16, np.linspace(0.0, 1.25, 37)) for c in (-0.75, 0.0, 0.3, 1.0)]
+                             + [(0.0, 8, np.array([0.8, 0.8001]))])
+    def test_matches_adaptive_quadrature(self, c, n, edges):
+        fk = finite_moments(radial({1: 1.0}, c=c), c, n)
+        np.testing.assert_allclose(bin_averaged_intensity(fk, edges), _quad_bin_means(fk, edges), rtol=1e-12)
 
     def test_partition_sums_to_integral(self):
         fk = finite_moments(radial({1: 1.0, 2: 1.0}), 0.0, 6)

@@ -232,7 +232,9 @@ class TestCanonicalDecompose:
         Q = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs=coeffs)
         dec = canonical_decompose(Q, 1)
         z = complex(x, y)
-        assert dec.reconstruct(z) == pytest.approx(Q.value(z), rel=1e-12, abs=1e-12)
+        re_h = sum(h * z**m for m, h in dec.h_coeffs.items()).real
+        q1 = sum(a * z**i * z.conjugate() ** j for (i, j), a in dec.q1_coeffs.items()).real
+        assert dec.q0.evaluate(z) + re_h + q1 == pytest.approx(Q.value(z), rel=1e-12, abs=1e-12)
 
     def test_low_degree_mixed_term_rejected(self):
         Q = MacroscopicPotential(kind="hermitian", c=0.0,

@@ -27,7 +27,7 @@ class TestMoments:
     def test_gaussian_half_moment(self):
         # m_0 for |z|^0 e^{-r^4}: (1/2) Gamma(1/2) = sqrt(pi)/2
         table = moments(2, 0.0, 1.0, 0)
-        assert table.moment(0) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-14)
+        assert np.exp(table.log_moments[0]) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-14)
 
     def test_gamma_closed_form(self):
         k, c, a = 2, 1.0, 1.7
@@ -35,14 +35,14 @@ class TestMoments:
         for j in range(9):
             p = (j + c + 1) / k
             want = math.exp(-p * math.log(a) + gammaln(p)) / k
-            assert table.moment(j) == pytest.approx(want, rel=1e-13)
+            assert np.exp(table.log_moments[j]) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("k,c,a,j", [(1, 0.0, 1.0, 3), (2, -0.5, 0.8, 0), (3, 1.5, 2.0, 5)])
     def test_quadrature_route(self, k, c, a, j):
         # m_j = int_0^inf 2 r^{2j+2c+1} e^{-a r^{2k}} dr, checked independently
         val, _ = quad(lambda r: 2.0 * r ** (2 * j + 2 * c + 1) * math.exp(-a * r ** (2 * k)),
                       0.0, np.inf)
-        assert moments(k, c, a, j).moment(j) == pytest.approx(val, rel=1e-10)
+        assert np.exp(moments(k, c, a, j).log_moments[j]) == pytest.approx(val, rel=1e-10)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -286,6 +286,8 @@ class TestDecayReport:
         rep = decay_report(1, 1.0, 1.0, r)
         assert rep.n_used == 4 and rep.n_excluded == 2
         assert rep.fit_ok
+        # the fitted mask: the first four points, above the rounding floor
+        np.testing.assert_array_equal(rep.usable, [True] * 4 + [False] * 2)
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
