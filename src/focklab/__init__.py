@@ -47,9 +47,7 @@ from .general_bergman import (
 )
 from .equilibrium import (
     AsymptoticReport,
-    EquilibriumData,
     droplet_radius,
-    equilibrium_data,
     microscale_asymptotic_check,
     microscopic_scale,
     modulus_tau0,
@@ -96,8 +94,8 @@ __all__ = [
     "MomentMatrix", "TruncatedKernel", "moment_matrix", "truncated_kernel",
     "bergman_density",
     # equilibrium
-    "EquilibriumData", "droplet_radius", "modulus_tau0", "microscopic_scale",
-    "AsymptoticReport", "microscale_asymptotic_check", "equilibrium_data",
+    "droplet_radius", "modulus_tau0", "microscopic_scale",
+    "AsymptoticReport", "microscale_asymptotic_check",
     # finite-n kernels
     "FiniteKernel", "finite_moments", "intensity", "rescaled_intensity",
     "truncated_series_r0", "mass_integral", "bin_averaged_intensity",

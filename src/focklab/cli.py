@@ -30,14 +30,12 @@ from .potentials import (
     HomogeneousHermitianPoly,
     MacroscopicPotential,
     MicroscopicPotential,
-    detect_k,
     load_potential_config,
-    normalize_potential,
 )
 from .radial_bergman import bergman_function_r0, decay_report, delta_q0
 from .general_bergman import bergman_density, moment_matrix, truncated_kernel
-from .equilibrium import droplet_radius, equilibrium_data, microscale_asymptotic_check, microscopic_scale
-from .finite_kernel import finite_moments, rescaled_intensity, truncated_series_r0
+from .equilibrium import droplet_radius, microscale_asymptotic_check
+from .finite_kernel import convergence_report, truncated_series_r0
 from .coulomb_mc import EnsembleConfig, run_mcmc
 from .svgplot import Curve, write_svg
 
@@ -289,37 +287,30 @@ def cmd_rescale(args) -> int:
     rejected = grid[grid == 0.0].tolist() if c < 0 else []
     for x in rejected:
         print(f"note: grid point z={x:g} rejected: density diverges at 0 for c = {c} < 0", file=sys.stderr)
-    z = grid[grid != 0.0] if rejected else grid
-    k = detect_k(Q)
-    Qn, lam = normalize_potential(Q, k, c)
-    a_micro = (1.0 + c) / k
-    r0col = bergman_function_r0(k, c, a_micro, z)
-    homogeneous = set(m for m, q in Qn.radial_coeffs.items() if q != 0.0) == {k}
-    cols: dict[int, np.ndarray] = {}
-    rn_map: dict[int, float] = {}
-    sup_err: dict[int, float] = {}
-    identity: dict[int, bool] = {}
-    for n in n_list:
-        fk = finite_moments(Qn, c, n)
-        rn_map[n] = microscopic_scale(Qn, c, n)
-        cols[n] = rescaled_intensity(fk, z, rn_map[n])
-        sup_err[n] = float(np.max(np.abs(cols[n] - r0col)))
-        if homogeneous:
-            series = truncated_series_r0(k, c, a_micro, n, z)
-            identity[n] = bool(np.max(np.abs(cols[n] - series)) <= 1e-12)
+    rep = convergence_report(Q, c, n_list, grid[grid != 0.0] if rejected else grid)
+    # the report's rows run over the sorted n; the table keeps the order and repeats of n_list
+    row = {int(n): i for i, n in enumerate(rep.n)}
+    Rn = {n: rep.values[row[n]] for n in n_list}
+    a_micro = (1.0 + c) / rep.k
+    identity = None
+    if set(m for m, q in Q.radial_coeffs.items() if q != 0.0) == {rep.k}:
+        identity = {}
+        for n in n_list:
+            series = truncated_series_r0(rep.k, c, a_micro, n, rep.z)
+            identity[n] = bool(np.max(np.abs(Rn[n] - series)) <= 1e-12)
     doc = {
-        "k": k,
+        "k": rep.k,
         "c": c,
-        "lambda": lam,
+        "lambda": rep.lam,
         "micro_amplitude": a_micro,
         "n_list": n_list,
-        "rn": rn_map,
-        "sup_err": sup_err,
-        "series_identity": identity if homogeneous else None,
+        "rn": {n: rep.rn[row[n]] for n in n_list},
+        "sup_err": {n: rep.sup_err[row[n]] for n in n_list},
+        "series_identity": identity,
         "rejected_points": rejected,
     }
     header = ["z", "R0"] + [f"Rn_{n}" for n in n_list]
-    rows = np.column_stack([z, r0col] + [cols[n] for n in n_list])
+    rows = np.column_stack([rep.z, rep.r0] + [Rn[n] for n in n_list])
     _write_table_and_report(args.out, header, rows, doc)
     return 0
 
@@ -330,27 +321,23 @@ def cmd_equilibrium(args) -> int:
     if args.n is not None and args.n_list is not None:
         raise ConfigError("--n and --n-list are mutually exclusive")
     n_list = [args.n] if args.n is not None else _parse_n_list(args.n_list, default=[100])
-    eq = equilibrium_data(Q, c)
     rep = microscale_asymptotic_check(Q, c, n_list)
-    print(f"R_Q = {eq.droplet_radius:.12g}")
-    print(f"tau0 = {eq.tau0:.12g}")
-    print(f"k = {eq.k}, c = {c:g}, fitted C = {rep.C:.6g}")
+    R = droplet_radius(Q)
+    print(f"R_Q = {R:.12g}")
+    print(f"tau0 = {rep.tau0:.12g}")
+    print(f"k = {rep.k}, c = {c:g}, fitted C = {rep.C:.6g}")
     for n, rn, en in zip(rep.n, rep.rn, rep.en):
         print(f"n = {int(n):d}: rn = {rn:.12g} (deviation {en:+.3e})")
     if args.out:
-        write_csv(f"{args.out}.csv", ["n", "rn", "en"], list(zip(rep.n, rep.rn, rep.en)))
-        _write_json(
-            f"{args.out}.json",
-            {
-                "droplet_radius": eq.droplet_radius,
-                "tau0": eq.tau0,
-                "k": eq.k,
-                "c": c,
-                "C": rep.C,
-                "bound_ok": rep.bound_ok,
-            },
-        )
-        print(f"wrote {args.out}.csv, {args.out}.json")
+        doc = {
+            "droplet_radius": R,
+            "tau0": rep.tau0,
+            "k": rep.k,
+            "c": c,
+            "C": rep.C,
+            "bound_ok": rep.bound_ok,
+        }
+        _write_table_and_report(args.out, ["n", "rn", "en"], zip(rep.n, rep.rn, rep.en), doc)
     return 0
 
 

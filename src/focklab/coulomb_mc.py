@@ -146,7 +146,9 @@ class IntensityHistogram:
 
     @property
     def bin_area(self) -> np.ndarray:
-        return self.edges[1:] ** 2 - self.edges[:-1] ** 2
+        """hi^2 - lo^2 per bin, factored so that narrow bins do not cancel."""
+        lo, hi = self.edges[:-1], self.edges[1:]
+        return (hi - lo) * (hi + lo)
 
     def intensity(self) -> np.ndarray:
         """Estimated bR_n per bin: mean count per sweep over bin area."""

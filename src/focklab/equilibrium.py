@@ -25,13 +25,11 @@ from .potentials import (
 )
 
 __all__ = [
-    "EquilibriumData",
     "droplet_radius",
     "modulus_tau0",
     "microscopic_scale",
     "AsymptoticReport",
     "microscale_asymptotic_check",
-    "equilibrium_data",
 ]
 
 _BISECT_MAX = 200
@@ -71,29 +69,35 @@ def droplet_radius(Q: MacroscopicPotential) -> float:
     return _bisect_increasing(f, 0.0, hi)
 
 
-def modulus_tau0(q0: HomogeneousHermitianPoly | MicroscopicPotential, k: int | None = None) -> float:
-    """tau0 with tau0^{-2k} = (1/2pi k) integral of Delta Q0 over the unit circle."""
+def modulus_tau0(q0: HomogeneousHermitianPoly | MicroscopicPotential) -> float:
+    """tau0 = (k a_kk)^{-1/2k}.
+
+    tau0^{-2k} is (1/k) times the mean of Delta Q0 over the unit circle,
+    and that mean is k^2 a_kk: the other terms of Delta Q0 carry
+    e^{i m theta} with m != 0.
+    """
     if isinstance(q0, MicroscopicPotential):
-        k = q0.k
         q0 = q0.q0
-    if k is None:
-        if q0.degree % 2 != 0 or q0.degree == 0:
-            raise ConfigError("cannot infer k from the polynomial degree")
-        k = q0.degree // 2
-    theta = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
-    mean = float(np.mean(q0.laplacian().angular_profile(theta)))
-    if not mean > 0:
+    if q0.degree == 0:
+        raise ConfigError("cannot infer k from the polynomial degree")
+    k = q0.degree // 2
+    a_kk = float(np.real(q0.coeffs.get((k, k), 0.0)))
+    if not a_kk > 0:
         raise ConfigError("Delta Q0 has nonpositive circle average")
-    return float((mean / k) ** (-1.0 / (2 * k)))
+    return float((k * a_kk) ** (-1.0 / (2 * k)))
 
 
 def microscopic_scale(Q: MacroscopicPotential, c: float, n: int) -> float:
     """r_n solving n r Q'(r)/2 = 1 + c, bisected inside the droplet."""
+    return _scale_in_droplet(Q, c, n, droplet_radius(Q))
+
+
+def _scale_in_droplet(Q: MacroscopicPotential, c: float, n: int, R: float) -> float:
+    """microscopic_scale for a droplet radius R already solved."""
     if not c > -1:
         raise ConfigError(f"c must be > -1, got {c}")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    R = droplet_radius(Q)
     target = (1.0 + c) / n
     if 0.5 * R * Q.dq_dr(R) < target:
         raise ConfigError(f"n={n} too small: microscopic scale would leave the droplet")
@@ -124,32 +128,10 @@ def microscale_asymptotic_check(Q: MacroscopicPotential, c: float, n_list) -> As
         raise ConfigError("n_list must be nonempty")
     k = detect_k(Q)
     tau0 = modulus_tau0(canonical_decompose(Q, k).q0)
-    rn = np.array([microscopic_scale(Q, c, int(n)) for n in n_arr])
+    R = droplet_radius(Q)
+    rn = np.array([_scale_in_droplet(Q, c, int(n), R) for n in n_arr])
     pred = tau0 * (1.0 + c) ** (1.0 / (2 * k)) * n_arr ** (-1.0 / (2 * k))
     en = rn / pred - 1.0
     C = float(np.max(np.abs(en) * n_arr ** (1.0 / (2 * k))))
     return AsymptoticReport(k=k, c=c, tau0=tau0, n=n_arr, rn=rn, en=en, C=C)
 
-
-@dataclass(frozen=True)
-class EquilibriumData:
-    """Droplet radius and modulus tau0 of one potential with origin charge c."""
-
-    potential: MacroscopicPotential
-    c: float
-    k: int
-    droplet_radius: float
-    tau0: float
-
-
-def equilibrium_data(Q: MacroscopicPotential, c: float | None = None) -> EquilibriumData:
-    if c is None:
-        c = Q.c
-    k = detect_k(Q)
-    return EquilibriumData(
-        potential=Q,
-        c=c,
-        k=k,
-        droplet_radius=droplet_radius(Q),
-        tau0=modulus_tau0(canonical_decompose(Q, k).q0),
-    )

@@ -248,27 +248,21 @@ def bin_averaged_intensity(fk: FiniteKernel, edges) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Sup-norm distance of R_n from R0 on a grid, per n."""
+    """R0 and the rescaled R_n on a grid z, one row of values per n, with the sup-norm distance."""
 
     k: int
     c: float
     lam: float
+    z: np.ndarray
+    r0: np.ndarray
     n: np.ndarray
     rn: np.ndarray
+    values: np.ndarray
     sup_err: np.ndarray
-
-    @property
-    def decreasing_tail_start(self) -> int:
-        """Smallest n in the list from which sup_err strictly decreases onward."""
-        for i in range(self.n.size):
-            tail = self.sup_err[i:]
-            if np.all(np.diff(tail) < 0) or tail.size == 1:
-                return int(self.n[i])
-        return int(self.n[-1])
 
 
 def convergence_report(Q: MacroscopicPotential, c: float, n_list, z_grid) -> ConvergenceReport:
-    """sup_z |R_n(z) - R0(z)| along n_list, against the canonical micro-limit.
+    """R_n(z) and sup_z |R_n(z) - R0(z)| along n_list (sorted), against the canonical micro-limit.
 
     The potential is normalized first (the micro-amplitude becomes (1+c)/k)
     and both sides of the comparison use the normalized potential.
@@ -277,14 +271,12 @@ def convergence_report(Q: MacroscopicPotential, c: float, n_list, z_grid) -> Con
     k = detect_k(Q)
     Qn, lam = normalize_potential(Q, k, c)
     canonical_decompose(Qn, k)  # validates the decomposition hypotheses
-    a_micro = (1.0 + c) / k
-    r0 = bergman_function_r0(k, c, a_micro, z)
+    r0 = bergman_function_r0(k, c, (1.0 + c) / k, z)
     n_arr = np.asarray(sorted(int(n) for n in n_list), dtype=int)
-    sup_err = np.empty(n_arr.size)
-    rn_arr = np.empty(n_arr.size)
+    rn = np.empty(n_arr.size)
+    values = np.empty((n_arr.size, z.size))
     for i, n in enumerate(n_arr):
         fk = finite_moments(Qn, c, int(n))
-        rn = microscopic_scale(Qn, c, int(n))
-        rn_arr[i] = rn
-        sup_err[i] = float(np.max(np.abs(rescaled_intensity(fk, z, rn) - r0)))
-    return ConvergenceReport(k=k, c=c, lam=lam, n=n_arr, rn=rn_arr, sup_err=sup_err)
+        rn[i] = microscopic_scale(Qn, c, int(n))
+        values[i] = rescaled_intensity(fk, z, rn[i])
+    return ConvergenceReport(k, c, lam, z, r0, n_arr, rn, values, np.max(np.abs(values - r0), axis=1))

@@ -121,17 +121,9 @@ class HomogeneousHermitianPoly:
     def angular_minimum(self) -> tuple[float, float]:
         return _angular_minimum(self.coeffs)
 
-    def is_positive_definite(self) -> bool:
-        return self.angular_minimum()[1] > _PD_THRESHOLD
-
     def laplacian(self) -> "HomogeneousHermitianPoly":
         """d/dz d/dzbar of the polynomial (degree drops by 2)."""
         return HomogeneousHermitianPoly(max(self.degree - 2, 0), _laplacian_coeffs(self.coeffs))
-
-    def scaled(self, factor: float) -> "HomogeneousHermitianPoly":
-        return HomogeneousHermitianPoly(
-            self.degree, {ij: factor * a for ij, a in self.coeffs.items()}
-        )
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from focklab import (
     truncated_kernel,
 )
 from focklab.cli import main, read_table
-from focklab.fixtures import fixture_path
+from focklab.fixtures import BERGMAN_R0
 from focklab.radial_bergman import fit_error_model
 
 
@@ -86,7 +86,7 @@ def test_criterion_03_sharp_exponential_decay(capsys):
     # double precision, so the fixtures are parsed with mpmath).
     u_fit, y_fit = [], []
     with mp.workdps(60):
-        with open(fixture_path("bergman_r0.txt")) as fh:
+        with open(BERGMAN_R0) as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):

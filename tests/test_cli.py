@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -252,16 +253,32 @@ class TestGram:
         assert run(["gram", "--coeffs-file", cfgp]) == 2
 
 
-class TestFixtureoverride:
-    def test_env_var_redirects_fixture_dir(self, tmp_path, monkeypatch):
-        from focklab import fixtures
+README = Path(__file__).parents[1] / "README.md"
 
-        alt = tmp_path / "fx"
-        alt.mkdir()
-        (alt / "log_gamma.txt").write_text("# test\n1.0 0.0\n")
-        monkeypatch.setenv("FOCKLAB_FIXTURES", str(alt))
-        assert fixtures.fixture_dir() == alt
-        assert fixtures.load_columns("log_gamma.txt", 2) == [(1.0, 0.0)]
+
+def _readme_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+
+
+class TestReadmeExamples:
+    """Every `focklab ...` line of the README runs with the CLI defaults and writes what --out names."""
+
+    LINES = [line.split() for block in _readme_blocks("sh") for line in block.splitlines()
+             if line.startswith("focklab ")]
+
+    def test_every_subcommand_has_an_example(self):
+        assert sorted(line[1] for line in self.LINES) == [
+            "equilibrium", "fig1", "gram", "r0", "rescale", "sample", "verify-thm1"]
+
+    @pytest.mark.parametrize("line", LINES, ids=lambda line: line[1])
+    def test_command_line(self, line, tmp_path, monkeypatch, capsys):
+        (config,) = _readme_blocks("json")
+        (tmp_path / "twist.json").write_text(config, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(line[1:]) == 0, capsys.readouterr().err
+        if "--out" in line:
+            out = Path(line[line.index("--out") + 1])
+            assert out.is_file() if out.suffix else Path(f"{out}.csv").is_file()
 
 
 class TestImport:

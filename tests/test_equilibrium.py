@@ -10,12 +10,15 @@ from focklab import (
     HomogeneousHermitianPoly,
     MacroscopicPotential,
     MicroscopicPotential,
+    canonical_decompose,
+    detect_k,
     droplet_radius,
-    equilibrium_data,
     microscale_asymptotic_check,
     microscopic_scale,
     modulus_tau0,
 )
+from focklab import equilibrium
+from focklab.finite_kernel import _rows
 
 
 def radial(coeffs, c=0.0):
@@ -58,6 +61,29 @@ class TestModulusTau0:
         )
         assert modulus_tau0(p) == pytest.approx(1.0, rel=1e-13)
 
+    def test_leading_block_of_perturbed_potential(self):
+        Q = radial({1: 1.0, 2: 1.0})
+        k = detect_k(Q)
+        assert k == 1
+        assert modulus_tau0(canonical_decompose(Q, k).q0) == pytest.approx(1.0, rel=1e-12)
+        assert droplet_radius(Q) == pytest.approx(2.0 ** -0.5, rel=1e-13)
+        # the equilibrium density Delta Q inside the droplet
+        assert Q.laplacian_radial(0.5) == pytest.approx(1.0 + 4 * 0.25, rel=1e-14)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_closed_form_is_the_circle_mean(self, seed):
+        # tau0^{-2k} = (1/k) * mean of Delta Q0 over the unit circle, on random twisted profiles
+        rng = np.random.default_rng(seed)
+        k = 1 + seed % 3
+        coeffs = {(k, k): rng.uniform(0.5, 2.0)}
+        for i in range(k + 1, 2 * k + 1):
+            a = complex(rng.normal(0.0, 0.2), rng.normal(0.0, 0.2))
+            coeffs[(i, 2 * k - i)], coeffs[(2 * k - i, i)] = a, a.conjugate()
+        q = HomogeneousHermitianPoly(2 * k, coeffs)
+        theta = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
+        mean = float(np.mean(q.laplacian().angular_profile(theta)))
+        assert modulus_tau0(q) == pytest.approx((mean / k) ** (-1.0 / (2 * k)), rel=1e-15)
+
     def test_cannot_infer_k_from_degree_zero(self):
         with pytest.raises(ConfigError):
             modulus_tau0(HomogeneousHermitianPoly(0, {(0, 0): 1.0}))
@@ -87,6 +113,21 @@ class TestMicroscopicScale:
         rn = microscopic_scale(Q, c, n)
         mass, _ = quad(lambda r: 2.0 * r * Q.laplacian_radial(r), 0.0, rn)
         assert n * mass == pytest.approx(1.0 + c, abs=1e-10)
+
+    def test_charge_from_argument(self):
+        # the c argument, not the potential's own charge, sets the scale
+        Q = radial({1: 1.0}, c=0.0)
+        assert microscopic_scale(Q, 1.0, 100) == pytest.approx(math.sqrt(0.02), rel=1e-12)
+
+    @pytest.mark.parametrize("coeffs", [{1: 1.0}, {2: 1.0}, {1: 1.0, 2: 1.0}, {2: 1.0, 3: 1.0}])
+    @pytest.mark.parametrize("c", [-0.5, 0.0, 1.0])
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_matches_the_mode_of_the_first_norm(self, coeffs, c, n):
+        # row 0 of the finite-n norms peaks where n r Q'(r) = 2c + 2, the same equation;
+        # its array bisection stops at 1e-10 in ln r
+        Q = radial(coeffs)
+        t_star = _rows(Q, c, n)[1][0]
+        assert microscopic_scale(Q, c, n) == pytest.approx(math.exp(t_star), rel=1e-9)
 
     @given(
         st.integers(min_value=1, max_value=3),
@@ -120,20 +161,16 @@ class TestAsymptotics:
         with pytest.raises(ConfigError):
             microscale_asymptotic_check(radial({1: 1.0}), 0.0, [])
 
+    def test_one_droplet_per_check(self, monkeypatch):
+        calls = []
 
-class TestEquilibriumData:
-    def test_bundle(self):
+        def counted(Q):
+            calls.append(Q)
+            return droplet_radius(Q)
+
+        monkeypatch.setattr(equilibrium, "droplet_radius", counted)
         Q = radial({1: 1.0, 2: 1.0})
-        data = equilibrium_data(Q)
-        assert data.k == 1
-        assert data.droplet_radius == pytest.approx(2.0 ** -0.5, rel=1e-13)
-        assert data.tau0 == pytest.approx(1.0, rel=1e-12)
-        # the equilibrium density Delta Q inside the droplet
-        assert data.potential.laplacian_radial(0.5) == pytest.approx(1.0 + 4 * 0.25, rel=1e-14)
-        assert data.c == 0.0
-
-    def test_charge_override(self):
-        Q = radial({1: 1.0}, c=0.0)
-        data = equilibrium_data(Q, c=1.0)
-        assert data.c == 1.0
-        assert microscopic_scale(data.potential, data.c, 100) == pytest.approx(math.sqrt(0.02), rel=1e-12)
+        rep = microscale_asymptotic_check(Q, 0.5, [16, 64, 256])
+        assert len(calls) == 1
+        # the scales are those of separate microscopic_scale calls, bit for bit
+        np.testing.assert_array_equal(rep.rn, [microscopic_scale(Q, 0.5, n) for n in (16, 64, 256)])

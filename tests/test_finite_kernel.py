@@ -332,8 +332,12 @@ class TestConvergenceReport:
         # roughly halves with each doubling of n
         assert rep.sup_err[0] > rep.sup_err[1] > rep.sup_err[2] > rep.sup_err[3]
         assert rep.sup_err[3] < 0.1
-        assert rep.decreasing_tail_start == 5
         assert np.all(np.diff(rep.rn) < 0)
+        # the rows the distances come from
+        np.testing.assert_array_equal(rep.n, [5, 10, 20, 40])
+        np.testing.assert_array_equal(rep.sup_err, np.max(np.abs(rep.values - rep.r0), axis=1))
+        fk = finite_moments(radial({1: 1.0, 2: 1.0}), 0.0, 10)
+        np.testing.assert_array_equal(rep.values[1], rescaled_intensity(fk, rep.z, rep.rn[1]))
 
     def test_homogeneous_deviation_vanishes(self):
         # with no perturbation the rescaled kernel is the exact n-term

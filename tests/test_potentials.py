@@ -41,7 +41,7 @@ class TestHomogeneousHermitianPoly:
         theta, qmin = q.angular_minimum()
         assert qmin == pytest.approx(0.4, abs=1e-10)
         assert math.cos(2 * theta) == pytest.approx(-1.0, abs=1e-6)
-        assert q.is_positive_definite()
+        MicroscopicPotential(k=1, c=0.0, q0=q)  # positive definite, so accepted
 
     @pytest.mark.parametrize("seed", range(6))
     def test_angular_minimum_against_a_fine_scan(self, seed):
@@ -59,7 +59,9 @@ class TestHomogeneousHermitianPoly:
 
     def test_indefinite_detected(self):
         q = HomogeneousHermitianPoly(2, {(1, 1): 1.0, (2, 0): 0.51, (0, 2): 0.51})
-        assert not q.is_positive_definite()
+        assert q.angular_minimum()[1] == pytest.approx(-0.02, abs=1e-10)
+        with pytest.raises(ConfigError):
+            MicroscopicPotential(k=1, c=0.0, q0=q)
 
     def test_laplacian(self):
         # d/dz d/dzbar |z|^4 = 4 |z|^2
@@ -74,7 +76,8 @@ class TestHomogeneousHermitianPoly:
     def test_scaled_is_linear(self, f):
         q = HomogeneousHermitianPoly(2, TWIST)
         z = 0.5 - 0.8j
-        assert q.scaled(f).evaluate(z) == pytest.approx(f * q.evaluate(z), rel=1e-13)
+        scaled = HomogeneousHermitianPoly(2, {ij: f * a for ij, a in TWIST.items()})
+        assert scaled.evaluate(z) == pytest.approx(f * q.evaluate(z), rel=1e-13)
 
 
 class TestMicroscopicPotential:

@@ -19,6 +19,7 @@ from focklab import (
     moments,
     origin_coefficient,
 )
+from focklab import fixtures
 from focklab.fixtures import load_bergman_r0
 from focklab.radial_bergman import fit_error_model
 
@@ -70,6 +71,13 @@ class TestBergmanFunctionR0:
         for k, c, a, r, want in load_bergman_r0():
             got = bergman_function_r0(int(k), c, a, r)
             assert got == pytest.approx(want, rel=1e-12), (k, c, a, r)
+
+    def test_reference_table_row_width_checked(self, tmp_path, monkeypatch):
+        table = tmp_path / "bergman_r0.txt"
+        table.write_text("# k c a r R0\n1 0 1 0.5 1.0\n1 0 1 0.5\n", encoding="utf-8")
+        monkeypatch.setattr(fixtures, "BERGMAN_R0", table)
+        with pytest.raises(ValueError, match="bergman_r0.txt:3: expected 5 columns, got 4"):
+            load_bergman_r0()
 
     @pytest.mark.parametrize("k,c,a", [(2, 1.0, 1.2), (1, 0.5, 0.7)])
     def test_direct_series_route(self, k, c, a):
