@@ -30,7 +30,6 @@ from .potentials import (
 )
 from .radial_bergman import (
     DecayReport,
-    MomentTable,
     bergman_function_r0,
     decay_report,
     delta_q0,
@@ -88,7 +87,7 @@ __all__ = [
     "canonical_decompose", "normalize_potential", "kappa_shift",
     "load_potential_config",
     # radial closed forms
-    "MomentTable", "moments", "bergman_function_r0", "delta_q0",
+    "moments", "bergman_function_r0", "delta_q0",
     "origin_coefficient", "disk_mass", "DecayReport", "decay_report",
     # general homogeneous weights
     "MomentMatrix", "TruncatedKernel", "moment_matrix", "truncated_kernel",

@@ -56,6 +56,8 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"grid spec {spec!r}: {exc}") from exc
     if npts < 2:
         raise ConfigError(f"grid needs at least 2 points, got {npts}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid spec {spec!r}: rmin and rmax must be finite")
     if not hi > lo:
         raise ConfigError(f"grid needs rmax > rmin, got [{lo}, {hi}]")
     if len(parts) == 4:
@@ -345,9 +347,9 @@ def cmd_sample(args) -> int:
     Q = _macroscopic_from_args(args, require_radial=True)
     if args.n is None:
         raise ConfigError("sample requires --n (number of particles)")
-    rmax = args.rmax
-    if rmax is None:
-        rmax = 1.25 * droplet_radius(Q)
+    rmax = args.rmax if args.rmax is not None else 1.25 * droplet_radius(Q)
+    if not math.isfinite(rmax):
+        raise ConfigError(f"--rmax must be finite, got {rmax}")
     edges = np.linspace(0.0, rmax, args.bins + 1)
     cfg = EnsembleConfig(
         n=args.n,
@@ -361,9 +363,6 @@ def cmd_sample(args) -> int:
     )
     res = run_mcmc(cfg)
     h = res.histogram
-    prefix = args.out or "mc_run"
-    rows = list(zip(edges[:-1], edges[1:], h.counts, h.intensity(), h.stderr()))
-    write_csv(f"{prefix}.csv", ["bin_lo", "bin_hi", "count", "intensity", "stderr"], rows)
     doc = {
         "config": {
             "n": cfg.n,
@@ -383,8 +382,8 @@ def cmd_sample(args) -> int:
         "recorded": h.recorded,
         "mass_in_range": h.mass(),
     }
-    _write_json(f"{prefix}.json", doc)
-    print(f"wrote {prefix}.csv, {prefix}.json (acceptance {res.acceptance_rate:.3f})")
+    rows = zip(edges[:-1], edges[1:], h.counts, h.intensity(), h.stderr())
+    _write_table_and_report(args.out or "mc_run", ["bin_lo", "bin_hi", "count", "intensity", "stderr"], rows, doc)
     return 0
 
 

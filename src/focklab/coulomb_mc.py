@@ -122,8 +122,9 @@ class EnsembleConfig:
         if not self.delta0 > 0:
             raise ConfigError("delta0 must be positive")
         edges = np.asarray(self.bin_edges, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0) or edges[0] < 0:
-            raise ConfigError("bin_edges must be an increasing nonnegative grid")
+        if (edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
+                or np.any(np.diff(edges) <= 0) or edges[0] < 0):
+            raise ConfigError("bin_edges must be an increasing nonnegative finite grid")
         object.__setattr__(self, "bin_edges", edges)
         if self.potential.kind == "radial":
             R = droplet_radius(self.potential)

@@ -32,25 +32,55 @@ __all__ = [
     "microscale_asymptotic_check",
 ]
 
-_BISECT_MAX = 200
-_BISECT_REL = 1e-14
+_T_REACH = 50.0  # roots are sought in e^-50 < r < e^50
+_T_TOL = 1e-9    # an element stops after a Newton step in ln r this small, which leaves an error of order its square
+_MASS_GRID = np.geomspace(1e-6, 1.0, 256)  # where the droplet's mass must increase, in units of R
 
 
-def _bisect_increasing(f, lo: float, hi: float) -> float:
-    """Root of increasing f with f(lo) < 0 < f(hi), to ~1e-14 relative."""
-    for _ in range(_BISECT_MAX):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_REL * hi:
-            break
-    return 0.5 * (lo + hi)
+def _ln_mass_roots(Q: MacroscopicPotential, m):
+    """ln r solving r Q'(r)/2 = m, elementwise on an array of masses m.
+
+    In t = ln r the mass is M = sum j q_j e^{2jt}, with M' = 2 r^2 Delta Q,
+    and Newton on ln(M/m) starts from the least root of one term, an upper
+    bound from which the convex ln M converges when every q_j > 0.  Every
+    evaluation narrows a bracket from t = +-50, and a step that leaves it or
+    does not halve the last one bisects: Delta Q may vanish (r^2 - 0.6 r^4 +
+    0.16 r^6 at r^2 = 1/1.2).  Each element stops on its own step, so a
+    scalar call gives the bits of its element in an array call.
+    """
+    Q._require_radial()
+    j2 = 2.0 * np.array(list(Q.radial_coeffs), dtype=float)
+    w = 0.5 * j2 * np.array(list(Q.radial_coeffs.values()), dtype=float)
+    m = np.asarray(m, dtype=float)
+
+    def mass(t):
+        # one exp of the (targets x terms) block gives M and M'
+        e = w * np.exp(t[..., None] * j2)
+        return e.sum(axis=-1), (e * j2).sum(axis=-1)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ends = mass(np.array([-_T_REACH, _T_REACH]))[0]
+        if not np.all((ends[0] < m) & (m < ends[1])):
+            raise NumericalError("a root of r Q'(r)/2 = m lies outside e^-50 < r < e^50")
+        t = np.maximum(np.min(np.log(m[..., None] / w) / j2, axis=-1, where=w > 0, initial=_T_REACH), -_T_REACH)
+        lo, hi = np.full(m.shape, -_T_REACH), np.full(m.shape, _T_REACH)
+        last, active = hi - lo, np.ones(m.shape, dtype=bool)
+        # bisections halve the bracket and Newton steps halve each other, so the loop ends
+        while active.any():
+            M, dM = mass(t)
+            below = M < m
+            lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+            step = np.log(m / M) * M / dM
+            size, new = np.abs(step), t + step
+            done = size <= _T_TOL
+            new = np.where(done | ((new > lo) & (new < hi) & (size < 0.5 * last)), new, 0.5 * (lo + hi))
+            last, t = np.abs(new - t), np.where(active, new, t)
+            active &= ~(done | (hi - lo <= _T_TOL))
+    return t
 
 
 def _check_monotone_mass(Q: MacroscopicPotential, hi: float) -> None:
-    r = np.geomspace(hi * 1e-6, hi, 256)
+    r = hi * _MASS_GRID
     mass = r * Q.dq_dr(r)
     if np.any(np.diff(mass) < -1e-12 * np.abs(mass[1:])):
         raise ConfigError("r Q'(r) is not increasing: droplet is not a disk")
@@ -58,15 +88,9 @@ def _check_monotone_mass(Q: MacroscopicPotential, hi: float) -> None:
 
 def droplet_radius(Q: MacroscopicPotential) -> float:
     """Radius R of the disk droplet: root of R Q'(R)/2 = 1."""
-    Q._require_radial()
-    f = lambda r: 0.5 * r * Q.dq_dr(r) - 1.0
-    hi = 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise NumericalError("no droplet radius below 1e9: growth condition violated")
-    _check_monotone_mass(Q, hi)
-    return _bisect_increasing(f, 0.0, hi)
+    R = float(np.exp(_ln_mass_roots(Q, 1.0)))
+    _check_monotone_mass(Q, R)
+    return R
 
 
 def modulus_tau0(q0: HomogeneousHermitianPoly | MicroscopicPotential) -> float:
@@ -87,21 +111,20 @@ def modulus_tau0(q0: HomogeneousHermitianPoly | MicroscopicPotential) -> float:
     return float((k * a_kk) ** (-1.0 / (2 * k)))
 
 
-def microscopic_scale(Q: MacroscopicPotential, c: float, n: int) -> float:
-    """r_n solving n r Q'(r)/2 = 1 + c, bisected inside the droplet."""
-    return _scale_in_droplet(Q, c, n, droplet_radius(Q))
-
-
-def _scale_in_droplet(Q: MacroscopicPotential, c: float, n: int, R: float) -> float:
-    """microscopic_scale for a droplet radius R already solved."""
+def microscopic_scale(Q: MacroscopicPotential, c: float, n):
+    """r_n solving n r Q'(r)/2 = 1 + c inside the droplet; n an integer, or an array of them elementwise."""
     if not c > -1:
         raise ConfigError(f"c must be > -1, got {c}")
-    if n < 1:
+    n_arr = np.asarray(n)
+    if np.any(n_arr < 1):
         raise ConfigError(f"n must be >= 1, got {n}")
-    target = (1.0 + c) / n
-    if 0.5 * R * Q.dq_dr(R) < target:
+    mass = (1.0 + c) / n_arr
+    if np.any(mass > 1.0):
         raise ConfigError(f"n={n} too small: microscopic scale would leave the droplet")
-    return _bisect_increasing(lambda r: 0.5 * r * Q.dq_dr(r) - target, 0.0, R)
+    # the droplet, mass 1, rides along for the monotone-mass check
+    r = np.exp(_ln_mass_roots(Q, np.append(1.0, mass)))
+    _check_monotone_mass(Q, r[0])
+    return float(r[1]) if n_arr.ndim == 0 else r[1:].reshape(n_arr.shape)
 
 
 @dataclass(frozen=True)
@@ -128,8 +151,7 @@ def microscale_asymptotic_check(Q: MacroscopicPotential, c: float, n_list) -> As
         raise ConfigError("n_list must be nonempty")
     k = detect_k(Q)
     tau0 = modulus_tau0(canonical_decompose(Q, k).q0)
-    R = droplet_radius(Q)
-    rn = np.array([_scale_in_droplet(Q, c, int(n), R) for n in n_arr])
+    rn = microscopic_scale(Q, c, n_arr)
     pred = tau0 * (1.0 + c) ** (1.0 / (2 * k)) * n_arr ** (-1.0 / (2 * k))
     en = rn / pred - 1.0
     C = float(np.max(np.abs(en) * n_arr ** (1.0 / (2 * k))))

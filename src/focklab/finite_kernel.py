@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, NumericalError
 from .potentials import MacroscopicPotential, canonical_decompose, detect_k, normalize_potential
 from .radial_bergman import bergman_function_r0, moments
-from .equilibrium import microscopic_scale
+from .equilibrium import _ln_mass_roots, microscopic_scale
 
 __all__ = [
     "FiniteKernel",
@@ -58,7 +58,6 @@ def _rows(Q: MacroscopicPotential, c: float, n: int):
     left tail e^{beta_j t} has fallen by e^-46 (about 1e-20):
     S_j = asinh((46 + nQ(r*_j)) / (beta_j sigma_j)) + 1/2.
     """
-    Q._require_radial()
     if Q.spectators:
         raise ConfigError("spectator charges break the exact radial ensemble (use the Metropolis chain)")
     if not c > -1:
@@ -66,17 +65,9 @@ def _rows(Q: MacroscopicPotential, c: float, n: int):
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     beta = 2.0 * np.arange(n) + 2.0 * c + 2.0
-    slope = lambda t: n * np.exp(t) * Q.dq_dr(np.exp(t))  # n r Q'(r) at r = e^t
-    lo, hi = np.full(n, -50.0), np.full(n, 50.0)
+    t_star = _ln_mass_roots(Q, beta / (2.0 * n))
+    r_star = np.exp(t_star)
     with np.errstate(over="ignore", invalid="ignore"):
-        if not (slope(lo[0]) < beta[0] and slope(hi[0]) > beta[-1]):
-            raise NumericalError("an integrand mode lies outside e^-50 < r < e^50")
-        while np.max(hi - lo) > 1e-10:
-            mid = 0.5 * (lo + hi)
-            below = slope(mid) < beta
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        t_star = 0.5 * (lo + hi)
-        r_star = np.exp(t_star)
         sigma = 1.0 / np.sqrt(4.0 * n * r_star * r_star * Q.laplacian_radial(r_star))
     if not np.all(np.isfinite(sigma) & (sigma > 0)):
         raise NumericalError("an integrand mode is not a strict maximum")
@@ -188,7 +179,7 @@ def rescaled_intensity(fk: FiniteKernel, z, rn: float):
 
 def truncated_series_r0(k: int, c: float, a: float, n: int, r):
     """First n terms of the closed-form R0 series (the n-term exhaustion); arrays elementwise."""
-    return _series(r, c, moments(k, c, a, n - 1).log_moments, lambda x: a * x ** (2 * k))
+    return _series(r, c, moments(k, c, a, n - 1), lambda x: a * x ** (2 * k))
 
 
 def _bin_integrals(fk: FiniteKernel, lo, hi, tol: float, pooled: bool = False) -> np.ndarray:
@@ -273,10 +264,8 @@ def convergence_report(Q: MacroscopicPotential, c: float, n_list, z_grid) -> Con
     canonical_decompose(Qn, k)  # validates the decomposition hypotheses
     r0 = bergman_function_r0(k, c, (1.0 + c) / k, z)
     n_arr = np.asarray(sorted(int(n) for n in n_list), dtype=int)
-    rn = np.empty(n_arr.size)
+    rn = microscopic_scale(Qn, c, n_arr)
     values = np.empty((n_arr.size, z.size))
     for i, n in enumerate(n_arr):
-        fk = finite_moments(Qn, c, int(n))
-        rn[i] = microscopic_scale(Qn, c, int(n))
-        values[i] = rescaled_intensity(fk, z, rn[i])
+        values[i] = rescaled_intensity(finite_moments(Qn, c, int(n)), z, rn[i])
     return ConvergenceReport(k, c, lam, z, r0, n_arr, rn, values, np.max(np.abs(values - r0), axis=1))

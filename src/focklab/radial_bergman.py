@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, FitError
 
 __all__ = [
-    "MomentTable",
     "moments",
     "bergman_function_r0",
     "delta_q0",
@@ -44,16 +43,6 @@ def _validate(k: int, c: float, a: float) -> None:
         raise ConfigError(f"amplitude must be positive, got {a}")
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Log-moments ln m_j of the radial weight |z|^{2c} e^{-a|z|^{2k}}."""
-
-    k: int
-    c: float
-    amplitude: float
-    log_moments: np.ndarray
-
-
 def _log_moments(k: int, a: float, p: np.ndarray) -> np.ndarray:
     # ln m_j with p = (j+c+1)/k; scipy.special is imported where used, so focklab's import stays free of it
     from scipy.special import gammaln
@@ -61,14 +50,12 @@ def _log_moments(k: int, a: float, p: np.ndarray) -> np.ndarray:
     return -p * math.log(a) - math.log(k) + gammaln(p)
 
 
-def moments(k: int, c: float, a: float, J: int) -> MomentTable:
-    """Moment table for j = 0..J from the closed gamma form."""
+def moments(k: int, c: float, a: float, J: int) -> np.ndarray:
+    """Log-moments ln m_j of the weight |z|^{2c} e^{-a|z|^{2k}}, j = 0..J, from the closed gamma form."""
     _validate(k, c, a)
     if J < 0:
         raise ConfigError(f"J must be >= 0, got {J}")
-    j = np.arange(J + 1, dtype=float)
-    logm = _log_moments(k, a, (j + c + 1.0) / k)
-    return MomentTable(k=k, c=c, amplitude=a, log_moments=logm)
+    return _log_moments(k, a, (np.arange(J + 1) + c + 1.0) / k)
 
 
 def bergman_function_r0(k: int, c: float, a: float, r):
@@ -122,7 +109,7 @@ def delta_q0(k: int, c: float, a: float, r):
 def origin_coefficient(k: int, c: float, a: float = 1.0) -> float:
     """lim_{r->0} R0(r)/r^{2c} = 1/m_0 = a^{(c+1)/k} k / Gamma((c+1)/k)."""
     _validate(k, c, a)
-    return float(np.exp(-moments(k, c, a, 0).log_moments[0]))
+    return float(np.exp(-moments(k, c, a, 0)[0]))
 
 
 def disk_mass(k: int, c: float, a: float, radius: float = 1.0) -> float:

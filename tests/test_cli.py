@@ -26,7 +26,7 @@ class TestParseGrid:
         np.testing.assert_allclose(parse_grid("1:100:3:log"), [1.0, 10.0, 100.0])
 
     @pytest.mark.parametrize(
-        "spec", ["1:2", "1:2:3:4:5", "a:2:3", "1:2:1", "2:1:5", "0:2:5:log", "1:2:5:geo"]
+        "spec", ["1:2", "1:2:3:4:5", "a:2:3", "1:2:1", "2:1:5", "0:2:5:log", "1:2:5:geo", "0:inf:5", "1:inf:3:log"]
     )
     def test_rejects(self, spec):
         with pytest.raises(ConfigError):
@@ -194,6 +194,13 @@ class TestSample:
     def test_single_recorded_sweep_refused(self, capsys):
         assert run(["sample", "--n", "4", "--sweeps", "1", "--burn-in", "50", "--seed", "1"]) == 2
         assert "sweeps >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rmax", ["inf", "nan"])
+    def test_non_finite_rmax_refused(self, rmax, tmp_path, capsys):
+        args = ["sample", "--n", "4", "--rmax", rmax, "--sweeps", "2", "--burn-in", "0", "--out", tmp_path / "s"]
+        assert run(args) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestFig1:

@@ -220,6 +220,10 @@ class TestEnsembleConfig:
             EnsembleConfig(n=2, potential=GINIBRE, bin_edges=[0.0, 0.5, 0.4])
         with pytest.raises(ConfigError):
             EnsembleConfig(n=2, potential=GINIBRE, bin_edges=[-0.1, 0.5, 1.2])
+        with pytest.raises(ConfigError):
+            EnsembleConfig(n=2, potential=GINIBRE, bin_edges=[0.0, 0.5, np.inf])
+        with pytest.raises(ConfigError):
+            EnsembleConfig(n=2, potential=GINIBRE, bin_edges=[0.0, 0.5, np.nan])
 
     def test_bins_must_cover_droplet(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +26,20 @@ def radial(coeffs, c=0.0):
     return MacroscopicPotential(kind="radial", c=c, radial_coeffs=coeffs)
 
 
+# r^2 - 0.6 r^4 + 0.16 r^6 has Delta Q = (1 - 1.2 r^2)^2, which vanishes at r^2 = 1/1.2
+SOLVER_POTENTIALS = [{1: 1.0}, {1: 1.0, 2: 1.0}, {2: 1.0, 3: 1.0}, {1: 1.0, 2: -0.6, 3: 0.16}]
+
+
+def mp_mass_root(coeffs, m):
+    """The r > 0 with r Q'(r)/2 = sum j q_j r^{2j} = m, to 50 digits, from the roots in x = r^2."""
+    with mp.workdps(50):
+        poly = [j * mp.mpf(coeffs.get(j, 0.0)) for j in range(max(coeffs), 0, -1)] + [-mp.mpf(m)]
+        xs = [x.real for x in mp.polyroots(poly, maxsteps=200, extraprec=200)
+              if abs(x.imag) < mp.mpf(10) ** -40 and x.real > 0]
+        assert len(xs) == 1
+        return mp.sqrt(xs[0])
+
+
 class TestDropletRadius:
     def test_closed_forms(self):
         assert droplet_radius(radial({1: 1.0})) == pytest.approx(1.0, rel=1e-13)
@@ -40,6 +55,11 @@ class TestDropletRadius:
     def test_non_monotone_rejected(self):
         with pytest.raises(ConfigError):
             droplet_radius(radial({1: 1.0, 2: -0.6, 3: 0.15}))
+
+    @pytest.mark.parametrize("coeffs", SOLVER_POTENTIALS)
+    def test_matches_mpmath(self, coeffs):
+        R = droplet_radius(radial(coeffs))
+        assert abs(R / mp_mass_root(coeffs, 1) - 1) <= 1e-15
 
     def test_requires_radial(self):
         Q = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={(1, 1): 1.0})
@@ -105,6 +125,36 @@ class TestMicroscopicScale:
     def test_scale_must_stay_inside_droplet(self):
         with pytest.raises(ConfigError):
             microscopic_scale(radial({1: 1.0}), 1.0, 1)
+        with pytest.raises(ConfigError):
+            microscopic_scale(radial({1: 1.0}), 0.5, np.array([4, 1]))
+        # (1 + c)/n = 1 is the droplet edge itself
+        assert microscopic_scale(radial({1: 1.0}), 1.0, 2) == droplet_radius(radial({1: 1.0}))
+
+    def test_non_monotone_rejected(self):
+        with pytest.raises(ConfigError):
+            microscopic_scale(radial({1: 1.0, 2: -0.6, 3: 0.15}), 0.0, 100)
+
+    @pytest.mark.parametrize("coeffs", SOLVER_POTENTIALS)
+    @pytest.mark.parametrize("c", [-0.5, 0.0, 1.0])
+    def test_matches_mpmath(self, coeffs, c):
+        Q = radial(coeffs)
+        n = np.array([3, 4, 16, 256, 10_000])
+        rn = microscopic_scale(Q, c, n)
+        for m, r in zip(n, rn):
+            assert abs(r / mp_mass_root(coeffs, (1 + mp.mpf(c)) / int(m)) - 1) <= 1e-15
+
+    @pytest.mark.parametrize("coeffs", SOLVER_POTENTIALS)
+    def test_scalar_calls_are_array_elements(self, coeffs):
+        # each element of the solver stops on its own step
+        Q = radial(coeffs)
+        n = np.array([[3, 4, 5], [16, 256, 10_000]])
+        rn = microscopic_scale(Q, 0.5, n)
+        assert rn.shape == n.shape
+        assert rn.ravel().tolist() == [microscopic_scale(Q, 0.5, int(m)) for m in n.ravel()]
+        assert isinstance(microscopic_scale(Q, 0.5, 16), float)
+        t = equilibrium._ln_mass_roots(Q, np.array([1.0, 0.25, 1.5 / 16]))
+        assert np.exp(t[0]) == droplet_radius(Q)
+        assert t.tolist() == [float(equilibrium._ln_mass_roots(Q, m)) for m in (1.0, 0.25, 1.5 / 16)]
 
     def test_charge_mass_balance_by_quadrature(self):
         # n * (mass of Delta Q inside r_n) recovers 1 + c
@@ -123,11 +173,11 @@ class TestMicroscopicScale:
     @pytest.mark.parametrize("c", [-0.5, 0.0, 1.0])
     @pytest.mark.parametrize("n", [16, 256])
     def test_matches_the_mode_of_the_first_norm(self, coeffs, c, n):
-        # row 0 of the finite-n norms peaks where n r Q'(r) = 2c + 2, the same equation;
-        # its array bisection stops at 1e-10 in ln r
+        # row 0 of the finite-n norms peaks where n r Q'(r) = 2c + 2: the same equation,
+        # solved by the same solver, gives the same bits
         Q = radial(coeffs)
         t_star = _rows(Q, c, n)[1][0]
-        assert microscopic_scale(Q, c, n) == pytest.approx(math.exp(t_star), rel=1e-9)
+        assert microscopic_scale(Q, c, n) == float(np.exp(t_star))
 
     @given(
         st.integers(min_value=1, max_value=3),
@@ -163,14 +213,16 @@ class TestAsymptotics:
 
     def test_one_droplet_per_check(self, monkeypatch):
         calls = []
+        solve = equilibrium._ln_mass_roots
 
-        def counted(Q):
-            calls.append(Q)
-            return droplet_radius(Q)
+        def counted(Q, m):
+            calls.append(m)
+            return solve(Q, m)
 
-        monkeypatch.setattr(equilibrium, "droplet_radius", counted)
+        monkeypatch.setattr(equilibrium, "_ln_mass_roots", counted)
         Q = radial({1: 1.0, 2: 1.0})
         rep = microscale_asymptotic_check(Q, 0.5, [16, 64, 256])
-        assert len(calls) == 1
+        # one solver call, for the droplet and every n at once
+        assert len(calls) == 1 and calls[0].size == 4
         # the scales are those of separate microscopic_scale calls, bit for bit
         np.testing.assert_array_equal(rep.rn, [microscopic_scale(Q, 0.5, n) for n in (16, 64, 256)])

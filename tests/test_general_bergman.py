@@ -122,7 +122,6 @@ class TestBergmanDensity:
         assert sups[0] > sups[1] > sups[2]
 
     @pytest.mark.xfail(
-        strict=True,
         raises=IllConditionedError,
         reason="N=40 needs a scaled condition number of 3.4e12, past the 1e12 "
         "double-precision guardrail, so the 1e-6 accuracy target is unreachable",
