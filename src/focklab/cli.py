@@ -198,6 +198,8 @@ def _polar_density(grid: np.ndarray, n_theta: int, density):
     A DivergenceError, which arises only at r = 0 (c < 0), prints a note and
     drops that point.
     """
+    if np.any(grid < 0):
+        raise ConfigError("r must be >= 0")
     thetas = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     r, th = np.array([(x, t) for x in grid for t in (thetas if x > 0 else thetas[:1])]).T
     z = r * np.cos(th) + 1j * (r * np.sin(th))
@@ -226,8 +228,7 @@ def cmd_r0(args) -> int:
         rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
         write_csv(args.out, ["r", "R0", "deltaQ0", "rel_err"], zip(grid, val, dq, rel))
         return 0
-    N = args.n if args.n is not None else 48
-    tk = truncated_kernel(moment_matrix(p, N))
+    tk = truncated_kernel(moment_matrix(p, args.n))
     r, th, z, val = _polar_density(grid, 24, lambda z: bergman_density(tk, p, z))
     dq = p.q0.laplacian().evaluate(z)
     rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
@@ -419,12 +420,11 @@ def cmd_fig1(args) -> int:
 
 def cmd_gram(args) -> int:
     p = _microscopic_from_args(args)
-    N = args.n if args.n is not None else 48
     grid = parse_grid(args.grid or "0:2:21")
-    tk = truncated_kernel(moment_matrix(p, N))
+    tk = truncated_kernel(moment_matrix(p, args.n))
     r, th, z, val = _polar_density(grid, 16, lambda z: bergman_density(tk, p, z))
     doc = {
-        "N": N,
+        "N": args.n,
         "k": p.k,
         "c": p.c,
         "condition_number": tk.condition,
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("r0", parents=[pot, gridp, outp],
                        help="R0 table (radial closed form or Hermitian kernel path)")
-    p.add_argument("--n", type=int, default=None, help="truncation order for Hermitian weights (default 48)")
+    p.add_argument("--n", type=int, default=48, help="truncation order for Hermitian weights (default 48)")
     p.set_defaults(func=cmd_r0)
 
     p = sub.add_parser("verify-thm1", parents=[pot, gridp, outp],
@@ -492,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", parents=[pot, gridp, outp],
                        help="general-Q0 density via the moment-matrix kernel")
-    p.add_argument("--n", type=int, default=None, help="truncation order N (default 48)")
+    p.add_argument("--n", type=int, default=48, help="truncation order N (default 48)")
     p.set_defaults(func=cmd_gram)
     return ap
 

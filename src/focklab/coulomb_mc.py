@@ -184,8 +184,6 @@ class McmcResult:
     histogram: IntensityHistogram
     acceptance_rate: float
     delta_final: float
-    seed: int
-    config: EnsembleConfig
     moduli: np.ndarray | None = None
 
 
@@ -303,8 +301,6 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
         histogram=hist,
         acceptance_rate=float(rate),
         delta_final=float(delta),
-        seed=cfg.seed,
-        config=cfg,
         moduli=held.reshape(-1) if cfg.collect_moduli else None,
     )
 

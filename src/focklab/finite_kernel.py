@@ -48,15 +48,16 @@ _TS_STEP = 1.0 / 16  # first tanh-sinh step in u; bins that miss their tolerance
 _HUGE = np.finfo(float).max
 
 
-def _rows(Q: MacroscopicPotential, c: float, n: int):
-    """Exponents beta_j, modes t*_j, widths sigma_j and reaches S_j of the n radial rows.
+def _rows(Q: MacroscopicPotential, c: float, n: int, j=None):
+    """Exponents beta_j, modes t*_j, widths sigma_j and reaches S_j of the radial rows j (default all n).
 
     Row j is exp(beta_j t - nQ(e^t)) in t = ln r, beta_j = 2j+2c+2: twice its
     integral is m_j, and normalised it is the law of ln r_j.  Its mode t*_j
     solves n r Q'(r) = beta_j, where sigma_j = (4 n r^2 Delta Q)^{-1/2}.  The
     map t = t*_j + sigma_j sinh(s) on |s| <= S_j covers the row until its slow
     left tail e^{beta_j t} has fallen by e^-46 (about 1e-20):
-    S_j = asinh((46 + nQ(r*_j)) / (beta_j sigma_j)) + 1/2.
+    S_j = asinh((46 + nQ(r*_j)) / (beta_j sigma_j)) + 1/2.  Each row is
+    solved on its own, so a subset of rows gives the bits of the full set.
     """
     if Q.spectators:
         raise ConfigError("spectator charges break the exact radial ensemble (use the Metropolis chain)")
@@ -64,7 +65,7 @@ def _rows(Q: MacroscopicPotential, c: float, n: int):
         raise ConfigError(f"c must be > -1, got {c}")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    beta = 2.0 * np.arange(n) + 2.0 * c + 2.0
+    beta = 2.0 * (np.arange(n) if j is None else np.asarray(j)) + 2.0 * c + 2.0
     t_star = _ln_mass_roots(Q, beta / (2.0 * n))
     r_star = np.exp(t_star)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,9 +225,9 @@ def mass_integral(fk: FiniteKernel) -> float:
     The bins' rule runs over [0, r(-S)] and the last row's map
     r(s) = exp(t* + sigma sinh s) at steps of at most 1 across its reach |s| <= S.
     """
-    _, t_star, sigma, S = _rows(fk.potential, fk.c, fk.n)
-    s = np.linspace(-S[-1], S[-1], 2 * math.ceil(S[-1]) + 1)
-    edges = np.concatenate(([0.0], np.exp(t_star[-1] + sigma[-1] * np.sinh(s))))
+    _, (t_star,), (sigma,), (S,) = _rows(fk.potential, fk.c, fk.n, [fk.n - 1])
+    s = np.linspace(-S, S, 2 * math.ceil(S) + 1)
+    edges = np.concatenate(([0.0], np.exp(t_star + sigma * np.sinh(s))))
     return float(np.sum(_bin_integrals(fk, edges[:-1], edges[1:], 1e-8, pooled=True)))
 
 

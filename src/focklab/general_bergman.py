@@ -3,11 +3,12 @@
 For Q0 positive definite homogeneous of degree 2k the monomial moments
 A_ij = int z^i conj(z)^j |z|^{2c} e^{-Q0} dA factor into an exact radial
 gamma integral times an angular average of q(theta)^{-(i+j+2c+2)/(2k)},
-q(theta) = Q0(e^{i theta}).  The truncated reproducing kernel is the
-inverse of the moment matrix in the scaled monomial basis; its weighted
-diagonal is the Bergman density.  Raw moments grow factorially, so the
-matrix is preconditioned to unit diagonal and factorization is refused
-when the scaled condition number exceeds 1e12.
+q(theta) = Q0(e^{i theta}).  The truncated reproducing kernel is held as
+its orthonormal basis: row j of the inverse Cholesky factor of A holds the
+monomial coefficients of the orthonormal polynomial p_j, and the Bergman
+density is sum_j |p_j(z)|^2 |z|^{2c} e^{-Q0}.  Raw moments grow
+factorially, so the matrix is preconditioned to unit diagonal and
+factorization is refused when the scaled condition number exceeds 1e12.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +41,8 @@ def _assemble(p: MicroscopicPotential, N: int, M: int) -> np.ndarray:
         # mean over theta of e^{i(i-j)theta} q^{-pw}, all frequencies at once
         F = np.fft.fft(q ** (-pw)) / M
         radial = math.exp(math.lgamma(pw) - math.log(k))
-        for i in range(max(0, d - N + 1), min(d, N - 1) + 1):
-            j = d - i
-            A[i, j] = radial * F[(j - i) % M]
+        i = np.arange(max(0, d - N + 1), min(d, N - 1) + 1)
+        A[i, d - i] = radial * F[(d - 2 * i) % M]
     return A
 
 
@@ -85,14 +84,12 @@ class MomentMatrix:
 
 
 def truncated_kernel(A: MomentMatrix) -> "TruncatedKernel":
-    """Reproducing kernel of polynomials of degree < N from the moment matrix.
+    """Orthonormal polynomials of degree < N from the moment matrix.
 
     Refuses truncation orders whose scaled condition number exceeds the
-    guardrail: beyond it the Cholesky inverse carries no retrievable
-    accuracy in double precision.
+    guardrail: beyond it the inverse Cholesky factor carries no
+    retrievable accuracy in double precision.
     """
-    from scipy.linalg import LinAlgError, cho_factor  # imported here: focklab's import stays free of scipy.linalg
-
     As = A.scaled
     cond = float(np.linalg.cond(As))
     if cond > COND_LIMIT:
@@ -101,45 +98,21 @@ def truncated_kernel(A: MomentMatrix) -> "TruncatedKernel":
             f"at N={A.N}; reduce the truncation order"
         )
     try:
-        chol, _ = cho_factor(As, lower=True)
-    except LinAlgError as exc:
+        chol = np.linalg.cholesky(As)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"moment matrix not positive definite: {exc}") from exc
-    return TruncatedKernel(k=A.k, c=A.c, N=A.N, scale=A.scale, chol=chol, condition=cond)
+    return TruncatedKernel(k=A.k, c=A.c, N=A.N, basis=np.linalg.inv(chol) / A.scale, condition=cond)
 
 
 @dataclass(frozen=True)
 class TruncatedKernel:
-    """L^(N)(z,w) = sum G_ij z^i conj(w)^j with G the inverse moment matrix."""
+    """L^(N)(z,w) = sum_{j<N} p_j(z) conj(p_j(w)); row j of basis holds the monomial coefficients of p_j."""
 
     k: int
     c: float
     N: int
-    scale: np.ndarray
-    chol: np.ndarray
+    basis: np.ndarray
     condition: float
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """The coefficient matrix G (inverse Gram, mapped back from the scaled basis)."""
-        from scipy.linalg import solve_triangular
-
-        y = solve_triangular(self.chol, np.eye(self.N, dtype=complex), lower=True)
-        inv_scaled = y.conj().T @ y
-        return np.conj(inv_scaled) / np.outer(self.scale, self.scale)
-
-    def _scaled_vector(self, z) -> np.ndarray:
-        """Scaled monomials z^i / s_i, i < N, one column per point of z."""
-        return np.asarray(z, dtype=complex).reshape(1, -1) ** np.arange(self.N)[:, None] / self.scale[:, None]
-
-    def evaluate(self, z: complex, w: complex | None = None) -> complex:
-        """Kernel value L^(N)(z, w); w defaults to z (then the value is >= 0)."""
-        from scipy.linalg import solve_triangular
-
-        yz = solve_triangular(self.chol, self._scaled_vector(z), lower=True)
-        if w is None or w == z:
-            return complex(np.vdot(yz, yz).real)
-        yw = solve_triangular(self.chol, self._scaled_vector(w), lower=True)
-        return complex(np.vdot(yw, yz))
 
 
 def bergman_density(tk: TruncatedKernel, p: MicroscopicPotential, z):
@@ -147,12 +120,11 @@ def bergman_density(tk: TruncatedKernel, p: MicroscopicPotential, z):
 
     Scalar in, scalar out, elementwise on arrays.  The monomial block is
     premultiplied by |z|^c e^{-Q0/2} so no intermediate reaches e^{+Q0},
-    and one triangular solve serves every point.  Warns once per call when
-    the tail indicator |z|^{2N} ||G row N-1|| |z|^{2c} e^{-Q0} suggests the
-    truncation order is too small for some z.
+    and one product with the basis serves every point.  Warns once per call
+    when the tail indicator |z|^{2N} ||G row N-1|| |z|^{2c} e^{-Q0}, with G
+    the inverse moment matrix, suggests the truncation order is too small
+    for some z.
     """
-    from scipy.linalg import solve_triangular
-
     if p.k != tk.k or p.c != tk.c:
         raise ConfigError("kernel and potential disagree on (k, c)")
     zz = np.asarray(z, dtype=complex)
@@ -161,9 +133,11 @@ def bergman_density(tk: TruncatedKernel, p: MicroscopicPotential, z):
     if tk.c < 0 and np.count_nonzero(az) < az.size:
         raise DivergenceError("density diverges at z = 0 for c < 0")
     q = p.evaluate(complex(zz) if zz.ndim == 0 else flat)  # a scalar takes the faster Python arithmetic
-    y = solve_triangular(tk.chol, tk._scaled_vector(flat) * (az**tk.c * np.exp(-0.5 * q)), lower=True)
+    y = tk.basis @ (flat ** np.arange(tk.N)[:, None] * (az**tk.c * np.exp(-0.5 * q)))
     value = (y * y.conj()).real.sum(axis=0)
-    ind = az ** (2 * (tk.N + tk.c)) * np.linalg.norm(tk.coefficients[tk.N - 1]) * np.exp(-q)
+    # the basis is lower triangular, so row N-1 of G = basis^T conj(basis) is basis[-1, -1] conj(basis[-1])
+    tail = abs(tk.basis[-1, -1]) * np.linalg.norm(tk.basis[-1])
+    ind = az ** (2 * (tk.N + tk.c)) * tail * np.exp(-q)
     excess = ind / np.maximum(1.0, value)
     if np.any(excess > _TAIL_WARN):
         i = int(np.argmax(excess))

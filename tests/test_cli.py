@@ -251,6 +251,18 @@ class TestGram:
         assert run(["gram", "--coeffs-file", cfgp, "--n", "48"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["r0", "gram"])
+    def test_negative_radius_refused(self, cmd, tmp_path, capsys):
+        cfgp = tmp_path / "q.json"
+        cfgp.write_text(json.dumps(
+            {"kind": "hermitian", "c": 0.0, "hermitian_coeffs": [[1, 1, 1.0, 0.0], [2, 0, 0.3, 0.0], [0, 2, 0.3, 0.0]]}
+        ))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run([cmd, "--coeffs-file", cfgp, "--n", "8", "--grid=-1:1:3", "--out", out / "t"]) == 2
+        assert "r must be >= 0" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_missing_config(self, tmp_path):
         assert run(["gram", "--coeffs-file", tmp_path / "absent.json"]) == 2
 
@@ -288,13 +300,37 @@ class TestReadmeExamples:
             assert out.is_file() if out.suffix else Path(f"{out}.csv").is_file()
 
 
+def _child_stdout(code, cwd=None):
+    """Stdout of a fresh interpreter running code against the same focklab as this process."""
+    # the child imports the same focklab as this process, whether installed or on a pytest pythonpath
+    src = str(Path(focklab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=env, cwd=cwd).stdout
+
+
 class TestImport:
     def test_import_leaves_scipy_submodules_unloaded(self):
         mods = ("scipy.optimize", "scipy.integrate", "scipy.special", "scipy.linalg")
         code = f"import sys, focklab; print(sorted(m for m in {mods!r} if m in sys.modules))"
-        # the child imports the same focklab as this process, whether installed or on a pytest pythonpath
-        src = str(Path(focklab.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                             env=env).stdout
-        assert out.strip() == "[]"
+        assert _child_stdout(code).strip() == "[]"
+
+    def test_gram_path_loads_no_scipy(self, tmp_path):
+        (config,) = _readme_blocks("json")
+        (tmp_path / "twist.json").write_text(config, encoding="utf-8")
+        (line,) = [line for line in TestReadmeExamples.LINES if line[1] == "gram"]
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from focklab import HomogeneousHermitianPoly, MicroscopicPotential, bergman_density, moment_matrix, "
+            "truncated_kernel\n"
+            "from focklab.cli import main\n"
+            "q0 = HomogeneousHermitianPoly(2, {(1, 1): 1.0, (2, 0): 0.3, (0, 2): 0.3})\n"
+            "p = MicroscopicPotential(k=1, c=0.0, q0=q0)\n"
+            "tk = truncated_kernel(moment_matrix(p, 16))\n"
+            "bergman_density(tk, p, 0.5 + 0.2j)\n"
+            "bergman_density(tk, p, np.array([0.5, 1j]))\n"
+            f"assert main({line[1:]!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        assert _child_stdout(code, cwd=tmp_path).splitlines()[-1] == "[]"

@@ -263,6 +263,26 @@ class TestMassIntegral:
         fk = finite_moments(radial(coeffs, c=c), c, n)
         assert abs(mass_integral(fk) / n - 1.0) <= 1e-10
 
+    def test_solves_the_last_row_only(self, monkeypatch):
+        from focklab import finite_kernel
+
+        Qn, _ = normalize_potential(radial({1: 1.0, 2: 1.0}), 1, 0.5)
+        fk = finite_moments(Qn, 0.5, 16)
+        # the partition the last of all 16 solved rows gives, before any solver call is counted
+        _, t_star, sigma, S = finite_kernel._rows(Qn, 0.5, 16)
+        s = np.linspace(-S[-1], S[-1], 2 * math.ceil(S[-1]) + 1)
+        edges = np.concatenate(([0.0], np.exp(t_star[-1] + sigma[-1] * np.sinh(s))))
+        want = float(np.sum(finite_kernel._bin_integrals(fk, edges[:-1], edges[1:], 1e-8, pooled=True)))
+        solve, sizes = finite_kernel._ln_mass_roots, []
+
+        def counted(Q, m):
+            sizes.append(np.size(m))
+            return solve(Q, m)
+
+        monkeypatch.setattr(finite_kernel, "_ln_mass_roots", counted)
+        assert mass_integral(fk) == want
+        assert sizes == [1]
+
     def test_memory_peak_is_flat(self):
         fk = finite_moments(radial({1: 1.0}, c=0.5), 0.5, 256)
         tracemalloc.start()
