@@ -137,47 +137,31 @@ def _write_table_and_report(prefix: str | None, header: list[str], rows, doc: di
         sys.stderr.write(_json_text(doc))
 
 
-def _inline_kca(args) -> tuple[int, float, float]:
-    k = args.k if args.k is not None else 1
-    c = args.c if args.c is not None else 0.0
-    a = args.amplitude if args.amplitude is not None else 1.0
-    return k, c, a
-
-
-def _forbid_inline_with_file(args) -> None:
-    if args.k is not None or args.c is not None or args.amplitude is not None:
-        raise ConfigError("--coeffs-file and inline flags --k/--c/--amplitude are mutually exclusive")
-
-
-def _macroscopic_from_args(args, require_radial: bool = False) -> MacroscopicPotential:
-    if getattr(args, "coeffs_file", None):
-        _forbid_inline_with_file(args)
+def _potential(args, radial: bool = False) -> MacroscopicPotential:
+    """The command's weight: --coeffs-file, or Q = a r^{2k} with charge c from --k/--c/--amplitude (default 1, 0, 1)."""
+    inline = (args.k, args.c, args.amplitude)
+    if args.coeffs_file:
+        if inline != (None, None, None):
+            raise ConfigError("--coeffs-file and inline flags --k/--c/--amplitude are mutually exclusive")
         Q = load_potential_config(args.coeffs_file)
     else:
-        k, c, a = _inline_kca(args)
+        k, c, a = (d if v is None else v for v, d in zip(inline, (1, 0.0, 1.0)))
         Q = MacroscopicPotential(kind="radial", c=c, radial_coeffs={k: a})
-    if require_radial and Q.kind != "radial":
+    if radial and Q.kind != "radial":
         raise ConfigError("this subcommand requires a radial potential")
     return Q
 
 
-def _microscopic_from_args(args) -> MicroscopicPotential:
-    """Homogeneous microscopic weight from inline flags or a config file."""
-    if getattr(args, "coeffs_file", None):
-        _forbid_inline_with_file(args)
-        Q = load_potential_config(args.coeffs_file)
-        if Q.spectators:
-            raise ConfigError("the microscopic-model path does not support spectators")
-        taylor = {ij: a for ij, a in Q.taylor_coeffs().items() if abs(a) > 0}
-        degrees = sorted({i + j for (i, j) in taylor})
-        if len(degrees) != 1 or degrees[0] % 2 != 0:
-            raise ConfigError(
-                f"the microscopic weight must be homogeneous of even degree, got degrees {degrees}"
-            )
-        k = degrees[0] // 2
-        return MicroscopicPotential(k=k, c=Q.c, q0=HomogeneousHermitianPoly(2 * k, taylor))
-    k, c, a = _inline_kca(args)
-    return MicroscopicPotential(k=k, c=c, q0=HomogeneousHermitianPoly(2 * k, {(k, k): a}))
+def _homogeneous(Q: MacroscopicPotential) -> MicroscopicPotential:
+    """The microscopic weight V0 = Q - 2c log|z| of a Q homogeneous of even degree, without spectators."""
+    if Q.spectators:
+        raise ConfigError("the microscopic-model path does not support spectators")
+    taylor = {ij: a for ij, a in Q.taylor_coeffs().items() if abs(a) > 0}
+    degrees = sorted({i + j for (i, j) in taylor})
+    if len(degrees) != 1 or degrees[0] % 2 != 0:
+        raise ConfigError(f"the microscopic weight must be homogeneous of even degree, got degrees {degrees}")
+    k = degrees[0] // 2
+    return MicroscopicPotential(k=k, c=Q.c, q0=HomogeneousHermitianPoly(2 * k, taylor))
 
 
 def _parse_n_list(text: str | None, default: list[int]) -> list[int]:
@@ -192,30 +176,31 @@ def _parse_n_list(text: str | None, default: list[int]) -> list[int]:
     return out
 
 
-def _polar_density(grid: np.ndarray, n_theta: int, density):
-    """r, theta, z and density(z) on a polar grid, in one call, with one angle at r = 0.
+def _gram_on_polar_grid(p: MicroscopicPotential, N: int, grid: np.ndarray, n_theta: int):
+    """The order-N truncated kernel, and r, theta, z and its density on a polar grid with one angle at r = 0.
 
     A DivergenceError, which arises only at r = 0 (c < 0), prints a note and
     drops that point.
     """
+    tk = truncated_kernel(moment_matrix(p, N))
     if np.any(grid < 0):
         raise ConfigError("r must be >= 0")
     thetas = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     r, th = np.array([(x, t) for x in grid for t in (thetas if x > 0 else thetas[:1])]).T
     z = r * np.cos(th) + 1j * (r * np.sin(th))
     try:
-        return r, th, z, density(z)
+        return tk, r, th, z, bergman_density(tk, p, z)
     except DivergenceError as exc:
         print(f"note: grid point r=0 rejected: {exc}", file=sys.stderr)
         keep = r != 0.0
-        return r[keep], th[keep], z[keep], density(z[keep])
+        return tk, r[keep], th[keep], z[keep], bergman_density(tk, p, z[keep])
 
 
 # --- subcommands ----------------------------------------------------------
 
 
 def cmd_r0(args) -> int:
-    p = _microscopic_from_args(args)
+    p = _homogeneous(_potential(args))
     grid = parse_grid(args.grid or "0:3:241")
     if p.is_radial:
         k, c, a = p.k, p.c, p.amplitude
@@ -228,8 +213,7 @@ def cmd_r0(args) -> int:
         rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
         write_csv(args.out, ["r", "R0", "deltaQ0", "rel_err"], zip(grid, val, dq, rel))
         return 0
-    tk = truncated_kernel(moment_matrix(p, args.n))
-    r, th, z, val = _polar_density(grid, 24, lambda z: bergman_density(tk, p, z))
+    _, r, th, z, val = _gram_on_polar_grid(p, args.n, grid, 24)
     dq = p.q0.laplacian().evaluate(z)
     rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
     write_csv(args.out, ["r", "theta", "R0", "deltaQ0", "rel_err"], zip(r, th, val, dq, rel))
@@ -237,7 +221,10 @@ def cmd_r0(args) -> int:
 
 
 def cmd_verify_thm1(args) -> int:
-    k, c, a = _inline_kca(args)
+    p = _homogeneous(_potential(args))
+    if not p.is_radial:
+        raise ConfigError("verify-thm1 requires a radial weight a r^{2k}")
+    k, c, a = p.k, p.c, p.amplitude
     if args.grid:
         grid = parse_grid(args.grid)
     else:
@@ -283,7 +270,7 @@ def cmd_verify_thm1(args) -> int:
 
 
 def cmd_rescale(args) -> int:
-    Q = _macroscopic_from_args(args, require_radial=True)
+    Q = _potential(args, radial=True)
     c = Q.c
     n_list = _parse_n_list(args.n_list, default=[16, 64, 256])
     grid = parse_grid(args.grid or "0.1:2:39")
@@ -319,7 +306,7 @@ def cmd_rescale(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
-    Q = _macroscopic_from_args(args, require_radial=True)
+    Q = _potential(args, radial=True)
     c = Q.c
     if args.n is not None and args.n_list is not None:
         raise ConfigError("--n and --n-list are mutually exclusive")
@@ -345,7 +332,7 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    Q = _macroscopic_from_args(args, require_radial=True)
+    Q = _potential(args, radial=True)
     if args.n is None:
         raise ConfigError("sample requires --n (number of particles)")
     rmax = args.rmax if args.rmax is not None else 1.25 * droplet_radius(Q)
@@ -406,23 +393,15 @@ def cmd_fig1(args) -> int:
         curves.append(Curve(x=r[ok].tolist(), y=cols[-1][ok].tolist(), label=label))
     prefix = args.out or "fig1"
     write_csv(f"{prefix}.csv", ["r"] + [case[4] for case in _FIG1_CASES], np.column_stack(cols))
-    write_svg(
-        f"{prefix}.svg",
-        curves,
-        title="Radial Bergman densities R0(r)",
-        xlabel="r",
-        ylabel="R0",
-        log_y=True,
-    )
+    write_svg(f"{prefix}.svg", curves, title="Radial Bergman densities R0(r)", xlabel="r", ylabel="R0")
     print(f"wrote {prefix}.csv, {prefix}.svg")
     return 0
 
 
 def cmd_gram(args) -> int:
-    p = _microscopic_from_args(args)
+    p = _homogeneous(_potential(args))
     grid = parse_grid(args.grid or "0:2:21")
-    tk = truncated_kernel(moment_matrix(p, args.n))
-    r, th, z, val = _polar_density(grid, 16, lambda z: bergman_density(tk, p, z))
+    tk, r, th, z, val = _gram_on_polar_grid(p, args.n, grid, 16)
     doc = {
         "N": args.n,
         "k": p.k,

@@ -143,7 +143,6 @@ class IntensityHistogram:
     recorded: int
     batch_counts: np.ndarray
     batch_recorded: np.ndarray
-    n: int
 
     @property
     def bin_area(self) -> np.ndarray:
@@ -295,7 +294,6 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
         recorded=recorded,
         batch_counts=batch_counts,
         batch_recorded=batch_recorded,
-        n=n,
     )
     return McmcResult(
         histogram=hist,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -82,16 +83,22 @@ def _grid(h: float, reach: float) -> np.ndarray:
     return h * np.arange(-half, half + 1)
 
 
+def _nq(Q: MacroscopicPotential, n: int, r):
+    """nQ(r), +inf where r^{2m} overflows: mixed-sign coefficients give inf - inf there, and the leading term wins."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        nq = n * Q.q_of_r(r)
+    return np.where(np.isnan(nq), np.inf, nq)
+
+
 def _row_blocks(Q, n, beta, t_star, sigma, s):
     """Row blocks of _BLOCK nodes s: (rows, t, w, top), row_j(t) dt/ds / sigma_j = e^top_j w_j, max w_j = 1."""
     step = max(1, _BLOCK // s.size)
     for b in range(0, beta.size, step):
         rows = slice(b, b + step)
         t = t_star[rows, None] + sigma[rows, None] * np.sinh(s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            nq = n * Q.q_of_r(np.exp(t))
-        # where r^{2m} overflows, mixed-sign coefficients give inf - inf; the leading term wins
-        logf = beta[rows, None] * t - np.where(np.isnan(nq), np.inf, nq) + np.log(np.cosh(s))
+        with np.errstate(over="ignore"):
+            r = np.exp(t)
+        logf = beta[rows, None] * t - _nq(Q, n, r) + np.log(np.cosh(s))
         top = logf.max(axis=1)
         yield rows, t, np.exp(logf - top[:, None]), top
 
@@ -168,7 +175,7 @@ def _series(r, c: float, log_norms: np.ndarray, nq):
 
 def intensity(fk: FiniteKernel, zeta):
     """One-point intensity bR_n(zeta) = sum_{j<n} |zeta|^{2j+2c} e^{-nQ}/m_j^(n); arrays elementwise."""
-    return _series(zeta, fk.c, fk.log_norms, lambda x: fk.n * fk.potential.q_of_r(x))
+    return _series(zeta, fk.c, fk.log_norms, partial(_nq, fk.potential, fk.n))
 
 
 def rescaled_intensity(fk: FiniteKernel, z, rn: float):
@@ -193,9 +200,12 @@ def _bin_integrals(fk: FiniteKernel, lo, hi, tol: float, pooled: bool = False) -
     |v| <= max(40, 20/(c+1)), at most 300, leaves e^-40 of an r^{2c+1} end
     uncovered.  Bins whose every-other-node estimate exceeds tol relative to
     their value (pooled: to the mean bin, so the estimates sum to at most
-    tol of the total) halve the step, up to 4 times.
+    tol of the total) halve the step, up to 4 times.  The integrand 2 r bR_n
+    is the series at charge c + 1/2 over the norms m_j / 2, all in the log
+    domain: near r = 0 the factor r^{2c} alone overflows for c < 0.
     """
     reach = math.asinh(min(max(40.0, 20.0 / (fk.c + 1.0)), 300.0) / math.pi)
+    log_half_norms = fk.log_norms - math.log(2.0)
     step = max(1, _BLOCK // fk.n)
     val, est = np.empty(lo.size), np.empty(lo.size)
     todo = np.arange(lo.size)
@@ -207,8 +217,8 @@ def _bin_integrals(fk: FiniteKernel, lo, hi, tol: float, pooled: bool = False) -
         x = np.where(u < 0.0, lo[todo, None] + width * near, hi[todo, None] - width * near).ravel()
         f = np.empty(x.size)
         for b in range(0, x.size, step):
-            f[b:b + step] = intensity(fk, x[b:b + step])
-        terms = (2.0 * x * f).reshape(width.shape[0], u.size) * width * (h * np.pi * np.cosh(u) * near / (1.0 + e))
+            f[b:b + step] = _series(x[b:b + step], fk.c + 0.5, log_half_norms, partial(_nq, fk.potential, fk.n))
+        terms = f.reshape(width.shape[0], u.size) * width * (h * np.pi * np.cosh(u) * near / (1.0 + e))
         val[todo] = terms.sum(axis=1)
         # |T_h - T_2h|, plus what the ends of the rule still carry
         est[todo] = np.abs(val[todo] - 2.0 * terms[:, u.size // 2 % 2::2].sum(axis=1)) + terms[:, 0] + terms[:, -1]

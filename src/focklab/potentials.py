@@ -108,6 +108,8 @@ class HomogeneousHermitianPoly:
         for (i, j), a in self.coeffs.items():
             if i < 0 or j < 0 or i + j != self.degree:
                 raise ConfigError(f"coefficient ({i},{j}) has total degree != {self.degree}")
+        if not np.all(np.isfinite(list(self.coeffs.values()))):
+            raise ConfigError(f"coefficients must be finite, got {self.coeffs}")
         _check_hermitian(self.coeffs)
 
     def evaluate(self, z):
@@ -137,8 +139,8 @@ class MicroscopicPotential:
     def __post_init__(self) -> None:
         if not (isinstance(self.k, int) and self.k >= 1):
             raise ConfigError(f"k must be an integer >= 1, got {self.k}")
-        if not self.c > -1:
-            raise ConfigError(f"c must be > -1, got {self.c}")
+        if not -1 < self.c < math.inf:
+            raise ConfigError(f"c must be finite and > -1, got {self.c}")
         if self.q0.degree != 2 * self.k:
             raise ConfigError(f"q0 degree {self.q0.degree} != 2k = {2 * self.k}")
         theta_min, q_min = self.q0.angular_minimum()
@@ -175,10 +177,10 @@ class Spectator:
     charge: float
 
     def __post_init__(self) -> None:
-        if self.position == 0:
-            raise ConfigError("spectator position must be nonzero")
-        if not self.charge > -1:
-            raise ConfigError(f"spectator charge must be > -1, got {self.charge}")
+        if not (self.position != 0 and np.isfinite(self.position)):
+            raise ConfigError(f"spectator position must be finite and nonzero, got {self.position}")
+        if not -1 < self.charge < math.inf:
+            raise ConfigError(f"spectator charge must be finite and > -1, got {self.charge}")
 
 
 @dataclass(frozen=True)
@@ -198,8 +200,11 @@ class MacroscopicPotential:
     def __post_init__(self) -> None:
         if self.kind not in ("radial", "hermitian"):
             raise ConfigError(f"kind must be 'radial' or 'hermitian', got {self.kind!r}")
-        if not self.c > -1:
-            raise ConfigError(f"c must be > -1, got {self.c}")
+        if not -1 < self.c < math.inf:
+            raise ConfigError(f"c must be finite and > -1, got {self.c}")
+        values = [*(self.radial_coeffs or {}).values(), *(self.hermitian_coeffs or {}).values()]
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"coefficients must be finite, got {values}")
         if self.kind == "radial":
             if not self.radial_coeffs:
                 raise ConfigError("radial potential needs radial_coeffs")
@@ -389,6 +394,39 @@ def kappa_shift(p: MicroscopicPotential) -> tuple[MicroscopicPotential, complex]
 # --- config files -------------------------------------------------------
 
 
+# layout and entry kinds of each config row: i an integer, x a finite number
+_ROWS = {
+    "radial_coeffs": ("[m, q_m]", "ix"),
+    "hermitian_coeffs": ("[i, j, re, im]", "iixx"),
+    "spectators": ("[re, im, cj]", "xxx"),
+}
+
+
+def _row(row, kinds: str, what: str) -> list:
+    """The numbers of one config row, by kinds; ConfigError on a wrong width, a non-number or a non-integer index."""
+    if not (isinstance(row, list) and len(row) == len(kinds)):
+        raise ConfigError(f"bad {what}: expected {len(kinds)} numbers")
+    out = []
+    for x, kind in zip(row, kinds):
+        try:
+            v = math.nan if isinstance(x, bool) or not isinstance(x, (int, float)) else float(x)
+        except OverflowError:  # an integer beyond the float range
+            v = math.inf
+        if not math.isfinite(v) or kind == "i" and not v.is_integer():
+            raise ConfigError(f"bad {what}: {x!r} is not {'an integer' if kind == 'i' else 'a finite number'}")
+        out.append(int(v) if kind == "i" else v)
+    return out
+
+
+def _rows(doc: dict, key: str) -> list[list]:
+    """The rows of doc[key] (default none), each read by _row."""
+    layout, kinds = _ROWS[key]
+    rows = doc.get(key, [])
+    if not isinstance(rows, list):
+        raise ConfigError(f"{key} must be a list of {layout} rows, got {rows!r}")
+    return [_row(row, kinds, f"{key} row {row!r} ({layout})") for row in rows]
+
+
 def load_potential_config(source: str | Path | dict) -> MacroscopicPotential:
     """Build a MacroscopicPotential from a JSON config file or a parsed dict.
 
@@ -396,7 +434,9 @@ def load_potential_config(source: str | Path | dict) -> MacroscopicPotential:
              "radial_coeffs": [[m, q_m], ...] or
              "hermitian_coeffs": [[i, j, re, im], ...],
              "spectators": [[re, im, cj], ...], "k": optional int}
-    A stated "k" is validated against detect_k.
+    Powers and indices are integers, every number is finite, and rows with
+    the same power or index add up.  A stated "k" is validated against
+    detect_k.
     """
     if isinstance(source, dict):
         doc = source
@@ -410,52 +450,24 @@ def load_potential_config(source: str | Path | dict) -> MacroscopicPotential:
     if not isinstance(doc, dict):
         raise ConfigError("potential config must be a JSON object")
     kind = doc.get("kind")
-    c = float(doc.get("c", 0.0))
-    spectators = []
-    for row in doc.get("spectators", []):
-        try:
-            re, im, cj = row
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad spectator row {row!r}: expected [re, im, cj]") from exc
-        spectators.append(Spectator(position=complex(re, im), charge=float(cj)))
+    (c,) = _row([doc.get("c", 0.0)], "x", "c")
+    spectators = tuple(Spectator(position=complex(re, im), charge=cj) for re, im, cj in _rows(doc, "spectators"))
     if kind == "radial":
-        rows = doc.get("radial_coeffs")
-        if not rows:
-            raise ConfigError("radial config needs radial_coeffs")
         coeffs: dict[int, float] = {}
-        for row in rows:
-            try:
-                m, q = row
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad radial_coeffs row {row!r}: expected [m, q_m]") from exc
-            coeffs[int(m)] = coeffs.get(int(m), 0.0) + float(q)
-        pot = MacroscopicPotential(
-            kind="radial", c=c, radial_coeffs=coeffs, spectators=tuple(spectators)
-        )
+        for m, q in _rows(doc, "radial_coeffs"):
+            coeffs[m] = coeffs.get(m, 0.0) + q
+        pot = MacroscopicPotential(kind="radial", c=c, radial_coeffs=coeffs, spectators=spectators)
     elif kind == "hermitian":
-        rows = doc.get("hermitian_coeffs")
-        if not rows:
-            raise ConfigError("hermitian config needs hermitian_coeffs")
         hcoeffs: dict[tuple[int, int], complex] = {}
-        for row in rows:
-            try:
-                i, j, re, im = row
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"bad hermitian_coeffs row {row!r}: expected [i, j, re, im]"
-                ) from exc
-            hcoeffs[(int(i), int(j))] = hcoeffs.get((int(i), int(j)), 0.0) + complex(
-                float(re), float(im)
-            )
+        for i, j, re, im in _rows(doc, "hermitian_coeffs"):
+            hcoeffs[(i, j)] = hcoeffs.get((i, j), 0.0) + complex(re, im)
         for (i, j), a in list(hcoeffs.items()):
             hcoeffs.setdefault((j, i), complex(np.conj(a)))
-        pot = MacroscopicPotential(
-            kind="hermitian", c=c, hermitian_coeffs=hcoeffs, spectators=tuple(spectators)
-        )
+        pot = MacroscopicPotential(kind="hermitian", c=c, hermitian_coeffs=hcoeffs, spectators=spectators)
     else:
         raise ConfigError(f"config kind must be 'radial' or 'hermitian', got {kind!r}")
-    if "k" in doc and doc["k"] is not None:
-        stated = int(doc["k"])
+    if doc.get("k") is not None:
+        (stated,) = _row([doc["k"]], "i", "k")
         found = detect_k(pot)
         if stated != found:
             raise ConfigError(f"config states k={stated} but the potential has k={found}")

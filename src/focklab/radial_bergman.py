@@ -37,10 +37,10 @@ _REL_ERR_FLOOR = 1e-13
 def _validate(k: int, c: float, a: float) -> None:
     if not (isinstance(k, int) and k >= 1):
         raise ConfigError(f"k must be an integer >= 1, got {k}")
-    if not c > -1:
-        raise ConfigError(f"c must be > -1, got {c}")
-    if not a > 0:
-        raise ConfigError(f"amplitude must be positive, got {a}")
+    if not -1 < c < math.inf:
+        raise ConfigError(f"c must be finite and > -1, got {c}")
+    if not 0 < a < math.inf:
+        raise ConfigError(f"amplitude must be finite and positive, got {a}")
 
 
 def _log_moments(k: int, a: float, p: np.ndarray) -> np.ndarray:

@@ -41,19 +41,15 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def write_svg(path: str, curves: list[Curve], title: str = "", xlabel: str = "",
-              ylabel: str = "", log_y: bool = False) -> None:
-    """Write a 640x440 SVG with axes, ticks, and one polyline per curve."""
+def write_svg(path: str, curves: list[Curve], title: str = "", xlabel: str = "", ylabel: str = "") -> None:
+    """Write a 640x440 SVG with axes, ticks, a log10 y axis, and one polyline per curve."""
     xs = [x for cv in curves for x in cv.x]
-    ys = [y for cv in curves for x, y in zip(cv.x, cv.y)]
-    if log_y:
-        ys = [y for y in ys if y > 0]
-    if not xs or not ys:
+    ty = [math.log10(y) for cv in curves for y in cv.y if y > 0]
+    if not xs or not ty:
         raise ValueError("nothing to plot")
     x0, x1 = min(xs), max(xs)
     if x1 == x0:
         x1 = x0 + 1.0
-    ty = [math.log10(y) for y in ys] if log_y else ys
     y0, y1 = min(ty), max(ty)
     if y1 == y0:
         y1 = y0 + 1.0
@@ -64,8 +60,7 @@ def write_svg(path: str, curves: list[Curve], title: str = "", xlabel: str = "",
         return _ML + (x - x0) / (x1 - x0) * (_W - _ML - _MR)
 
     def py(y: float) -> float:
-        v = math.log10(y) if log_y else y
-        return _H - _MB - (v - y0) / (y1 - y0) * (_H - _MT - _MB)
+        return _H - _MB - (math.log10(y) - y0) / (y1 - y0) * (_H - _MT - _MB)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -80,16 +75,10 @@ def write_svg(path: str, curves: list[Curve], title: str = "", xlabel: str = "",
         X = px(t)
         parts.append(f'<line x1="{X:.1f}" y1="{_H - _MB}" x2="{X:.1f}" y2="{_H - _MB + 5}" stroke="#333"/>')
         parts.append(f'<text x="{X:.1f}" y="{_H - _MB + 18}" text-anchor="middle">{_fmt(t)}</text>')
-    if log_y:
-        for p in range(math.ceil(y0), math.floor(y1) + 1):
-            Y = py(10.0**p)
-            parts.append(f'<line x1="{_ML - 5}" y1="{Y:.1f}" x2="{_ML}" y2="{Y:.1f}" stroke="#333"/>')
-            parts.append(f'<text x="{_ML - 8}" y="{Y + 4:.1f}" text-anchor="end">1e{p}</text>')
-    else:
-        for t in _ticks(y0, y1):
-            Y = _H - _MB - (t - y0) / (y1 - y0) * (_H - _MT - _MB)
-            parts.append(f'<line x1="{_ML - 5}" y1="{Y:.1f}" x2="{_ML}" y2="{Y:.1f}" stroke="#333"/>')
-            parts.append(f'<text x="{_ML - 8}" y="{Y + 4:.1f}" text-anchor="end">{_fmt(t)}</text>')
+    for p in range(math.ceil(y0), math.floor(y1) + 1):
+        Y = py(10.0**p)
+        parts.append(f'<line x1="{_ML - 5}" y1="{Y:.1f}" x2="{_ML}" y2="{Y:.1f}" stroke="#333"/>')
+        parts.append(f'<text x="{_ML - 8}" y="{Y + 4:.1f}" text-anchor="end">1e{p}</text>')
     if xlabel:
         parts.append(f'<text x="{_W / 2}" y="{_H - 12}" text-anchor="middle">{xlabel}</text>')
     if ylabel:
@@ -101,7 +90,7 @@ def write_svg(path: str, curves: list[Curve], title: str = "", xlabel: str = "",
         pts = [
             f"{px(x):.2f},{py(y):.2f}"
             for x, y in zip(cv.x, cv.y)
-            if (not log_y or y > 0) and math.isfinite(y)
+            if y > 0 and math.isfinite(y)
         ]
         if pts:
             parts.append(f'<polyline points="{" ".join(pts)}" fill="none" stroke="{col}" stroke-width="1.5"/>')

@@ -163,7 +163,8 @@ def test_criterion_05_equilibrium_quantities(capsys):
     status = "PASS" if worst <= 1e-10 and rep.bound_ok else "FAIL"
     announce(capsys, f"ACCEPTANCE 5: {status} — closed-form equilibrium values to "
                      f"{worst:.1e} (tol 1e-10); Q = r^2 + r^4 microscale deviation "
-                     f"|e_n| <= C n^(-1/2) holds on n = 100..10000 with C = {rep.C:.4f}")
+                     f"|e_n| <= C0 n^(-1/2) with C0 = |e_100| 100^(1/2) holds on n = 100..10000; "
+                     f"C = max |e_n| n^(1/2) = {rep.C:.4f}")
     assert worst <= 1e-10
     assert rep.bound_ok
 

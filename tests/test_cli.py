@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,76 @@ class TestGram:
         cfgp = tmp_path / "q.json"
         cfgp.write_text(json.dumps({"kind": "radial", "radial_coeffs": [[1, 1.0], [2, 1.0]]}))
         assert run(["gram", "--coeffs-file", cfgp]) == 2
+
+
+class TestWeightReader:
+    """Every command reads its weight one way: a config file and the inline flags it spells give the same run."""
+
+    QUARTIC = {"kind": "radial", "c": 0.5, "radial_coeffs": [[2, 1.3]]}
+    INLINE = ["--k", "2", "--c", "0.5", "--amplitude", "1.3"]
+    COMMANDS = {
+        "r0": ["r0", "--grid", "0:2:5", "--out", "out.csv"],
+        "verify-thm1": ["verify-thm1", "--out", "rep.json"],
+        "rescale": ["rescale", "--n-list", "4,8", "--grid", "0:1.5:8", "--out", "out"],
+        "equilibrium": ["equilibrium", "--n-list", "100,1000", "--out", "out"],
+        "sample": ["sample", "--n", "4", "--sweeps", "40", "--burn-in", "10", "--seed", "3", "--bins", "8",
+                   "--out", "out"],
+        "gram": ["gram", "--n", "12", "--grid", "0:1:3", "--out", "out"],
+    }
+
+    @staticmethod
+    def _run(argv, cwd, monkeypatch, capsys):
+        """Exit code, stdout, stderr, warnings and the files written, of one in-process run in cwd."""
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        files = {f.name: f.read_bytes() for f in sorted(cwd.iterdir())}
+        return code, out, err, [str(w.message) for w in caught], files
+
+    @pytest.mark.parametrize("cmd", list(COMMANDS))
+    def test_file_and_inline_flags_agree(self, cmd, tmp_path, monkeypatch, capsys):
+        (tmp_path / "q.json").write_text(json.dumps(self.QUARTIC))
+        argv = self.COMMANDS[cmd]
+        config = ["--coeffs-file", str(tmp_path / "q.json")]
+        from_file = self._run(argv + config, tmp_path / "file", monkeypatch, capsys)
+        inline = self._run(argv + self.INLINE, tmp_path / "inline", monkeypatch, capsys)
+        assert from_file == inline
+        assert from_file[4], "the command wrote no file"
+        if cmd == "verify-thm1":
+            doc = json.loads(from_file[4]["rep.json"])
+            assert (doc["k"], doc["c"], doc["amplitude"]) == (2, 0.5, 1.3)
+
+    def test_verify_thm1_refuses_a_twisted_weight(self, tmp_path, capsys):
+        (config,) = _readme_blocks("json")
+        (tmp_path / "twist.json").write_text(config)
+        assert run(["verify-thm1", "--coeffs-file", tmp_path / "twist.json"]) == 2
+        assert "requires a radial weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        {"c": "x"}, {"c": None}, {"radial_coeffs": [[1.5, 1.0]]}, {"radial_coeffs": [["a", 1.0]]},
+        {"radial_coeffs": 5}, {"k": "two"}, {"spectators": [["a", 0, 0.5]]},
+        {"kind": "hermitian", "hermitian_coeffs": [[1, 1, "x", 0.0]]},
+    ], ids=repr)
+    def test_malformed_config_is_a_config_error(self, change, tmp_path, capsys):
+        doc = {"kind": "radial", "radial_coeffs": [[1, 1.0]], **change}
+        if doc["kind"] == "hermitian":
+            del doc["radial_coeffs"]
+        (tmp_path / "q.json").write_text(json.dumps(doc))
+        assert run(["equilibrium", "--coeffs-file", tmp_path / "q.json"]) == 2
+        assert capsys.readouterr().err.startswith("focklab: config error: ")
+
+    @pytest.mark.parametrize("argv", [["r0", "--c", "inf"], ["sample", "--n", "4", "--c", "inf"],
+                                      ["gram", "--coeffs-file", "nan.json"]], ids=lambda argv: argv[0])
+    def test_non_finite_numbers_are_refused(self, argv, tmp_path, monkeypatch, capsys):
+        # abs(NaN) > 0 is False, so an unchecked NaN term would drop out and leave the |z|^4 weight
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nan.json").write_text('{"kind": "radial", "radial_coeffs": [[1, NaN], [2, 1]]}')
+        assert run(argv + ["--out", "out"]) == 2
+        assert re.search("must be finite|is not a finite number", capsys.readouterr().err)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["nan.json"]
 
 
 README = Path(__file__).parents[1] / "README.md"

@@ -345,7 +345,7 @@ class TestIntensityHistogram:
         # hi^2 - lo^2 cancels to 6.6e-13 relative on [0.8, 0.8001]; (hi - lo)(hi + lo) does not
         edges = np.array([0.0, 0.8, 0.8001, 2.0])
         h = IntensityHistogram(edges=edges, counts=np.ones(3), recorded=1, batch_counts=np.ones((2, 3)),
-                               batch_recorded=np.ones(2), n=1)
+                               batch_recorded=np.ones(2))
         exact = [Fraction(hi) ** 2 - Fraction(lo) ** 2 for lo, hi in zip(edges[:-1], edges[1:])]
         for got, want in zip(h.bin_area, exact):
             assert abs(Fraction(got) / want - 1) <= Fraction(1, 10**16)

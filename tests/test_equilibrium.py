@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from focklab import (
+    AsymptoticReport,
     ConfigError,
     HomogeneousHermitianPoly,
     MacroscopicPotential,
@@ -206,6 +208,14 @@ class TestAsymptotics:
         rep = microscale_asymptotic_check(radial({2: 1.0}), 1.0, [10, 100, 1000])
         assert np.max(np.abs(rep.en)) < 1e-11
         assert rep.bound_ok
+
+    def test_bound_fails_when_the_deviation_grows(self):
+        # C = max |e_n| n^{1/2k} bounds every e_n by construction; the law bounds them by the constant at n = 100
+        n = np.array([100, 400, 1600])
+        en = np.array([1e-3, 1e-3, 1e-3])
+        rep = AsymptoticReport(k=1, c=0.0, tau0=1.0, n=n, rn=0.1 * n**-0.5, en=en, C=float(np.max(en * n**0.5)))
+        assert not rep.bound_ok
+        assert replace(rep, en=en * (100 / n) ** 0.5).bound_ok
 
     def test_empty_n_list(self):
         with pytest.raises(ConfigError):

@@ -32,6 +32,11 @@ class TestHomogeneousHermitianPoly:
         with pytest.raises(ConfigError):
             HomogeneousHermitianPoly(2, {(2, 2): 1.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.3, math.nan)])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(ConfigError, match="must be finite"):
+            HomogeneousHermitianPoly(2, {(1, 1): 1.0, (2, 0): bad, (0, 2): bad})
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ConfigError):
             HomogeneousHermitianPoly(2, {(2, 0): 0.3, (0, 2): 0.4})
@@ -96,6 +101,11 @@ class TestMicroscopicPotential:
         with pytest.raises(ConfigError):
             MicroscopicPotential(k=1, c=-1.0, q0=q)
 
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_rejects_non_finite_charge(self, c):
+        with pytest.raises(ConfigError, match="must be finite"):
+            MicroscopicPotential(k=1, c=c, q0=HomogeneousHermitianPoly(2, {(1, 1): 1.0}))
+
     def test_kappa_radial_amplitude(self):
         p = MicroscopicPotential(k=1, c=0.5, q0=HomogeneousHermitianPoly(2, TWIST))
         assert p.kappa == pytest.approx(0.3)
@@ -119,6 +129,12 @@ class TestSpectator:
             Spectator(position=0j, charge=0.5)
         with pytest.raises(ConfigError):
             Spectator(position=1.0 + 0j, charge=-1.0)
+
+    @pytest.mark.parametrize("position,charge", [(complex(math.inf, 0.0), 0.5), (complex(1.0, math.nan), 0.5),
+                                                 (1.0 + 0j, math.inf), (1.0 + 0j, math.nan)])
+    def test_rejects_non_finite_numbers(self, position, charge):
+        with pytest.raises(ConfigError, match="must be finite"):
+            Spectator(position=position, charge=charge)
 
 
 class TestMacroscopicPotential:
@@ -146,6 +162,17 @@ class TestMacroscopicPotential:
     def test_growth_violation(self):
         with pytest.raises(ConfigError):
             MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: -1.0})
+
+    @pytest.mark.parametrize("kw", [
+        dict(kind="radial", c=math.inf, radial_coeffs={1: 1.0}),
+        dict(kind="radial", c=0.0, radial_coeffs={1: math.nan, 2: 1.0}),
+        dict(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: math.inf}),
+        dict(kind="hermitian", c=0.0, hermitian_coeffs={(1, 1): 1.0, (2, 0): math.nan, (0, 2): math.nan}),
+    ])
+    def test_rejects_non_finite_numbers(self, kw):
+        # abs(NaN) > 0 is False, so an unchecked NaN term would drop out of the Taylor map
+        with pytest.raises(ConfigError, match="must be finite"):
+            MacroscopicPotential(**kw)
 
     def test_no_constant_term(self):
         with pytest.raises(ConfigError):
@@ -303,3 +330,22 @@ class TestLoadPotentialConfig:
             load_potential_config({"kind": "radial", "radial_coeffs": [[1]]})
         with pytest.raises(ConfigError):
             load_potential_config({"kind": "nope"})
+
+    @pytest.mark.parametrize("change", [
+        {"c": "x"}, {"c": None}, {"c": math.nan}, {"c": True}, {"c": 10**400}, {"k": "two"}, {"k": 1.5},
+        {"radial_coeffs": [[1.5, 1.0]]}, {"radial_coeffs": [["a", 1.0]]}, {"radial_coeffs": 5},
+        {"radial_coeffs": [[1, 1.0, 2.0]]}, {"radial_coeffs": [[1, math.inf]]},
+        {"spectators": [["a", 0, 0.5]]}, {"spectators": [[1.0, 0.0]]}, {"spectators": {"re": 1.0}},
+        {"hermitian_coeffs": [[1, 1, "x", 0.0]], "kind": "hermitian", "radial_coeffs": None},
+        {"hermitian_coeffs": [[1, 1.2, 1.0, 0.0]], "kind": "hermitian", "radial_coeffs": None},
+        {"hermitian_coeffs": ["x"], "kind": "hermitian", "radial_coeffs": None},
+    ], ids=lambda change: repr(change)[:48])
+    def test_one_row_reader_refuses(self, change):
+        doc = {"kind": "radial", "radial_coeffs": [[1, 1.0]], **change}
+        with pytest.raises(ConfigError):
+            load_potential_config({key: v for key, v in doc.items() if v is not None or key == "c"})
+
+    def test_integral_floats_and_repeated_rows(self):
+        Q = load_potential_config({"kind": "radial", "c": 1, "k": 2.0, "radial_coeffs": [[2.0, 1.0], [2, 0.5]]})
+        assert Q.c == 1.0 and Q.radial_coeffs == {2: 1.5}
+        assert all(type(m) is int for m in Q.radial_coeffs)

@@ -54,6 +54,13 @@ class TestMoments:
         with pytest.raises(ConfigError):
             moments(1, 0.0, 1.0, -1)
 
+    @pytest.mark.parametrize("c,a", [(math.inf, 1.0), (math.nan, 1.0), (0.0, math.inf), (0.0, math.nan)])
+    def test_rejects_non_finite_charge_and_amplitude(self, c, a):
+        with pytest.raises(ConfigError, match="must be finite"):
+            moments(1, c, a, 4)
+        with pytest.raises(ConfigError, match="must be finite"):
+            bergman_function_r0(1, c, a, 1.0)
+
 
 class TestBergmanFunctionR0:
     def test_flat_for_unit_gaussian(self):
