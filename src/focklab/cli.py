@@ -307,6 +307,8 @@ def cmd_rescale(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     Q = _potential(args, radial=True)
+    if Q.spectators:
+        raise ConfigError("equilibrium does not support spectators: with them the droplet is not a disk")
     c = Q.c
     if args.n is not None and args.n_list is not None:
         raise ConfigError("--n and --n-list are mutually exclusive")

@@ -21,7 +21,7 @@ from focklab import (
 )
 from focklab import fixtures
 from focklab.fixtures import load_bergman_r0
-from focklab.radial_bergman import fit_error_model
+from focklab.radial_bergman import _incomplete_gamma, _legendre_fraction, fit_error_model
 
 
 class TestMoments:
@@ -62,6 +62,66 @@ class TestMoments:
             bergman_function_r0(1, c, a, 1.0)
 
 
+class TestIncompleteGamma:
+    """The numpy P(a, x) and Q(a, x) against 40-digit mpmath.
+
+    a runs over (0.017, 5.5]: every beta_s = (s+c+1)/k with k <= 3 and
+    c in (-1, 3], and the beta + 1 of disk_mass.  x runs over [1e-12, 2e3]
+    and brackets the switch at x = a + 1.  2e-13 leaves room for the
+    conditioning of a ln x - x near x = 2e3.
+    """
+
+    A = np.concatenate([np.geomspace(0.017, 5.5, 13), [0.5, 1.0, 1.5, 2.0, 4.5]])
+    X = np.geomspace(1e-12, 2e3, 41)
+
+    @staticmethod
+    def mp_pq(a, x):
+        with mp.workdps(40):
+            a, x = mp.mpf(a), mp.mpf(x)
+            return (float(mp.gammainc(a, 0, x, regularized=True)),
+                    float(mp.gammainc(a, x, mp.inf, regularized=True)))
+
+    @pytest.mark.parametrize("a", A, ids="a={:.4g}".format)
+    def test_against_mpmath(self, a):
+        x = np.sort(np.concatenate([self.X, a + 1.0 + np.array([-0.3, -1e-9, 0.0, 1e-9, 0.3])]))
+        p, q = _incomplete_gamma(a, x)
+        want = np.array([self.mp_pq(a, v) for v in x])
+        assert np.all(np.abs(p / want[:, 0] - 1.0) <= 2e-13)
+        tail = x >= a + 1.0
+        normal = tail & (want[:, 1] >= 1e-290)  # below, the prefactor is subnormal or 0
+        assert np.all(np.abs(q[normal] / want[normal, 1] - 1.0) <= 2e-13)
+        assert np.all(q[tail & ~normal] <= 1e-289)
+
+    def test_ends_of_the_range(self):
+        a = np.array([0.017, 1.0, 2.5, 300.5])
+        p, q = _incomplete_gamma(a, 0.0)
+        assert np.all(p == 0.0) and np.all(q == 1.0)
+        for x in (1e300, math.inf):  # Q underflows to 0
+            p, q = _incomplete_gamma(a, x)
+            assert np.all(p == 1.0) and np.all(q == 0.0)
+        assert disk_mass(2, 0.5, 1.0, math.inf) == math.inf
+
+    def test_fraction_depth_from_a_to_1e3(self):
+        # each element's own depth leaves the fraction within a few eps, far past the R0 range of a
+        for a in np.concatenate([np.geomspace(1e-3, 1e3, 13), [1.0, 3.0, 7.0]]):
+            x = a + 1.0 + np.concatenate([[0.0], np.geomspace(1e-3, 3e3, 12)])
+            got = _legendre_fraction(np.full(x.size, a), x)
+            with mp.workdps(40):
+                want = [float(v**a * mp.exp(-v) / mp.gamma(a) / mp.gammainc(a, v, mp.inf, regularized=True))
+                        for v in map(mp.mpf, x)]
+            assert np.all(np.abs(got / want - 1.0) <= 8 * np.finfo(float).eps), a
+
+
+    def test_elements_match_scalar_calls(self):
+        # in one array call, steps of the fraction that many elements run go on arrays and a
+        # large a sets a long series; a scalar call runs every step in Python floats
+        a = np.array([1 / 6, 0.5, 1.0, 1.75, 4.5, 5.5, 30.5])
+        x = np.concatenate([np.geomspace(1e-3, 1e3, 80), a + 1.0, a + 1.5])
+        p, q = _incomplete_gamma(a, x[:, None])
+        for i, j in np.ndindex(p.shape):
+            assert _incomplete_gamma(a[j], x[i]) == (p[i, j], q[i, j]), (a[j], x[i])
+
+
 class TestBergmanFunctionR0:
     def test_flat_for_unit_gaussian(self):
         r = np.linspace(0.0, 5.0, 101)
@@ -100,6 +160,12 @@ class TestBergmanFunctionR0:
         assert arr.shape == r.shape
         for x, v in zip(r, arr):
             assert bergman_function_r0(2, 1.0, 0.5, float(x)) == v
+        # a grid puts many points in each incomplete-gamma regime (the series, continued-fraction
+        # steps on arrays and in Python floats, a fraction that ends at a whole beta = 1)
+        r = np.linspace(0.0, 5.0, 301)[1:]
+        for k, c, a in [(2, 1.0, 0.5), (1, 0.3, 1.0), (2, -0.5, 0.25), (3, -0.5, 1.0), (3, 1.3, 0.7)]:
+            arr = bergman_function_r0(k, c, a, r)
+            assert all(bergman_function_r0(k, c, a, float(x)) == v for x, v in zip(r, arr)), (k, c, a)
 
     def test_origin_branches(self):
         assert bergman_function_r0(2, 0.0, 0.5, 0.0) == pytest.approx(
