@@ -21,10 +21,8 @@ from .potentials import (
     HomogeneousHermitianPoly,
     MacroscopicPotential,
     MicroscopicPotential,
-    Spectator,
     canonical_decompose,
     detect_k,
-    kappa_shift,
     load_potential_config,
     normalize_potential,
 )
@@ -66,10 +64,8 @@ from .coulomb_mc import (
     EnsembleConfig,
     IntensityHistogram,
     McmcResult,
-    RescaledHistogram,
     delta_energy,
     energy,
-    rescaled_histogram,
     run_mcmc,
     sample_radial_exact,
 )
@@ -82,10 +78,9 @@ __all__ = [
     "FocklabError", "ConfigError", "NumericalError", "NotPositiveDefiniteError",
     "IllConditionedError", "DivergenceError", "FitError",
     # potentials
-    "HomogeneousHermitianPoly", "MicroscopicPotential", "Spectator",
-    "MacroscopicPotential", "CanonicalDecomposition", "detect_k",
-    "canonical_decompose", "normalize_potential", "kappa_shift",
-    "load_potential_config",
+    "HomogeneousHermitianPoly", "MicroscopicPotential", "MacroscopicPotential",
+    "CanonicalDecomposition", "detect_k", "canonical_decompose",
+    "normalize_potential", "load_potential_config",
     # radial closed forms
     "moments", "bergman_function_r0", "delta_q0",
     "origin_coefficient", "disk_mass", "DecayReport", "decay_report",
@@ -100,7 +95,6 @@ __all__ = [
     "truncated_series_r0", "mass_integral", "bin_averaged_intensity",
     "ConvergenceReport", "convergence_report",
     # Monte Carlo
-    "EnsembleConfig", "IntensityHistogram", "RescaledHistogram", "McmcResult",
+    "EnsembleConfig", "IntensityHistogram", "McmcResult",
     "energy", "delta_energy", "run_mcmc", "sample_radial_exact",
-    "rescaled_histogram",
 ]

@@ -27,9 +27,11 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, FitError, NumericalError
 from .potentials import (
-    HomogeneousHermitianPoly,
+    CanonicalDecomposition,
     MacroscopicPotential,
     MicroscopicPotential,
+    canonical_decompose,
+    detect_k,
     load_potential_config,
 )
 from .radial_bergman import bergman_function_r0, decay_report, delta_q0
@@ -152,16 +154,16 @@ def _potential(args, radial: bool = False) -> MacroscopicPotential:
     return Q
 
 
-def _homogeneous(Q: MacroscopicPotential) -> MicroscopicPotential:
-    """The microscopic weight V0 = Q - 2c log|z| of a Q homogeneous of even degree, without spectators."""
-    if Q.spectators:
-        raise ConfigError("the microscopic-model path does not support spectators")
-    taylor = {ij: a for ij, a in Q.taylor_coeffs().items() if abs(a) > 0}
-    degrees = sorted({i + j for (i, j) in taylor})
-    if len(degrees) != 1 or degrees[0] % 2 != 0:
-        raise ConfigError(f"the microscopic weight must be homogeneous of even degree, got degrees {degrees}")
-    k = degrees[0] // 2
-    return MicroscopicPotential(k=k, c=Q.c, q0=HomogeneousHermitianPoly(2 * k, taylor))
+def _homogeneous(Q: MacroscopicPotential) -> CanonicalDecomposition:
+    """The split Q = Q0 + Re H of a Q without Q1; its q0 is the microscopic weight V0 = Q0 - 2c log|z|.
+
+    f -> f e^{h/2} maps A^2(e^{-Q0}) isometrically onto A^2(e^{-Q0 - Re h}),
+    so the pure terms in Re H leave the density R0 unchanged.
+    """
+    dec = canonical_decompose(Q, detect_k(Q))
+    if dec.q1_coeffs:
+        raise ConfigError(f"the microscopic weight must be Q0 + Re H, got terms {sorted(dec.q1_coeffs)} of degree > 2k")
+    return dec
 
 
 def _parse_n_list(text: str | None, default: list[int]) -> list[int]:
@@ -200,7 +202,7 @@ def _gram_on_polar_grid(p: MicroscopicPotential, N: int, grid: np.ndarray, n_the
 
 
 def cmd_r0(args) -> int:
-    p = _homogeneous(_potential(args))
+    p = _homogeneous(_potential(args)).q0
     grid = parse_grid(args.grid or "0:3:241")
     if p.is_radial:
         k, c, a = p.k, p.c, p.amplitude
@@ -221,7 +223,7 @@ def cmd_r0(args) -> int:
 
 
 def cmd_verify_thm1(args) -> int:
-    p = _homogeneous(_potential(args))
+    p = _homogeneous(_potential(args)).q0
     if not p.is_radial:
         raise ConfigError("verify-thm1 requires a radial weight a r^{2k}")
     k, c, a = p.k, p.c, p.amplitude
@@ -307,8 +309,6 @@ def cmd_rescale(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     Q = _potential(args, radial=True)
-    if Q.spectators:
-        raise ConfigError("equilibrium does not support spectators: with them the droplet is not a disk")
     c = Q.c
     if args.n is not None and args.n_list is not None:
         raise ConfigError("--n and --n-list are mutually exclusive")
@@ -359,7 +359,6 @@ def cmd_sample(args) -> int:
             "c": Q.c,
             "kind": Q.kind,
             "radial_coeffs": sorted(Q.radial_coeffs.items()) if Q.kind == "radial" else None,
-            "spectators": [[s.position.real, s.position.imag, s.charge] for s in Q.spectators],
             "sweeps": cfg.sweeps,
             "burn_in": cfg.burn_in,
             "thin": cfg.thin,
@@ -401,7 +400,8 @@ def cmd_fig1(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    p = _homogeneous(_potential(args))
+    dec = _homogeneous(_potential(args))
+    p = dec.q0
     grid = parse_grid(args.grid or "0:2:21")
     tk, r, th, z, val = _gram_on_polar_grid(p, args.n, grid, 16)
     doc = {
@@ -409,7 +409,7 @@ def cmd_gram(args) -> int:
         "k": p.k,
         "c": p.c,
         "condition_number": tk.condition,
-        "kappa": [p.kappa.real, p.kappa.imag],
+        "kappa": complex(dec.h_coeffs.get(2 * p.k, 0.0)) / 2,  # the pure z^{2k} coefficient
     }
     _write_table_and_report(args.out, ["r", "theta", "x", "y", "R0N"], zip(r, th, z.real, z.imag, val), doc)
     return 0

@@ -2,7 +2,7 @@
 
 The target law is proportional to e^{-H} with
 H = sum_{j != l} log 1/|z_j - z_l| + n sum_j V_n(z_j),
-n V_n(z) = n Q(z) - 2c log|z| - h(z), h(z) = sum 2 cj log|z - aj|.
+n V_n(z) = n Q(z) - 2c log|z|.
 Singular weights are handled by infinite energy (rejection), never by
 clipping, so the exact target law is preserved for charges in (-1, inf).
 The exact radial sampler draws the moduli multiset directly (independent
@@ -26,13 +26,11 @@ from .finite_kernel import _modulus_tables
 __all__ = [
     "EnsembleConfig",
     "IntensityHistogram",
-    "RescaledHistogram",
     "McmcResult",
     "energy",
     "delta_energy",
     "run_mcmc",
     "sample_radial_exact",
-    "rescaled_histogram",
 ]
 
 _TUNE_TARGET = 0.35  # burn-in acceptance the proposal scale is tuned toward
@@ -41,16 +39,14 @@ _BATCHES = 32        # batch means behind each error bar
 
 
 def _site_energy(potential: MacroscopicPotential, c: float, n: int, z: np.ndarray) -> np.ndarray:
-    """n V_n(z) elementwise over an array of particles; +-inf at the singular points.
+    """n V_n(z) elementwise over an array of particles; +-inf at the origin for c != 0.
 
-    Callers silence numpy's divide-by-zero warning at those points.
+    Callers silence numpy's divide-by-zero warning there.
     """
     r = np.abs(z)
     val = n * (potential.q_of_r(r) if potential.kind == "radial" else potential.value(z))
     if c != 0.0:
         val = val - 2.0 * c * np.log(r)
-    if potential.spectators:
-        val = val - potential.spectator_log_weight(z)
     return val
 
 
@@ -167,15 +163,6 @@ class IntensityHistogram:
     def mass(self) -> float:
         """Sum of intensity * area = mean in-range particles per sweep (~ n)."""
         return float(self.counts.sum() / self.recorded)
-
-
-@dataclass(frozen=True)
-class RescaledHistogram:
-    """Histogram mapped to microscopic units z = zeta/rn, values rn^2 bR_n."""
-
-    edges: np.ndarray
-    values: np.ndarray
-    stderrs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -315,14 +302,3 @@ def sample_radial_exact(Q: MacroscopicPotential, c: float, n: int, seed: int, dr
     for j, (t, cdf) in enumerate(_modulus_tables(Q, c, n)):
         out[:, j] = np.exp(np.interp(rng.random(draws), cdf, t))
     return out
-
-
-def rescaled_histogram(h: IntensityHistogram, rn: float) -> RescaledHistogram:
-    """Map a histogram to microscopic units: edges/rn, values and errors rn^2."""
-    if not rn > 0:
-        raise ConfigError(f"rn must be positive, got {rn}")
-    return RescaledHistogram(
-        edges=h.edges / rn,
-        values=rn * rn * h.intensity(),
-        stderrs=rn * rn * h.stderr(),
-    )

@@ -5,9 +5,7 @@ V_n = Q - 2(c/n) log|z|, has one-point intensity
 bR_n(z) = sum_{j<n} |z|^{2j+2c} e^{-nQ(|z|)} / m_j^(n) with monomial norms
 m_j^(n) = 2 int r^{2j+2c+1} e^{-nQ(r)} dr.  Rescaling by the microscopic
 radius r_n gives R_n(z) = r_n^2 bR_n(r_n z), which increases to the
-closed-form density R0 of radial_bergman as n grows.  Spectator charges
-break the monomial orthogonality and are out of scope here (the Monte
-Carlo module covers them).
+closed-form density R0 of radial_bergman as n grows.
 
 Every radial integral is decided here.  finite_moments sums all n norm
 integrands, each centred on its mode in t = ln r and mapped by a sinh
@@ -60,8 +58,6 @@ def _rows(Q: MacroscopicPotential, c: float, n: int, j=None):
     S_j = asinh((46 + nQ(r*_j)) / (beta_j sigma_j)) + 1/2.  Each row is
     solved on its own, so a subset of rows gives the bits of the full set.
     """
-    if Q.spectators:
-        raise ConfigError("spectator charges break the exact radial ensemble (use the Metropolis chain)")
     if not c > -1:
         raise ConfigError(f"c must be > -1, got {c}")
     if n < 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +21,11 @@ from .errors import ConfigError
 __all__ = [
     "HomogeneousHermitianPoly",
     "MicroscopicPotential",
-    "Spectator",
     "MacroscopicPotential",
     "CanonicalDecomposition",
     "detect_k",
     "canonical_decompose",
     "normalize_potential",
-    "kappa_shift",
     "load_potential_config",
 ]
 
@@ -150,11 +148,6 @@ class MicroscopicPotential:
             )
 
     @property
-    def kappa(self) -> complex:
-        """Coefficient of the pure z^{2k} term; 0 when the no-pure-term condition holds."""
-        return complex(self.q0.coeffs.get((2 * self.k, 0), 0.0))
-
-    @property
     def is_radial(self) -> bool:
         return all(
             (i, j) == (self.k, self.k) or abs(a) == 0.0 for (i, j), a in self.q0.coeffs.items()
@@ -170,32 +163,17 @@ class MicroscopicPotential:
 
 
 @dataclass(frozen=True)
-class Spectator:
-    """Fixed point charge: contributes 2 cj log|z - position| to h."""
-
-    position: complex
-    charge: float
-
-    def __post_init__(self) -> None:
-        if not (self.position != 0 and np.isfinite(self.position)):
-            raise ConfigError(f"spectator position must be finite and nonzero, got {self.position}")
-        if not -1 < self.charge < math.inf:
-            raise ConfigError(f"spectator charge must be finite and > -1, got {self.charge}")
-
-
-@dataclass(frozen=True)
 class MacroscopicPotential:
     """Droplet-scale potential: radial Q(r) = sum q_m r^{2m} or a Hermitian Taylor model.
 
-    Carries the origin charge c and any spectator charges; the smooth
-    perturbation h0 is identically zero in this package.
+    Carries the origin charge c; the smooth perturbation h0 is identically
+    zero in this package.
     """
 
     kind: str
     c: float = 0.0
     radial_coeffs: dict[int, float] | None = None
     hermitian_coeffs: dict[tuple[int, int], complex] | None = None
-    spectators: tuple[Spectator, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if self.kind not in ("radial", "hermitian"):
@@ -233,9 +211,6 @@ class MacroscopicPotential:
             }
             if top_deg % 2 != 0 or not _angular_minimum(top)[1] > _PD_THRESHOLD:
                 raise ConfigError("leading homogeneous part must be positive definite (growth)")
-        positions = [s.position for s in self.spectators]
-        if len(set(positions)) != len(positions):
-            raise ConfigError("spectator positions must be distinct")
 
     # --- evaluation ---------------------------------------------------
 
@@ -262,21 +237,6 @@ class MacroscopicPotential:
         v = sum(q * m * m * r ** (2 * m - 2) for m, q in self.radial_coeffs.items())
         return v if isinstance(v, np.ndarray) else float(v)
 
-    def spectator_log_weight(self, zeta: complex | np.ndarray) -> float | np.ndarray:
-        """h(zeta) = sum 2 cj log|zeta - aj| (0 when there are no spectators).
-
-        On a spectator it is -inf for a positive charge and +inf otherwise;
-        float in, float out, arrays elementwise.
-        """
-        z = np.asarray(zeta, dtype=complex)
-        total = np.zeros(z.shape)
-        with np.errstate(divide="ignore"):
-            for s in self.spectators:
-                d = np.abs(z - complex(s.position))
-                total += np.where(d == 0.0, -math.inf if s.charge > 0 else math.inf,
-                                  2.0 * s.charge * np.log(d))
-        return total if total.ndim else float(total)
-
     def taylor_coeffs(self) -> dict[tuple[int, int], complex]:
         if self.kind == "radial":
             return {(m, m): complex(q) for m, q in self.radial_coeffs.items()}
@@ -289,13 +249,11 @@ class MacroscopicPotential:
                 kind="radial",
                 c=self.c,
                 radial_coeffs={m: factor * q for m, q in self.radial_coeffs.items()},
-                spectators=self.spectators,
             )
         return MacroscopicPotential(
             kind="hermitian",
             c=self.c,
             hermitian_coeffs={ij: factor * a for ij, a in self.hermitian_coeffs.items()},
-            spectators=self.spectators,
         )
 
     def _require_radial(self) -> None:
@@ -374,23 +332,6 @@ def normalize_potential(
     return Q.scaled(lam), lam
 
 
-def kappa_shift(p: MicroscopicPotential) -> tuple[MicroscopicPotential, complex]:
-    """Strip the pure z^{2k} term: Q0 -> Q0 - 2 Re(kappa z^{2k}), returning kappa."""
-    kap = p.kappa
-    if kap == 0:
-        return p, 0.0
-    coeffs = {
-        (i, j): a
-        for (i, j), a in p.q0.coeffs.items()
-        if (i, j) not in ((2 * p.k, 0), (0, 2 * p.k))
-    }
-    try:
-        shifted = MicroscopicPotential(k=p.k, c=p.c, q0=HomogeneousHermitianPoly(2 * p.k, coeffs))
-    except ConfigError as exc:
-        raise ConfigError(f"potential loses positive definiteness after kappa shift: {exc}") from exc
-    return shifted, kap
-
-
 # --- config files -------------------------------------------------------
 
 
@@ -398,8 +339,8 @@ def kappa_shift(p: MicroscopicPotential) -> tuple[MicroscopicPotential, complex]
 _ROWS = {
     "radial_coeffs": ("[m, q_m]", "ix"),
     "hermitian_coeffs": ("[i, j, re, im]", "iixx"),
-    "spectators": ("[re, im, cj]", "xxx"),
 }
+_KEYS = {"kind", "c", "k", *_ROWS}
 
 
 def _row(row, kinds: str, what: str) -> list:
@@ -432,11 +373,10 @@ def load_potential_config(source: str | Path | dict) -> MacroscopicPotential:
 
     Schema: {"kind": "radial"|"hermitian", "c": float,
              "radial_coeffs": [[m, q_m], ...] or
-             "hermitian_coeffs": [[i, j, re, im], ...],
-             "spectators": [[re, im, cj], ...], "k": optional int}
-    Powers and indices are integers, every number is finite, and rows with
-    the same power or index add up.  A stated "k" is validated against
-    detect_k.
+             "hermitian_coeffs": [[i, j, re, im], ...], "k": optional int}
+    Any other key is refused.  Powers and indices are integers, every
+    number is finite, and rows with the same power or index add up.  A
+    stated "k" is validated against detect_k.
     """
     if isinstance(source, dict):
         doc = source
@@ -449,21 +389,23 @@ def load_potential_config(source: str | Path | dict) -> MacroscopicPotential:
             raise ConfigError(f"potential config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("potential config must be a JSON object")
+    unknown = sorted(map(str, set(doc) - _KEYS))
+    if unknown:
+        raise ConfigError(f"unknown potential config keys {unknown}; allowed are {sorted(_KEYS)}")
     kind = doc.get("kind")
     (c,) = _row([doc.get("c", 0.0)], "x", "c")
-    spectators = tuple(Spectator(position=complex(re, im), charge=cj) for re, im, cj in _rows(doc, "spectators"))
     if kind == "radial":
         coeffs: dict[int, float] = {}
         for m, q in _rows(doc, "radial_coeffs"):
             coeffs[m] = coeffs.get(m, 0.0) + q
-        pot = MacroscopicPotential(kind="radial", c=c, radial_coeffs=coeffs, spectators=spectators)
+        pot = MacroscopicPotential(kind="radial", c=c, radial_coeffs=coeffs)
     elif kind == "hermitian":
         hcoeffs: dict[tuple[int, int], complex] = {}
         for i, j, re, im in _rows(doc, "hermitian_coeffs"):
             hcoeffs[(i, j)] = hcoeffs.get((i, j), 0.0) + complex(re, im)
         for (i, j), a in list(hcoeffs.items()):
             hcoeffs.setdefault((j, i), complex(np.conj(a)))
-        pot = MacroscopicPotential(kind="hermitian", c=c, hermitian_coeffs=hcoeffs, spectators=spectators)
+        pot = MacroscopicPotential(kind="hermitian", c=c, hermitian_coeffs=hcoeffs)
     else:
         raise ConfigError(f"config kind must be 'radial' or 'hermitian', got {kind!r}")
     if doc.get("k") is not None:

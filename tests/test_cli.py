@@ -15,6 +15,13 @@ from focklab import ConfigError
 from focklab.cli import main, parse_grid, read_table, write_csv
 
 
+# k = 1: Q0 = |z|^2 + Re(0.6 z^2), whose pure term is harmonic, so R0 = 1 exactly
+TWIST = {"kind": "hermitian", "c": 0.0, "k": 1,
+         "hermitian_coeffs": [[1, 1, 1.0, 0.0], [2, 0, 0.3, 0.0], [0, 2, 0.3, 0.0]]}
+# k = 2: Q0 = |z|^4 + 0.6 Re(z^3 conj(z)), whose mixed term makes it non-radial
+MIXED = {"kind": "hermitian", "c": 0.5, "hermitian_coeffs": [[2, 2, 1.0, 0.0], [3, 1, 0.3, 0.0]]}
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -74,16 +81,24 @@ class TestR0Command:
     @pytest.mark.filterwarnings("ignore:truncation order:RuntimeWarning")
     def test_hermitian_path(self, tmp_path):
         cfgp = tmp_path / "q.json"
-        cfgp.write_text(json.dumps(
-            {"kind": "hermitian", "c": 0.0, "hermitian_coeffs": [[1, 1, 1.0, 0.0], [2, 0, 0.3, 0.0]]}
-        ))
-        out = tmp_path / "r0h.csv"
-        assert run(["r0", "--coeffs-file", cfgp, "--n", "24", "--grid", "0:1:3", "--out", out]) == 0
-        header, rows = read_table(out)
-        assert header == ["r", "theta", "R0", "deltaQ0", "rel_err"]
-        assert len(rows) == 1 + 2 * 24  # one row at r = 0, 24 angles elsewhere
-        for row in rows:  # N = 24 truncation keeps the density flat to ~2e-3 here
-            assert row[2] == pytest.approx(1.0, abs=5e-3)
+        cfgp.write_text(json.dumps(MIXED))
+        tables = {}
+        for n in (24, 48):
+            out = tmp_path / f"r0h_{n}.csv"
+            assert run(["r0", "--coeffs-file", cfgp, "--n", n, "--grid", "0:1:3", "--out", out]) == 0
+            header, rows = read_table(out)
+            assert header == ["r", "theta", "R0", "deltaQ0", "rel_err"]
+            tables[n] = np.array(rows)
+        r, th, val, dq, _ = tables[24].T
+        assert len(r) == 1 + 2 * 24  # one row at r = 0, 24 angles elsewhere
+        np.testing.assert_allclose(dq, r**2 * (4.0 + 1.8 * np.cos(2 * th)), rtol=1e-14)
+        assert val[0] == 0.0  # |z|^{2c} vanishes at 0 for c > 0
+        # Q0 is even and has real coefficients: the density is the same at z, -z and conj(z)
+        rings = val[1:].reshape(2, 24)
+        np.testing.assert_allclose(rings, np.roll(rings, 12, axis=1), rtol=1e-10)
+        np.testing.assert_allclose(rings[:, 1:], rings[:, :0:-1], rtol=1e-10)
+        # the truncated density grows with N; on |z| = 1 by 8e-9 and more from N = 24 to 48
+        assert np.all(rings[1] > 0) and np.all(rings[1] < tables[48][25:, 2])
 
     def test_inline_and_file_flags_conflict(self, tmp_path):
         cfgp = tmp_path / "q.json"
@@ -172,14 +187,14 @@ class TestEquilibrium:
         assert rows[0][1] == pytest.approx(math.sqrt(2.0 / 100.0), rel=1e-10)
 
     def test_refuses_spectators(self, tmp_path, capsys):
-        # a charge 2 at 0.5 inside the Ginibre droplet changes the droplet, which is then not a disk;
-        # the report would otherwise be that of the weight without it (R_Q = 1, tau0 = 1)
+        # the package has no spectator charges: a config with a charge 2 at 0.5 would otherwise be read
+        # without it and print the report of the Ginibre weight (R_Q = 1, tau0 = 1)
         config = tmp_path / "q.json"
         config.write_text(json.dumps({"kind": "radial", "c": 0.0, "radial_coeffs": [[1, 1.0]],
                                       "spectators": [[0.5, 0.0, 2.0]]}))
         assert run(["equilibrium", "--coeffs-file", config, "--out", tmp_path / "eq"]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and "equilibrium does not support spectators" in err
+        assert out == "" and "unknown potential config keys ['spectators']" in err
         assert sorted(f.name for f in tmp_path.iterdir()) == ["q.json"]
 
 
@@ -256,11 +271,10 @@ class TestGram:
         assert doc["N"] == 16 and doc["kappa"] == [0.0, 0.0]
 
     def test_twisted_too_large_order_fails_numerically(self, tmp_path, capsys):
+        # the scaled condition is 6.4e11 at N = 54, 1.9e12 at N = 56 and 1.6e13 at N = 60
         cfgp = tmp_path / "q.json"
-        cfgp.write_text(json.dumps(
-            {"kind": "hermitian", "c": 0.0, "hermitian_coeffs": [[1, 1, 1.0, 0.0], [2, 0, 0.3, 0.0]]}
-        ))
-        assert run(["gram", "--coeffs-file", cfgp, "--n", "48"]) == 3
+        cfgp.write_text(json.dumps(MIXED))
+        assert run(["gram", "--coeffs-file", cfgp, "--n", "60"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd", ["r0", "gram"])
@@ -326,13 +340,13 @@ class TestWeightReader:
 
     def test_verify_thm1_refuses_a_twisted_weight(self, tmp_path, capsys):
         (config,) = _readme_blocks("json")
-        (tmp_path / "twist.json").write_text(config)
-        assert run(["verify-thm1", "--coeffs-file", tmp_path / "twist.json"]) == 2
+        (tmp_path / "mixed.json").write_text(config)
+        assert run(["verify-thm1", "--coeffs-file", tmp_path / "mixed.json"]) == 2
         assert "requires a radial weight" in capsys.readouterr().err
 
     @pytest.mark.parametrize("change", [
         {"c": "x"}, {"c": None}, {"radial_coeffs": [[1.5, 1.0]]}, {"radial_coeffs": [["a", 1.0]]},
-        {"radial_coeffs": 5}, {"k": "two"}, {"spectators": [["a", 0, 0.5]]},
+        {"radial_coeffs": 5}, {"k": "two"}, {"spectators": [["a", 0, 0.5]]}, {"radial_coef": [[2, 1.0]]},
         {"kind": "hermitian", "hermitian_coeffs": [[1, 1, "x", 0.0]]},
     ], ids=repr)
     def test_malformed_config_is_a_config_error(self, change, tmp_path, capsys):
@@ -352,6 +366,44 @@ class TestWeightReader:
         assert run(argv + ["--out", "out"]) == 2
         assert re.search("must be finite|is not a finite number", capsys.readouterr().err)
         assert sorted(f.name for f in tmp_path.iterdir()) == ["nan.json"]
+
+
+class TestCanonicalSplit:
+    """The commands take Q0 of the split Q = Q0 + Re H: f -> f e^{h/2} maps A^2(e^{-Q0}) isometrically
+    onto A^2(e^{-Q0 - Re h}), so the harmonic Re H leaves R0 unchanged."""
+
+    def test_twist_is_the_ginibre_density(self, tmp_path, capsys):
+        cfgp = tmp_path / "twist.json"
+        cfgp.write_text(json.dumps(TWIST))
+        assert run(["r0", "--coeffs-file", cfgp, "--out", tmp_path / "r0.csv"]) == 0
+        header, rows = read_table(tmp_path / "r0.csv")
+        assert header == ["r", "R0", "deltaQ0", "rel_err"] and len(rows) == 241
+        np.testing.assert_allclose(np.array(rows)[:, 1], 1.0, rtol=1e-15)
+        assert run(["gram", "--coeffs-file", cfgp, "--out", tmp_path / "g"]) == 0
+        _, rows = read_table(tmp_path / "g.csv")
+        np.testing.assert_allclose(np.array(rows)[:, 4], 1.0, rtol=1e-12)
+        doc = json.loads((tmp_path / "g.json").read_text())
+        assert doc["N"] == 48 and doc["k"] == 1 and doc["kappa"] == [0.3, 0.0]
+        assert run(["verify-thm1", "--coeffs-file", cfgp, "--out", tmp_path / "rep.json"]) == 0
+        assert json.loads((tmp_path / "rep.json").read_text())["verdict"] == "identically zero error"
+        assert capsys.readouterr().err == ""
+
+    def test_harmonic_term_leaves_r0_unchanged(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "q.json").write_text(json.dumps(
+            {"kind": "hermitian", "c": 0.0, "hermitian_coeffs": [[2, 2, 1.0, 0.0], [2, 0, 0.4, 0.0]]}))
+        argv = ["r0", "--grid", "0:3:31", "--out", "out.csv"]
+        run_in = TestWeightReader._run
+        from_file = run_in(argv + ["--coeffs-file", str(tmp_path / "q.json")], tmp_path / "file", monkeypatch, capsys)
+        assert from_file == run_in(argv + ["--k", "2"], tmp_path / "inline", monkeypatch, capsys)
+
+    @pytest.mark.parametrize("cmd", ["r0", "gram", "verify-thm1"])
+    def test_nonzero_q1_refused(self, cmd, tmp_path, capsys):
+        # Q = |z|^2 + |z|^4: k = 1, and |z|^4 is a Q1 term that the microscopic model does not see
+        cfgp = tmp_path / "q.json"
+        cfgp.write_text(json.dumps({"kind": "hermitian", "hermitian_coeffs": [[1, 1, 1.0, 0.0], [2, 2, 1.0, 0.0]]}))
+        assert run([cmd, "--coeffs-file", cfgp, "--out", tmp_path / "out"]) == 2
+        assert "must be Q0 + Re H" in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["q.json"]
 
 
 README = Path(__file__).parents[1] / "README.md"
@@ -374,7 +426,7 @@ class TestReadmeExamples:
     @pytest.mark.parametrize("line", LINES, ids=lambda line: line[1])
     def test_command_line(self, line, tmp_path, monkeypatch, capsys):
         (config,) = _readme_blocks("json")
-        (tmp_path / "twist.json").write_text(config, encoding="utf-8")
+        (tmp_path / "mixed.json").write_text(config, encoding="utf-8")
         monkeypatch.chdir(tmp_path)
         assert main(line[1:]) == 0, capsys.readouterr().err
         if "--out" in line:
@@ -400,7 +452,7 @@ class TestImport:
         # numpy is the only runtime dependency: in a child whose import system refuses scipy, every
         # README command line and every radial R0 entry point still runs
         (config,) = _readme_blocks("json")
-        (tmp_path / "twist.json").write_text(config, encoding="utf-8")
+        (tmp_path / "mixed.json").write_text(config, encoding="utf-8")
         code = (
             "import sys\n"
             "class NoScipy:\n"

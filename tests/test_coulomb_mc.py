@@ -12,10 +12,8 @@ from focklab import (
     EnsembleConfig,
     IntensityHistogram,
     MacroscopicPotential,
-    Spectator,
     delta_energy,
     energy,
-    rescaled_histogram,
     run_mcmc,
     sample_radial_exact,
 )
@@ -24,9 +22,8 @@ from focklab.coulomb_mc import _BATCHES, _TUNE_INTERVAL, _TUNE_TARGET, _site_ene
 GINIBRE = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0})
 
 
-def radial(coeffs, c=0.0, spectators=()):
-    return MacroscopicPotential(kind="radial", c=c, radial_coeffs=coeffs,
-                                spectators=tuple(spectators))
+def radial(coeffs, c=0.0):
+    return MacroscopicPotential(kind="radial", c=c, radial_coeffs=coeffs)
 
 
 class TestEnergy:
@@ -46,57 +43,46 @@ class TestEnergy:
         assert energy([0j], radial({1: 1.0}, c=1.0)) == math.inf
         assert energy([0j], radial({1: 1.0}, c=-0.5)) == -math.inf
 
-    def test_spectator_positions(self):
-        pos = radial({1: 1.0}, spectators=[Spectator(position=1.0 + 0j, charge=0.5)])
-        assert energy([1.0 + 0j], pos) == math.inf
-        neg = radial({1: 1.0}, spectators=[Spectator(position=1.0 + 0j, charge=-0.5)])
-        assert energy([1.0 + 0j], neg) == -math.inf
-
     def test_explicit_n_overrides_count(self):
         # H depends on n through the site term only
         assert energy([1.0 + 0j], GINIBRE, n=5) == pytest.approx(5.0, rel=1e-14)
 
     def test_first_singular_particle_decides(self):
-        # the origin (c > 0: +inf) and a negative spectator (-inf) in one configuration
-        Q = radial({1: 1.0}, c=1.0, spectators=[Spectator(position=1.0 + 0j, charge=-0.5)])
-        assert energy([0j, 1.0 + 0j], Q) == math.inf
-        assert energy([1.0 + 0j, 0j], Q) == -math.inf
+        # the origin (c < 0: -inf) and a particle whose r^400 overflows (+inf) in one configuration
+        Q = radial({1: 1.0, 200: 1.0}, c=-0.5)
+        with np.errstate(over="ignore"):
+            assert energy([0j, 10.0 + 0j], Q) == -math.inf
+            assert energy([10.0 + 0j, 0j], Q) == math.inf
 
 
 class TestSiteEnergy:
-    SPECTATORS = [Spectator(position=0.8 + 0.2j, charge=0.4), Spectator(position=-0.5j, charge=-0.3)]
     POTENTIALS = [
-        radial({1: 1.0, 2: 0.5}, c=0.7, spectators=SPECTATORS),
+        radial({1: 1.0, 2: 0.5}, c=0.7),
         radial({1: 1.0}, c=-0.5),
-        MacroscopicPotential(kind="hermitian", c=0.3, spectators=tuple(SPECTATORS),
-                             hermitian_coeffs={(1, 1): 1.0, (2, 0): 0.2, (0, 2): 0.2}),
+        MacroscopicPotential(kind="hermitian", c=0.3, hermitian_coeffs={(1, 1): 1.0, (2, 0): 0.2, (0, 2): 0.2}),
     ]
 
     @pytest.mark.parametrize("pot", POTENTIALS, ids=["radial", "negative-c", "hermitian"])
     def test_array_equals_scalar_calls(self, pot):
         rng = np.random.default_rng(3)
-        z = np.concatenate([rng.standard_normal(9) + 1j * rng.standard_normal(9),
-                            [0j] + [s.position for s in pot.spectators]])
+        z = np.append(rng.standard_normal(9) + 1j * rng.standard_normal(9), 0j)
         with np.errstate(divide="ignore"):
             arr = _site_energy(pot, pot.c, 6, z)
             one = [_site_energy(pot, pot.c, 6, zz) for zz in z]
         assert arr.shape == z.shape
         # a scalar Hermitian sum runs in Python complex arithmetic, an array one in numpy's
         np.testing.assert_array_max_ulp(arr, np.array(one), maxulp=0 if pot.kind == "radial" else 4)
-        # the finite values are n Q(z) - 2c log|z| - h(z), and the singular ones keep their signs
+        # the finite values are n Q(z) - 2c log|z|, and the origin keeps the sign of c
         for zz, got in zip(z[:9], arr[:9]):
-            h = sum(2.0 * s.charge * math.log(abs(zz - s.position)) for s in pot.spectators)
-            want = 6 * pot.value(complex(zz)) - 2.0 * pot.c * math.log(abs(zz)) - h
+            want = 6 * pot.value(complex(zz)) - 2.0 * pot.c * math.log(abs(zz))
             assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
         assert arr[9] == (math.inf if pot.c > 0 else -math.inf)
-        assert list(arr[10:]) == [math.inf, -math.inf][:len(pot.spectators)]
 
 
 class TestDeltaEnergy:
     def test_matches_full_recompute(self):
         rng = np.random.default_rng(42)
-        Q = radial({1: 1.0, 2: 0.5}, c=0.7,
-                   spectators=[Spectator(position=0.8 + 0.2j, charge=0.4)])
+        Q = radial({1: 1.0, 2: 0.5}, c=0.7)
         pts = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         for _ in range(20):
             i = int(rng.integers(6))
@@ -161,8 +147,6 @@ class TestSweepBlockedChain:
         "radial c=-0.5": dict(n=5, potential=radial({1: 1.0, 2: 0.3}, c=-0.5)),
         "radial c=0": dict(n=5, potential=radial({1: 1.0, 2: 0.3})),
         "radial c=1": dict(n=5, potential=radial({1: 1.0, 2: 0.3}, c=1.0)),
-        "spectators": dict(n=4, potential=radial({1: 1.0}, c=0.5, spectators=[
-            Spectator(position=0.5 + 0.2j, charge=0.7), Spectator(position=-0.4j, charge=-0.5)])),
         "hermitian": dict(n=5, potential=MacroscopicPotential(
             kind="hermitian", c=0.3, hermitian_coeffs={(1, 1): 1.0, (2, 0): 0.2, (0, 2): 0.2})),
         "thin=3": dict(n=4, potential=GINIBRE, thin=3),
@@ -311,11 +295,6 @@ class TestExactRadialSampler:
         assert float(np.mean(s**2)) == pytest.approx(0.25, abs=0.02)
         assert np.all(s > 0)
 
-    def test_rejects_spectators(self):
-        Q = radial({1: 1.0}, spectators=[Spectator(position=1.0 + 0j, charge=0.5)])
-        with pytest.raises(ConfigError):
-            sample_radial_exact(Q, 0.0, 2, seed=0, draws=10)
-
     def test_rejects_an_empty_ensemble_and_charges_at_most_minus_one(self):
         with pytest.raises(ConfigError):
             sample_radial_exact(GINIBRE, 0.0, 0, seed=0, draws=10)
@@ -349,23 +328,3 @@ class TestIntensityHistogram:
         exact = [Fraction(hi) ** 2 - Fraction(lo) ** 2 for lo, hi in zip(edges[:-1], edges[1:])]
         for got, want in zip(h.bin_area, exact):
             assert abs(Fraction(got) / want - 1) <= Fraction(1, 10**16)
-
-
-@pytest.mark.filterwarnings("ignore:acceptance rate:RuntimeWarning")
-class TestRescaledHistogram:
-    def test_unit_mapping(self):
-        cfg = EnsembleConfig(n=2, potential=GINIBRE, bin_edges=np.linspace(0.0, 2.0, 5),
-                             sweeps=40, burn_in=10, seed=4)
-        h = run_mcmc(cfg).histogram
-        rn = 0.5
-        resc = rescaled_histogram(h, rn)
-        np.testing.assert_allclose(resc.edges, h.edges / rn)
-        np.testing.assert_allclose(resc.values, rn * rn * h.intensity())
-        np.testing.assert_allclose(resc.stderrs, rn * rn * h.stderr())
-
-    def test_rn_validation(self):
-        cfg = EnsembleConfig(n=2, potential=GINIBRE, bin_edges=np.linspace(0.0, 2.0, 5),
-                             sweeps=10, burn_in=0, seed=4)
-        h = run_mcmc(cfg).histogram
-        with pytest.raises(ConfigError):
-            rescaled_histogram(h, -1.0)

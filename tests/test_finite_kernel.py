@@ -12,7 +12,6 @@ from focklab import (
     DivergenceError,
     MacroscopicPotential,
     NumericalError,
-    Spectator,
     bergman_function_r0,
     bin_averaged_intensity,
     convergence_report,
@@ -67,12 +66,6 @@ class TestFiniteMoments:
         herm = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={(1, 1): 1.0})
         with pytest.raises(ConfigError):
             finite_moments(herm, 0.0, 4)
-        spect = MacroscopicPotential(
-            kind="radial", c=0.0, radial_coeffs={1: 1.0},
-            spectators=(Spectator(position=1.0 + 0j, charge=0.5),),
-        )
-        with pytest.raises(ConfigError):
-            finite_moments(spect, 0.0, 4)
 
     def test_mode_outside_the_bracket_fails_loudly(self):
         # n r Q'(r) stays below beta_j up to r = e^50

@@ -10,10 +10,8 @@ from focklab import (
     HomogeneousHermitianPoly,
     MacroscopicPotential,
     MicroscopicPotential,
-    Spectator,
     canonical_decompose,
     detect_k,
-    kappa_shift,
     load_potential_config,
     normalize_potential,
 )
@@ -106,35 +104,12 @@ class TestMicroscopicPotential:
         with pytest.raises(ConfigError, match="must be finite"):
             MicroscopicPotential(k=1, c=c, q0=HomogeneousHermitianPoly(2, {(1, 1): 1.0}))
 
-    def test_kappa_radial_amplitude(self):
+    def test_radial_amplitude(self):
         p = MicroscopicPotential(k=1, c=0.5, q0=HomogeneousHermitianPoly(2, TWIST))
-        assert p.kappa == pytest.approx(0.3)
         assert not p.is_radial
         assert p.amplitude == pytest.approx(1.0)
         radial = MicroscopicPotential(k=2, c=0.0, q0=HomogeneousHermitianPoly(4, {(2, 2): 0.5}))
-        assert radial.is_radial and radial.kappa == 0.0 and radial.amplitude == 0.5
-
-    def test_kappa_shift_strips_pure_term(self):
-        p = MicroscopicPotential(k=1, c=0.0, q0=HomogeneousHermitianPoly(2, TWIST))
-        shifted, kap = kappa_shift(p)
-        assert kap == pytest.approx(0.3)
-        assert shifted.is_radial
-        assert kappa_shift(shifted)[1] == 0.0
-
-
-class TestSpectator:
-    def test_validation(self):
-        Spectator(position=1.0 + 0j, charge=0.5)
-        with pytest.raises(ConfigError):
-            Spectator(position=0j, charge=0.5)
-        with pytest.raises(ConfigError):
-            Spectator(position=1.0 + 0j, charge=-1.0)
-
-    @pytest.mark.parametrize("position,charge", [(complex(math.inf, 0.0), 0.5), (complex(1.0, math.nan), 0.5),
-                                                 (1.0 + 0j, math.inf), (1.0 + 0j, math.nan)])
-    def test_rejects_non_finite_numbers(self, position, charge):
-        with pytest.raises(ConfigError, match="must be finite"):
-            Spectator(position=position, charge=charge)
+        assert radial.is_radial and radial.amplitude == 0.5
 
 
 class TestMacroscopicPotential:
@@ -185,36 +160,6 @@ class TestMacroscopicPotential:
                                  hermitian_coeffs={(1, 1): 1.0})
         with pytest.raises(ConfigError):
             MacroscopicPotential(kind="other", c=0.0, radial_coeffs={1: 1.0})
-
-    def test_spectator_log_weight(self):
-        s = Spectator(position=1.0 + 0j, charge=0.5)
-        Q = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0}, spectators=(s,))
-        z = 2.0 + 1.0j
-        assert Q.spectator_log_weight(z) == pytest.approx(2 * 0.5 * math.log(abs(z - 1.0)))
-        assert Q.spectator_log_weight(1.0 + 0j) == -math.inf
-        neg = MacroscopicPotential(
-            kind="radial", c=0.0, radial_coeffs={1: 1.0},
-            spectators=(Spectator(position=1.0 + 0j, charge=-0.5),),
-        )
-        assert neg.spectator_log_weight(1.0 + 0j) == math.inf
-
-    def test_spectator_log_weight_array(self):
-        Q = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0}, spectators=(
-            Spectator(position=1.0 + 0j, charge=0.5), Spectator(position=-1j, charge=-0.25)))
-        z = np.array([[2.0 + 1.0j, 0j], [1.0 + 0j, -1j]])
-        h = Q.spectator_log_weight(z)
-        assert h.shape == z.shape
-        np.testing.assert_array_equal(h.ravel(), [Q.spectator_log_weight(zz) for zz in z.ravel()])
-        assert h[1, 0] == -math.inf and h[1, 1] == math.inf
-        free = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0})
-        np.testing.assert_array_equal(free.spectator_log_weight(z), np.zeros(z.shape))
-        assert free.spectator_log_weight(1.0 + 0j) == 0.0
-
-    def test_duplicate_spectators_rejected(self):
-        s = Spectator(position=1.0 + 0j, charge=0.5)
-        with pytest.raises(ConfigError):
-            MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0},
-                                 spectators=(s, s))
 
 
 class TestDetectK:
@@ -294,14 +239,12 @@ class TestNormalizePotential:
 
 class TestLoadPotentialConfig:
     def test_radial_round_trip(self, tmp_path):
-        doc = {"kind": "radial", "c": 1.0, "radial_coeffs": [[1, 1.0], [2, 0.5]],
-               "spectators": [[1.0, 0.0, 0.5]]}
+        doc = {"kind": "radial", "c": 1.0, "radial_coeffs": [[1, 1.0], [2, 0.5]]}
         path = tmp_path / "q.json"
         path.write_text(json.dumps(doc))
         Q = load_potential_config(path)
         assert Q.kind == "radial" and Q.c == 1.0
         assert Q.radial_coeffs == {1: 1.0, 2: 0.5}
-        assert Q.spectators[0].position == 1.0 + 0j
 
     def test_hermitian_conjugate_autofill(self):
         Q = load_potential_config(
@@ -335,6 +278,7 @@ class TestLoadPotentialConfig:
         {"c": "x"}, {"c": None}, {"c": math.nan}, {"c": True}, {"c": 10**400}, {"k": "two"}, {"k": 1.5},
         {"radial_coeffs": [[1.5, 1.0]]}, {"radial_coeffs": [["a", 1.0]]}, {"radial_coeffs": 5},
         {"radial_coeffs": [[1, 1.0, 2.0]]}, {"radial_coeffs": [[1, math.inf]]},
+        # spectators is not a config key
         {"spectators": [["a", 0, 0.5]]}, {"spectators": [[1.0, 0.0]]}, {"spectators": {"re": 1.0}},
         {"hermitian_coeffs": [[1, 1, "x", 0.0]], "kind": "hermitian", "radial_coeffs": None},
         {"hermitian_coeffs": [[1, 1.2, 1.0, 0.0]], "kind": "hermitian", "radial_coeffs": None},
