@@ -1,18 +1,18 @@
 """Command-line front end: tables, verification reports, figures, MC runs.
 
 Subcommands
-  r0           R0 table for a radial or Hermitian homogeneous weight
+  r0           closed-form R0 table for a radial weight a r^{2k}
   verify-thm1  decay-rate report for R0/DeltaQ0 - 1 (JSON; exit 0/1/4)
   rescale      finite-n rescaled densities vs R0 over a grid
   equilibrium  droplet radius, tau0, and microscopic scales over n
   sample       Metropolis run artifacts (histogram CSV + config JSON)
   fig1         three reference R0 curves as CSV + SVG
-  gram         general-Q0 density via the truncated moment-matrix kernel
+  gram         truncated-kernel density of any homogeneous Q0 (JSON: N, condition)
 
 CSV files use '.' decimal separator, ',' field separator, a mandatory
 header row, and 17 significant digits so values round-trip exactly.
 Exit codes: 0 success (verify-thm1: in-band), 1 out-of-band report,
-2 configuration error, 3 numerical failure, 4 degenerate fit.
+2 configuration or file error, 3 numerical failure, 4 degenerate fit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import ConfigError, DivergenceError, FitError, NumericalError
 from .potentials import (
     CanonicalDecomposition,
     MacroscopicPotential,
-    MicroscopicPotential,
     canonical_decompose,
     detect_k,
     load_potential_config,
@@ -39,7 +38,7 @@ from .general_bergman import bergman_density, moment_matrix, truncated_kernel
 from .equilibrium import droplet_radius, microscale_asymptotic_check
 from .finite_kernel import convergence_report, truncated_series_r0
 from .coulomb_mc import EnsembleConfig, run_mcmc
-from .svgplot import Curve, write_svg
+from .svgplot import write_svg
 
 __all__ = ["main", "build_parser", "parse_grid", "write_csv", "read_table"]
 
@@ -178,47 +177,23 @@ def _parse_n_list(text: str | None, default: list[int]) -> list[int]:
     return out
 
 
-def _gram_on_polar_grid(p: MicroscopicPotential, N: int, grid: np.ndarray, n_theta: int):
-    """The order-N truncated kernel, and r, theta, z and its density on a polar grid with one angle at r = 0.
-
-    A DivergenceError, which arises only at r = 0 (c < 0), prints a note and
-    drops that point.
-    """
-    tk = truncated_kernel(moment_matrix(p, N))
-    if np.any(grid < 0):
-        raise ConfigError("r must be >= 0")
-    thetas = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
-    r, th = np.array([(x, t) for x in grid for t in (thetas if x > 0 else thetas[:1])]).T
-    z = r * np.cos(th) + 1j * (r * np.sin(th))
-    try:
-        return tk, r, th, z, bergman_density(tk, p, z)
-    except DivergenceError as exc:
-        print(f"note: grid point r=0 rejected: {exc}", file=sys.stderr)
-        keep = r != 0.0
-        return tk, r[keep], th[keep], z[keep], bergman_density(tk, p, z[keep])
-
-
 # --- subcommands ----------------------------------------------------------
 
 
 def cmd_r0(args) -> int:
     p = _homogeneous(_potential(args)).q0
+    if not p.is_radial:
+        raise ConfigError("r0 requires a radial weight a r^{2k}; gram takes a Q0 with a mixed term")
     grid = parse_grid(args.grid or "0:3:241")
-    if p.is_radial:
-        k, c, a = p.k, p.c, p.amplitude
-        try:
-            val = bergman_function_r0(k, c, a, grid)
-        except DivergenceError as exc:  # only at r = 0, the first point of an increasing grid
-            print(f"note: grid point r=0 rejected: {exc}", file=sys.stderr)
-            val = np.concatenate([[np.nan], bergman_function_r0(k, c, a, grid[1:])])
-        dq = delta_q0(k, c, a, grid)
-        rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
-        write_csv(args.out, ["r", "R0", "deltaQ0", "rel_err"], zip(grid, val, dq, rel))
-        return 0
-    _, r, th, z, val = _gram_on_polar_grid(p, args.n, grid, 24)
-    dq = p.q0.laplacian().evaluate(z)
+    k, c, a = p.k, p.c, p.amplitude
+    try:
+        val = bergman_function_r0(k, c, a, grid)
+    except DivergenceError as exc:  # only at r = 0, the first point of an increasing grid
+        print(f"note: grid point r=0 rejected: {exc}", file=sys.stderr)
+        val = np.concatenate([[np.nan], bergman_function_r0(k, c, a, grid[1:])])
+    dq = delta_q0(k, c, a, grid)
     rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
-    write_csv(args.out, ["r", "theta", "R0", "deltaQ0", "rel_err"], zip(r, th, val, dq, rel))
+    write_csv(args.out, ["r", "R0", "deltaQ0", "rel_err"], zip(grid, val, dq, rel))
     return 0
 
 
@@ -310,9 +285,7 @@ def cmd_rescale(args) -> int:
 def cmd_equilibrium(args) -> int:
     Q = _potential(args, radial=True)
     c = Q.c
-    if args.n is not None and args.n_list is not None:
-        raise ConfigError("--n and --n-list are mutually exclusive")
-    n_list = [args.n] if args.n is not None else _parse_n_list(args.n_list, default=[100])
+    n_list = _parse_n_list(args.n_list, default=[100])
     rep = microscale_asymptotic_check(Q, c, n_list)
     R = droplet_radius(Q)
     print(f"R_Q = {R:.12g}")
@@ -340,6 +313,8 @@ def cmd_sample(args) -> int:
     rmax = args.rmax if args.rmax is not None else 1.25 * droplet_radius(Q)
     if not math.isfinite(rmax):
         raise ConfigError(f"--rmax must be finite, got {rmax}")
+    if args.bins < 1:
+        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     edges = np.linspace(0.0, rmax, args.bins + 1)
     cfg = EnsembleConfig(
         n=args.n,
@@ -347,8 +322,6 @@ def cmd_sample(args) -> int:
         bin_edges=edges,
         sweeps=args.sweeps,
         burn_in=args.burn_in,
-        thin=args.thin,
-        delta0=args.delta0,
         seed=args.seed if args.seed is not None else 0,
     )
     res = run_mcmc(cfg)
@@ -358,7 +331,7 @@ def cmd_sample(args) -> int:
             "n": cfg.n,
             "c": Q.c,
             "kind": Q.kind,
-            "radial_coeffs": sorted(Q.radial_coeffs.items()) if Q.kind == "radial" else None,
+            "radial_coeffs": sorted(Q.radial_coeffs.items()),
             "sweeps": cfg.sweeps,
             "burn_in": cfg.burn_in,
             "thin": cfg.thin,
@@ -391,10 +364,10 @@ def cmd_fig1(args) -> int:
         ok = r >= rmin
         cols.append(np.full(r.size, np.nan))
         cols[-1][ok] = bergman_function_r0(k, c, a, r[ok])
-        curves.append(Curve(x=r[ok].tolist(), y=cols[-1][ok].tolist(), label=label))
+        curves.append((r[ok], cols[-1][ok], label))
     prefix = args.out or "fig1"
     write_csv(f"{prefix}.csv", ["r"] + [case[4] for case in _FIG1_CASES], np.column_stack(cols))
-    write_svg(f"{prefix}.svg", curves, title="Radial Bergman densities R0(r)", xlabel="r", ylabel="R0")
+    write_svg(f"{prefix}.svg", curves)
     print(f"wrote {prefix}.csv, {prefix}.svg")
     return 0
 
@@ -403,7 +376,21 @@ def cmd_gram(args) -> int:
     dec = _homogeneous(_potential(args))
     p = dec.q0
     grid = parse_grid(args.grid or "0:2:21")
-    tk, r, th, z, val = _gram_on_polar_grid(p, args.n, grid, 16)
+    if np.any(grid < 0):
+        raise ConfigError("r must be >= 0")
+    tk = truncated_kernel(moment_matrix(p, args.n))
+    thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+    r, th = np.array([(x, t) for x in grid for t in (thetas if x > 0 else thetas[:1])]).T
+    z = r * np.cos(th) + 1j * (r * np.sin(th))
+    try:
+        val = bergman_density(tk, p, z)
+    except DivergenceError as exc:  # only at r = 0 (c < 0): drop that point
+        print(f"note: grid point r=0 rejected: {exc}", file=sys.stderr)
+        keep = r != 0.0
+        r, th, z = r[keep], th[keep], z[keep]
+        val = bergman_density(tk, p, z)
+    dq = p.q0.laplacian().evaluate(z)
+    rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
     doc = {
         "N": args.n,
         "k": p.k,
@@ -411,7 +398,8 @@ def cmd_gram(args) -> int:
         "condition_number": tk.condition,
         "kappa": complex(dec.h_coeffs.get(2 * p.k, 0.0)) / 2,  # the pure z^{2k} coefficient
     }
-    _write_table_and_report(args.out, ["r", "theta", "x", "y", "R0N"], zip(r, th, z.real, z.imag, val), doc)
+    header = ["r", "theta", "x", "y", "R0N", "deltaQ0", "rel_err"]
+    _write_table_and_report(args.out, header, zip(r, th, z.real, z.imag, val, dq, rel), doc)
     return 0
 
 
@@ -437,8 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("r0", parents=[pot, gridp, outp],
-                       help="R0 table (radial closed form or Hermitian kernel path)")
-    p.add_argument("--n", type=int, default=48, help="truncation order for Hermitian weights (default 48)")
+                       help="R0 table for a radial weight (closed form)")
     p.set_defaults(func=cmd_r0)
 
     p = sub.add_parser("verify-thm1", parents=[pot, gridp, outp],
@@ -452,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equilibrium", parents=[pot, outp],
                        help="droplet radius, tau0, microscopic scales")
-    p.add_argument("--n", type=int, default=None, help="single n")
-    p.add_argument("--n-list", dest="n_list", default=None, help="comma-separated n values")
+    p.add_argument("--n-list", dest="n_list", default=None, help="comma-separated n values (default 100)")
     p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("sample", parents=[pot, outp],
@@ -462,17 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     p.add_argument("--sweeps", type=int, default=10_000, help="recorded sweeps")
     p.add_argument("--burn-in", dest="burn_in", type=int, default=2_000)
-    p.add_argument("--thin", type=int, default=1, help="record every thin-th sweep")
     p.add_argument("--bins", type=int, default=36, help="number of radial bins")
     p.add_argument("--rmax", type=float, default=None, help="outer bin edge (default 1.25 R)")
-    p.add_argument("--delta0", type=float, default=0.3, help="initial proposal scale")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("fig1", parents=[outp], help="three reference R0 curves (CSV + SVG)")
     p.set_defaults(func=cmd_fig1)
 
     p = sub.add_parser("gram", parents=[pot, gridp, outp],
-                       help="general-Q0 density via the moment-matrix kernel")
+                       help="density of any homogeneous Q0 via the moment-matrix kernel")
     p.add_argument("--n", type=int, default=48, help="truncation order N (default 48)")
     p.set_defaults(func=cmd_gram)
     return ap
@@ -493,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except BrokenPipeError:
         return 0
+    except OSError as exc:
+        print(f"focklab: file error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

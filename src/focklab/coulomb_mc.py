@@ -57,7 +57,7 @@ def energy(points, potential: MacroscopicPotential, n: int | None = None, c: flo
         n = z.size
     if c is None:
         c = potential.c
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         d = np.abs(z[:, None] - z[None, :])
         iu = np.triu_indices(z.size, k=1)
         if z.size > 1 and np.any(d[iu] == 0.0):
@@ -79,7 +79,7 @@ def delta_energy(points, i: int, znew: complex, potential: MacroscopicPotential,
     if c is None:
         c = potential.c
     others = np.delete(z, i)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         d_old = np.abs(others - z[i])
         d_new = np.abs(others - znew)
         if np.any(d_new == 0.0):

@@ -117,7 +117,7 @@ def test_criterion_03_sharp_exponential_decay(capsys):
 
 @pytest.mark.xfail(
     raises=IllConditionedError,
-    reason="the N=48 scaled moment matrix has condition 5.6e15, past the 1e12 "
+    reason="the N=48 scaled moment matrix has condition 1.647e15, past the 1e12 "
            "double-precision guardrail; even in exact arithmetic the N=48 "
            "truncation leaves a 1.7e-3 error on |z| <= 2, so the 1e-5 target "
            "needs N ~ 72 (condition ~1e23)",

@@ -78,27 +78,14 @@ class TestR0Command:
         _, rows = read_table(out)
         assert math.isnan(rows[0][1]) and not math.isnan(rows[1][1])
 
-    @pytest.mark.filterwarnings("ignore:truncation order:RuntimeWarning")
-    def test_hermitian_path(self, tmp_path):
+    def test_mixed_weight_refused(self, tmp_path, capsys):
+        # the closed form needs a radial Q0; a mixed term goes to gram's kernel
         cfgp = tmp_path / "q.json"
         cfgp.write_text(json.dumps(MIXED))
-        tables = {}
-        for n in (24, 48):
-            out = tmp_path / f"r0h_{n}.csv"
-            assert run(["r0", "--coeffs-file", cfgp, "--n", n, "--grid", "0:1:3", "--out", out]) == 0
-            header, rows = read_table(out)
-            assert header == ["r", "theta", "R0", "deltaQ0", "rel_err"]
-            tables[n] = np.array(rows)
-        r, th, val, dq, _ = tables[24].T
-        assert len(r) == 1 + 2 * 24  # one row at r = 0, 24 angles elsewhere
-        np.testing.assert_allclose(dq, r**2 * (4.0 + 1.8 * np.cos(2 * th)), rtol=1e-14)
-        assert val[0] == 0.0  # |z|^{2c} vanishes at 0 for c > 0
-        # Q0 is even and has real coefficients: the density is the same at z, -z and conj(z)
-        rings = val[1:].reshape(2, 24)
-        np.testing.assert_allclose(rings, np.roll(rings, 12, axis=1), rtol=1e-10)
-        np.testing.assert_allclose(rings[:, 1:], rings[:, :0:-1], rtol=1e-10)
-        # the truncated density grows with N; on |z| = 1 by 8e-9 and more from N = 24 to 48
-        assert np.all(rings[1] > 0) and np.all(rings[1] < tables[48][25:, 2])
+        assert run(["r0", "--coeffs-file", cfgp, "--out", tmp_path / "r0.csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "r0 requires a radial weight" in err and "gram" in err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["q.json"]
 
     def test_inline_and_file_flags_conflict(self, tmp_path):
         cfgp = tmp_path / "q.json"
@@ -169,13 +156,10 @@ class TestRescale:
 
 class TestEquilibrium:
     def test_stdout_report(self, capsys):
-        assert run(["equilibrium", "--n", "100"]) == 0
+        assert run(["equilibrium", "--n-list", "100"]) == 0
         out = capsys.readouterr().out
         assert "R_Q = 1" in out and "tau0 = 1" in out
         assert "rn = 0.1" in out
-
-    def test_n_and_n_list_conflict(self):
-        assert run(["equilibrium", "--n", "10", "--n-list", "10,20"]) == 2
 
     def test_artifacts(self, tmp_path):
         prefix = tmp_path / "eq"
@@ -229,6 +213,13 @@ class TestSample:
         assert "finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("bins", ["-3", "0"])
+    def test_no_bins_refused(self, bins, tmp_path, capsys):
+        args = ["sample", "--n", "4", "--bins", bins, "--sweeps", "2", "--burn-in", "0", "--out", tmp_path / "s"]
+        assert run(args) == 2
+        assert capsys.readouterr().err.startswith("focklab: config error: ")
+        assert not list(tmp_path.iterdir())
+
 
 class TestFig1:
     def test_table_and_svg(self, tmp_path):
@@ -263,12 +254,35 @@ class TestGram:
         prefix = tmp_path / "g"
         assert run(["gram", "--n", "16", "--grid", "0:1.5:4", "--out", prefix]) == 0
         header, rows = read_table(f"{prefix}.csv")
-        assert header == ["r", "theta", "x", "y", "R0N"]
+        assert header == ["r", "theta", "x", "y", "R0N", "deltaQ0", "rel_err"]
         assert len(rows) == 1 + 3 * 16
         for row in rows:
             assert row[4] == pytest.approx(1.0, abs=1e-6)
         doc = json.loads((prefix.parent / "g.json").read_text())
         assert doc["N"] == 16 and doc["kappa"] == [0.0, 0.0]
+
+    @pytest.mark.filterwarnings("ignore:truncation order:RuntimeWarning")
+    def test_hermitian_path(self, tmp_path):
+        cfgp = tmp_path / "q.json"
+        cfgp.write_text(json.dumps(MIXED))
+        tables = {}
+        for n in (24, 48):
+            prefix = tmp_path / f"g_{n}"
+            assert run(["gram", "--coeffs-file", cfgp, "--n", n, "--grid", "0:1:3", "--out", prefix]) == 0
+            header, rows = read_table(f"{prefix}.csv")
+            assert header == ["r", "theta", "x", "y", "R0N", "deltaQ0", "rel_err"]
+            tables[n] = np.array(rows)
+        r, th, _, _, val, dq, rel = tables[24].T
+        assert len(r) == 1 + 2 * 16  # one row at r = 0, 16 angles elsewhere
+        np.testing.assert_allclose(dq, r**2 * (4.0 + 1.8 * np.cos(2 * th)), rtol=1e-14)
+        np.testing.assert_allclose(rel[1:], val[1:] / dq[1:] - 1.0, rtol=1e-15)
+        assert val[0] == 0.0  # |z|^{2c} vanishes at 0 for c > 0
+        # Q0 is even and has real coefficients: the density is the same at z, -z and conj(z)
+        rings = val[1:].reshape(2, 16)
+        np.testing.assert_allclose(rings, np.roll(rings, 8, axis=1), rtol=1e-10)
+        np.testing.assert_allclose(rings[:, 1:], rings[:, :0:-1], rtol=1e-10)
+        # the truncated density grows with N; on |z| = 1 by 8e-9 and more from N = 24 to 48
+        assert np.all(rings[1] > 0) and np.all(rings[1] < tables[48][17:, 4])
 
     def test_twisted_too_large_order_fails_numerically(self, tmp_path, capsys):
         # the scaled condition is 6.4e11 at N = 54, 1.9e12 at N = 56 and 1.6e13 at N = 60
@@ -285,7 +299,7 @@ class TestGram:
         ))
         out = tmp_path / "out"
         out.mkdir()
-        assert run([cmd, "--coeffs-file", cfgp, "--n", "8", "--grid=-1:1:3", "--out", out / "t"]) == 2
+        assert run([cmd, "--coeffs-file", cfgp, "--grid=-1:1:3", "--out", out / "t"]) == 2
         assert "r must be >= 0" in capsys.readouterr().err
         assert not list(out.iterdir())
 
@@ -296,6 +310,26 @@ class TestGram:
         cfgp = tmp_path / "q.json"
         cfgp.write_text(json.dumps({"kind": "radial", "radial_coeffs": [[1, 1.0], [2, 1.0]]}))
         assert run(["gram", "--coeffs-file", cfgp]) == 2
+
+
+class TestMain:
+    @pytest.mark.parametrize("argv", [["r0", "--n", "24"], ["sample", "--n", "4", "--thin", "2"],
+                                      ["sample", "--n", "4", "--delta0", "0.5"]], ids=lambda argv: argv[-2])
+    def test_removed_flag_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["r0", "--grid", "0:1:3", "--out", "absent/r0.csv"],
+                                      ["fig1", "--out", "absent/fig1"],
+                                      ["sample", "--n", "4", "--sweeps", "2", "--burn-in", "0", "--out", "absent/s"]],
+                             ids=lambda argv: argv[0])
+    def test_unwritable_out_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("focklab: file error: ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
 
 class TestWeightReader:

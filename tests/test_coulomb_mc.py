@@ -54,6 +54,13 @@ class TestEnergy:
             assert energy([0j, 10.0 + 0j], Q) == -math.inf
             assert energy([10.0 + 0j, 0j], Q) == math.inf
 
+    def test_overflowing_site_is_inf_without_warning(self):
+        # r^400 overflows at r = 10: both energies are +inf, and numpy's overflow warning (an error
+        # under the suite's RuntimeWarning filter) stays silent
+        Q = radial({1: 1.0, 200: 1.0}, c=0.5)
+        assert energy([0.5 + 0j, 10.0 + 0j], Q) == math.inf
+        assert delta_energy([0.5 + 0j, 1.0 + 0j], 1, 10.0 + 0j, Q) == math.inf
+
 
 class TestSiteEnergy:
     POTENTIALS = [
