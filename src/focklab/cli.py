@@ -7,7 +7,7 @@ Subcommands
   equilibrium  droplet radius, tau0, and microscopic scales over n
   sample       Metropolis run artifacts (histogram CSV + config JSON)
   fig1         three reference R0 curves as CSV + SVG
-  gram         truncated-kernel density of any homogeneous Q0 (JSON: N, condition)
+  gram         truncated-kernel density of any homogeneous Q0 with its truncation estimate
 
 CSV files use '.' decimal separator, ',' field separator, a mandatory
 header row, and 17 significant digits so values round-trip exactly.
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .potentials import (
     load_potential_config,
 )
 from .radial_bergman import bergman_function_r0, decay_report, delta_q0
-from .general_bergman import bergman_density, moment_matrix, truncated_kernel
+from .general_bergman import _density_rows, moment_matrix, truncated_kernel
 from .equilibrium import droplet_radius, microscale_asymptotic_check
 from .finite_kernel import convergence_report, truncated_series_r0
 from .coulomb_mc import EnsembleConfig, run_mcmc
@@ -254,7 +255,7 @@ def cmd_rescale(args) -> int:
     rejected = grid[grid == 0.0].tolist() if c < 0 else []
     for x in rejected:
         print(f"note: grid point z={x:g} rejected: density diverges at 0 for c = {c} < 0", file=sys.stderr)
-    rep = convergence_report(Q, c, n_list, grid[grid != 0.0] if rejected else grid)
+    rep = convergence_report(Q, n_list, grid[grid != 0.0] if rejected else grid)
     # the report's rows run over the sorted n; the table keeps the order and repeats of n_list
     row = {int(n): i for i, n in enumerate(rep.n)}
     Rn = {n: rep.values[row[n]] for n in n_list}
@@ -379,27 +380,30 @@ def cmd_gram(args) -> int:
     if np.any(grid < 0):
         raise ConfigError("r must be >= 0")
     tk = truncated_kernel(moment_matrix(p, args.n))
+    if p.c < 0 and grid[0] == 0.0:  # only the first point of an increasing grid can be 0
+        print("note: grid point r=0 rejected: density diverges at z = 0 for c < 0", file=sys.stderr)
+        grid = grid[1:]
     thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     r, th = np.array([(x, t) for x in grid for t in (thetas if x > 0 else thetas[:1])]).T
     z = r * np.cos(th) + 1j * (r * np.sin(th))
-    try:
-        val = bergman_density(tk, p, z)
-    except DivergenceError as exc:  # only at r = 0 (c < 0): drop that point
-        print(f"note: grid point r=0 rejected: {exc}", file=sys.stderr)
-        keep = r != 0.0
-        r, th, z = r[keep], th[keep], z[keep]
-        val = bergman_density(tk, p, z)
+    rows = _density_rows(tk, p, z)
+    val = rows.sum(axis=0)
     dq = p.q0.laplacian().evaluate(z)
     rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
+    # share of the last 8 orthonormal rows, (R^N - R^{N-8}) / R^N; where R^N is 0 it is 0 at the
+    # origin (c > 0: every order vanishes there) and 1 elsewhere (R^N underflowed)
+    est = np.divide(rows[-8:].sum(axis=0), val, out=np.where(r == 0.0, 0.0, 1.0), where=val > 0.0)
     doc = {
         "N": args.n,
         "k": p.k,
         "c": p.c,
         "condition_number": tk.condition,
         "kappa": complex(dec.h_coeffs.get(2 * p.k, 0.0)) / 2,  # the pure z^{2k} coefficient
+        "trunc_est_max": float(est.max()),
+        "trunc_est_above_1e-6": int(np.count_nonzero(est > 1e-6)),
     }
-    header = ["r", "theta", "x", "y", "R0N", "deltaQ0", "rel_err"]
-    _write_table_and_report(args.out, header, zip(r, th, z.real, z.imag, val, dq, rel), doc)
+    header = ["r", "theta", "x", "y", "R0N", "deltaQ0", "rel_err", "trunc_est"]
+    _write_table_and_report(args.out, header, zip(r, th, z.real, z.imag, val, dq, rel, est), doc)
     return 0
 
 
@@ -457,13 +461,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gram", parents=[pot, gridp, outp],
                        help="density of any homogeneous Q0 via the moment-matrix kernel")
-    p.add_argument("--n", type=int, default=48, help="truncation order N (default 48)")
+    p.add_argument("--n", type=int, default=48, help="order N of the truncated kernel (default 48)")
     p.set_defaults(func=cmd_gram)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    folder = Path(args.out).parent if args.out else None
+    if folder and not (folder.is_dir() and os.access(folder, os.W_OK)):  # refused before any work is done
+        print(f"focklab: file error: cannot write {args.out!r}: {str(folder)!r} is not a writable directory",
+              file=sys.stderr)
+        return 2
     try:
         return int(args.func(args) or 0)
     except ConfigError as exc:

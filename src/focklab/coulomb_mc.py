@@ -38,46 +38,41 @@ _TUNE_INTERVAL = 25  # burn-in sweeps between two tuning steps
 _BATCHES = 32        # batch means behind each error bar
 
 
-def _site_energy(potential: MacroscopicPotential, c: float, n: int, z: np.ndarray) -> np.ndarray:
+def _site_energy(potential: MacroscopicPotential, n: int, z: np.ndarray) -> np.ndarray:
     """n V_n(z) elementwise over an array of particles; +-inf at the origin for c != 0.
 
     Callers silence numpy's divide-by-zero warning there.
     """
     r = np.abs(z)
     val = n * (potential.q_of_r(r) if potential.kind == "radial" else potential.value(z))
-    if c != 0.0:
-        val = val - 2.0 * c * np.log(r)
+    if potential.c != 0.0:
+        val = val - 2.0 * potential.c * np.log(r)
     return val
 
 
-def energy(points, potential: MacroscopicPotential, n: int | None = None, c: float | None = None) -> float:
+def energy(points, potential: MacroscopicPotential, n: int | None = None) -> float:
     """Total configuration energy H; +inf on coincident points or zero weight."""
     z = np.asarray(points, dtype=complex)
     if n is None:
         n = z.size
-    if c is None:
-        c = potential.c
     with np.errstate(divide="ignore", over="ignore"):
         d = np.abs(z[:, None] - z[None, :])
         iu = np.triu_indices(z.size, k=1)
         if z.size > 1 and np.any(d[iu] == 0.0):
             return math.inf
         pair = -2.0 * float(np.sum(np.log(d[iu]))) if z.size > 1 else 0.0
-        site = _site_energy(potential, c, n, z)
+        site = _site_energy(potential, n, z)
     singular = np.isinf(site)
     if singular.any():
         return float(site[np.argmax(singular)])  # the first singular particle decides
     return pair + float(np.sum(site))
 
 
-def delta_energy(points, i: int, znew: complex, potential: MacroscopicPotential,
-                 n: int | None = None, c: float | None = None) -> float:
+def delta_energy(points, i: int, znew: complex, potential: MacroscopicPotential, n: int | None = None) -> float:
     """Energy change from moving particle i to znew (incremental form)."""
     z = np.asarray(points, dtype=complex)
     if n is None:
         n = z.size
-    if c is None:
-        c = potential.c
     others = np.delete(z, i)
     with np.errstate(divide="ignore", over="ignore"):
         d_old = np.abs(others - z[i])
@@ -85,7 +80,7 @@ def delta_energy(points, i: int, znew: complex, potential: MacroscopicPotential,
         if np.any(d_new == 0.0):
             return math.inf
         pair = 2.0 * (float(np.sum(np.log(d_old))) - float(np.sum(np.log(d_new))))
-        new, old = _site_energy(potential, c, n, np.array([znew, z[i]])).tolist()
+        new, old = _site_energy(potential, n, np.array([znew, z[i]])).tolist()
     return pair + new - old
 
 
@@ -188,7 +183,7 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
     delta_energy and decides the move from there.
     """
     rng = np.random.default_rng(cfg.seed)
-    pot, n, c = cfg.potential, cfg.n, cfg.potential.c
+    pot, n = cfg.potential, cfg.n
     edges = cfg.bin_edges
     # start uniform on the binned disk (measure-zero chance of singular points)
     r0 = edges[-1] * 0.9
@@ -211,7 +206,7 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
     recorded = 0
     # singular and overflowing energies are infinite: those moves are rejected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        site = _site_energy(pot, c, n, pts).tolist()
+        site = _site_energy(pot, n, pts).tolist()
         for sweep in range(total):
             burn = sweep < cfg.burn_in
             steps = rng.standard_normal((n, 2)) * delta
@@ -228,7 +223,7 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
             pair.flat[diag] = 0.0
             base = pair[:, :n].sum(axis=1).tolist()
             cross = pair[:, n:] - pair[:, :n]  # 2E; entries i <= j of row j are never read
-            new = _site_energy(pot, c, n, w).tolist()
+            new = _site_energy(pot, n, w).tolist()
             corr = np.zeros(n)
             moved = []
             for i in range(n):
@@ -236,7 +231,7 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
                 if not math.isfinite(dh):
                     cur = pts.copy()
                     cur[moved] = w[moved]
-                    dh = delta_energy(cur, i, w[i], pot, n, c)
+                    dh = delta_energy(cur, i, w[i], pot, n)
                     # singular targets (and exact singular-point attractors) are
                     # measure zero: rejecting them keeps the chain ergodic
                     if not math.isfinite(dh):

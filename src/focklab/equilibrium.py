@@ -19,7 +19,6 @@ from .errors import ConfigError, NumericalError
 from .potentials import (
     HomogeneousHermitianPoly,
     MacroscopicPotential,
-    MicroscopicPotential,
     canonical_decompose,
     detect_k,
 )
@@ -93,15 +92,13 @@ def droplet_radius(Q: MacroscopicPotential) -> float:
     return R
 
 
-def modulus_tau0(q0: HomogeneousHermitianPoly | MicroscopicPotential) -> float:
+def modulus_tau0(q0: HomogeneousHermitianPoly) -> float:
     """tau0 = (k a_kk)^{-1/2k}.
 
     tau0^{-2k} is (1/k) times the mean of Delta Q0 over the unit circle,
     and that mean is k^2 a_kk: the other terms of Delta Q0 carry
     e^{i m theta} with m != 0.
     """
-    if isinstance(q0, MicroscopicPotential):
-        q0 = q0.q0
     if q0.degree == 0:
         raise ConfigError("cannot infer k from the polynomial degree")
     k = q0.degree // 2
@@ -152,7 +149,7 @@ def microscale_asymptotic_check(Q: MacroscopicPotential, c: float, n_list) -> As
     if n_arr.size == 0:
         raise ConfigError("n_list must be nonempty")
     k = detect_k(Q)
-    tau0 = modulus_tau0(canonical_decompose(Q, k).q0)
+    tau0 = modulus_tau0(canonical_decompose(Q, k).q0.q0)
     rn = microscopic_scale(Q, c, n_arr)
     pred = tau0 * (1.0 + c) ** (1.0 / (2 * k)) * n_arr ** (-1.0 / (2 * k))
     en = rn / pred - 1.0

@@ -259,12 +259,13 @@ class ConvergenceReport:
     sup_err: np.ndarray
 
 
-def convergence_report(Q: MacroscopicPotential, c: float, n_list, z_grid) -> ConvergenceReport:
-    """R_n(z) and sup_z |R_n(z) - R0(z)| along n_list (sorted), against the canonical micro-limit.
+def convergence_report(Q: MacroscopicPotential, n_list, z_grid) -> ConvergenceReport:
+    """R_n(z) and sup_z |R_n(z) - R0(z)| along n_list (sorted), against the canonical micro-limit, at charge Q.c.
 
     The potential is normalized first (the micro-amplitude becomes (1+c)/k)
     and both sides of the comparison use the normalized potential.
     """
+    c = Q.c
     z = np.asarray(z_grid, dtype=float)
     k = detect_k(Q)
     Qn, lam = normalize_potential(Q, k, c)

@@ -14,7 +14,6 @@ factorization is refused when the scaled condition number exceeds 1e12.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,6 @@ from .potentials import MicroscopicPotential
 __all__ = ["MomentMatrix", "TruncatedKernel", "moment_matrix", "truncated_kernel", "bergman_density"]
 
 COND_LIMIT = 1e12
-_TAIL_WARN = 1e-8
 _ANGULAR_POINTS = 512
 
 
@@ -86,7 +84,7 @@ class MomentMatrix:
 def truncated_kernel(A: MomentMatrix) -> "TruncatedKernel":
     """Orthonormal polynomials of degree < N from the moment matrix.
 
-    Refuses truncation orders whose scaled condition number exceeds the
+    Refuses an order N whose scaled condition number exceeds the
     guardrail: beyond it the inverse Cholesky factor carries no
     retrievable accuracy in double precision.
     """
@@ -95,7 +93,7 @@ def truncated_kernel(A: MomentMatrix) -> "TruncatedKernel":
     if cond > COND_LIMIT:
         raise IllConditionedError(
             f"scaled moment matrix condition {cond:.3e} exceeds {COND_LIMIT:.1e} "
-            f"at N={A.N}; reduce the truncation order"
+            f"at N={A.N}; reduce N"
         )
     try:
         chol = np.linalg.cholesky(As)
@@ -115,36 +113,30 @@ class TruncatedKernel:
     condition: float
 
 
-def bergman_density(tk: TruncatedKernel, p: MicroscopicPotential, z):
-    """Weighted diagonal L^(N)(z,z) |z|^{2c} e^{-Q0(z)}, damped at the vector level.
+def _density_rows(tk: TruncatedKernel, p: MicroscopicPotential, zz: np.ndarray) -> np.ndarray:
+    """|p_j(z)|^2 |z|^{2c} e^{-Q0(z)} for j < N (axis 0) at the points of zz, flattened (axis 1).
 
-    Scalar in, scalar out, elementwise on arrays.  The monomial block is
+    The basis rows are the orthonormal polynomials in degree order, so the
+    first N' rows sum to the density of order N'.  The monomial block is
     premultiplied by |z|^c e^{-Q0/2} so no intermediate reaches e^{+Q0},
-    and one product with the basis serves every point.  Warns once per call
-    when the tail indicator |z|^{2N} ||G row N-1|| |z|^{2c} e^{-Q0}, with G
-    the inverse moment matrix, suggests the truncation order is too small
-    for some z.
+    and one product with the basis serves every point.
     """
     if p.k != tk.k or p.c != tk.c:
         raise ConfigError("kernel and potential disagree on (k, c)")
-    zz = np.asarray(z, dtype=complex)
     flat = zz.reshape(-1)
     az = np.abs(flat)
     if tk.c < 0 and np.count_nonzero(az) < az.size:
         raise DivergenceError("density diverges at z = 0 for c < 0")
     q = p.evaluate(complex(zz) if zz.ndim == 0 else flat)  # a scalar takes the faster Python arithmetic
     y = tk.basis @ (flat ** np.arange(tk.N)[:, None] * (az**tk.c * np.exp(-0.5 * q)))
-    value = (y * y.conj()).real.sum(axis=0)
-    # the basis is lower triangular, so row N-1 of G = basis^T conj(basis) is basis[-1, -1] conj(basis[-1])
-    tail = abs(tk.basis[-1, -1]) * np.linalg.norm(tk.basis[-1])
-    ind = az ** (2 * (tk.N + tk.c)) * tail * np.exp(-q)
-    excess = ind / np.maximum(1.0, value)
-    if np.any(excess > _TAIL_WARN):
-        i = int(np.argmax(excess))
-        warnings.warn(
-            f"truncation order N={tk.N} may be too small at |z|={az[i]:.3g} "
-            f"(tail indicator {ind[i]:.2e})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    return (y * y.conj()).real
+
+
+def bergman_density(tk: TruncatedKernel, p: MicroscopicPotential, z):
+    """Weighted diagonal L^(N)(z,z) |z|^{2c} e^{-Q0(z)}, damped at the vector level.
+
+    Scalar in, scalar out, elementwise on arrays.
+    """
+    zz = np.asarray(z, dtype=complex)
+    value = _density_rows(tk, p, zz).sum(axis=0)
     return float(value[0]) if zz.ndim == 0 else value.reshape(zz.shape)

@@ -249,19 +249,17 @@ class TestFig1:
 
 
 class TestGram:
-    @pytest.mark.filterwarnings("ignore:truncation order:RuntimeWarning")
     def test_radial_flat(self, tmp_path):
         prefix = tmp_path / "g"
         assert run(["gram", "--n", "16", "--grid", "0:1.5:4", "--out", prefix]) == 0
         header, rows = read_table(f"{prefix}.csv")
-        assert header == ["r", "theta", "x", "y", "R0N", "deltaQ0", "rel_err"]
+        assert header == ["r", "theta", "x", "y", "R0N", "deltaQ0", "rel_err", "trunc_est"]
         assert len(rows) == 1 + 3 * 16
         for row in rows:
             assert row[4] == pytest.approx(1.0, abs=1e-6)
         doc = json.loads((prefix.parent / "g.json").read_text())
         assert doc["N"] == 16 and doc["kappa"] == [0.0, 0.0]
 
-    @pytest.mark.filterwarnings("ignore:truncation order:RuntimeWarning")
     def test_hermitian_path(self, tmp_path):
         cfgp = tmp_path / "q.json"
         cfgp.write_text(json.dumps(MIXED))
@@ -270,9 +268,9 @@ class TestGram:
             prefix = tmp_path / f"g_{n}"
             assert run(["gram", "--coeffs-file", cfgp, "--n", n, "--grid", "0:1:3", "--out", prefix]) == 0
             header, rows = read_table(f"{prefix}.csv")
-            assert header == ["r", "theta", "x", "y", "R0N", "deltaQ0", "rel_err"]
+            assert header == ["r", "theta", "x", "y", "R0N", "deltaQ0", "rel_err", "trunc_est"]
             tables[n] = np.array(rows)
-        r, th, _, _, val, dq, rel = tables[24].T
+        r, th, _, _, val, dq, rel, _ = tables[24].T
         assert len(r) == 1 + 2 * 16  # one row at r = 0, 16 angles elsewhere
         np.testing.assert_allclose(dq, r**2 * (4.0 + 1.8 * np.cos(2 * th)), rtol=1e-14)
         np.testing.assert_allclose(rel[1:], val[1:] / dq[1:] - 1.0, rtol=1e-15)
@@ -283,6 +281,39 @@ class TestGram:
         np.testing.assert_allclose(rings[:, 1:], rings[:, :0:-1], rtol=1e-10)
         # the truncated density grows with N; on |z| = 1 by 8e-9 and more from N = 24 to 48
         assert np.all(rings[1] > 0) and np.all(rings[1] < tables[48][17:, 4])
+
+    def test_truncation_estimate_bounds_the_next_orders(self, tmp_path):
+        # the mixed weight on the default grid 0:2:21: trunc_est, the share (R^N - R^{N-8}) / R^N of the
+        # last 8 orthonormal rows, bounds the relative change from N to N + 6 wherever it exceeds rounding
+        cfgp = tmp_path / "q.json"
+        cfgp.write_text(json.dumps(MIXED))
+        tables, docs = {}, {}
+        for n in (24, 30, 36, 42, 48, 54):
+            prefix = tmp_path / f"g_{n}"
+            assert run(["gram", "--coeffs-file", cfgp, "--n", n, "--out", prefix]) == 0
+            tables[n] = np.array(read_table(f"{prefix}.csv")[1])
+            docs[n] = json.loads((tmp_path / f"g_{n}.json").read_text())
+        for n in (24, 36, 48):
+            est, low, high = tables[n][:, 7], tables[n][:, 4], tables[n + 6][:, 4]
+            change = np.divide(np.abs(high - low), high, out=np.zeros_like(high), where=high > 0.0)
+            seen = change > 1e-14
+            assert np.count_nonzero(seen) > 100
+            assert np.all(est[seen] >= change[seen])
+            assert est[0] == 0.0  # z = 0 with c > 0: every order vanishes there
+            assert docs[n]["trunc_est_max"] == est.max()
+            assert docs[n]["trunc_est_above_1e-6"] == np.count_nonzero(est > 1e-6)
+        assert docs[48]["trunc_est_max"] > 0.5  # |z| = 2 is far outside what N = 48 resolves
+
+    def test_truncation_estimate_edges(self, tmp_path):
+        cfgp = tmp_path / "q.json"
+        cfgp.write_text(json.dumps(MIXED))
+        # e^{-|z|^4} underflows at |z| = 20 and 40, so R^N is 0 there and nothing of it is trusted
+        assert run(["gram", "--coeffs-file", cfgp, "--n", "24", "--grid", "0:40:3", "--out", tmp_path / "far"]) == 0
+        r, val, est = np.array(read_table(tmp_path / "far.csv")[1])[:, [0, 4, 7]].T
+        assert np.all(val == 0.0) and est[0] == 0.0 and np.all(est[r > 0] == 1.0)
+        # at N <= 8 the last 8 rows are all of them
+        assert run(["gram", "--coeffs-file", cfgp, "--n", "8", "--grid", "0.5:1:2", "--out", tmp_path / "low"]) == 0
+        np.testing.assert_array_equal(np.array(read_table(tmp_path / "low.csv")[1])[:, 7], 1.0)
 
     def test_twisted_too_large_order_fails_numerically(self, tmp_path, capsys):
         # the scaled condition is 6.4e11 at N = 54, 1.9e12 at N = 56 and 1.6e13 at N = 60
@@ -331,6 +362,16 @@ class TestMain:
         assert out == "" and err.startswith("focklab: file error: ") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+
+    def test_unwritable_out_refused_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def never(cfg):
+            raise AssertionError("run_mcmc called")
+
+        monkeypatch.setattr("focklab.cli.run_mcmc", never)
+        monkeypatch.chdir(tmp_path)
+        assert run(["sample", "--n", "16", "--c", "1", "--out", "absent/s"]) == 2
+        assert capsys.readouterr().err.startswith("focklab: file error: ")
+        assert not list(tmp_path.iterdir())
 
 class TestWeightReader:
     """Every command reads its weight one way: a config file and the inline flags it spells give the same run."""

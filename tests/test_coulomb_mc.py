@@ -18,6 +18,7 @@ from focklab import (
     sample_radial_exact,
 )
 from focklab.coulomb_mc import _BATCHES, _TUNE_INTERVAL, _TUNE_TARGET, _site_energy
+from focklab.radial_bergman import _incomplete_gamma
 
 GINIBRE = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0})
 
@@ -74,8 +75,8 @@ class TestSiteEnergy:
         rng = np.random.default_rng(3)
         z = np.append(rng.standard_normal(9) + 1j * rng.standard_normal(9), 0j)
         with np.errstate(divide="ignore"):
-            arr = _site_energy(pot, pot.c, 6, z)
-            one = [_site_energy(pot, pot.c, 6, zz) for zz in z]
+            arr = _site_energy(pot, 6, z)
+            one = [_site_energy(pot, 6, zz) for zz in z]
         assert arr.shape == z.shape
         # a scalar Hermitian sum runs in Python complex arithmetic, an array one in numpy's
         np.testing.assert_array_max_ulp(arr, np.array(one), maxulp=0 if pot.kind == "radial" else 4)
@@ -108,7 +109,7 @@ class TestDeltaEnergy:
 def reference_chain(cfg):
     """The per-particle Metropolis loop on delta_energy, one histogram per recorded sweep."""
     rng = np.random.default_rng(cfg.seed)
-    pot, n, c, edges = cfg.potential, cfg.n, cfg.potential.c, cfg.bin_edges
+    pot, n, edges = cfg.potential, cfg.n, cfg.bin_edges
     pts = edges[-1] * 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
     delta = cfg.delta0
     counts = np.zeros(edges.size - 1, dtype=np.int64)
@@ -122,7 +123,7 @@ def reference_chain(cfg):
         for i in range(n):
             znew = pts[i] + complex(steps[i, 0], steps[i, 1])
             with np.errstate(over="ignore"):
-                dh = delta_energy(pts, i, znew, pot, n, c)
+                dh = delta_energy(pts, i, znew, pot, n)
             if math.isfinite(dh) and (dh <= 0.0 or us[i] < math.exp(-dh)):
                 pts[i] = znew
                 if burn:
@@ -315,6 +316,19 @@ class TestExactRadialSampler:
         shapes = (np.arange(n) + c + 1.0) / k
         cdf = lambda r: gammainc(shapes, n * np.asarray(r)[:, None] ** (2 * k)).mean(axis=1)
         assert kstest(s.ravel(), cdf).pvalue >= 0.01
+
+    @pytest.mark.parametrize("k,c,seed,radii", [(1, 1.0, 1601, np.linspace(0.12, 0.45, 12)),
+                                                (2, 0.5, 1602, np.linspace(0.14, 0.52, 12))],
+                             ids=["ginibre", "quartic"])
+    def test_hole_probability_is_the_product_law(self, k, c, seed, radii):
+        # the moduli are independent with n r_j^{2k} ~ Gamma(beta_j), beta_j = (j+c+1)/k, so the
+        # joint law gives P(min_j r_j > rho) = prod_j Q(beta_j, n rho^{2k}), which one-modulus laws do not pin
+        n, draws = 16, 20_000
+        s = sample_radial_exact(radial({k: 1.0}, c=c), c, n, seed=seed, draws=draws)
+        beta = (np.arange(n) + c + 1.0) / k
+        want = np.prod(_incomplete_gamma(beta[:, None], n * radii[None, :] ** (2 * k))[1], axis=0)
+        got = np.mean(s.min(axis=1)[:, None] > radii, axis=0)
+        assert np.all(np.abs(got - want) <= 3.0 * np.sqrt(want * (1.0 - want) / draws))
 
     def test_memory_peak_is_flat(self):
         tracemalloc.start()

@@ -81,13 +81,13 @@ class TestModulusTau0:
             k=1, c=0.0,
             q0=HomogeneousHermitianPoly(2, {(1, 1): 1.0, (2, 0): 0.3, (0, 2): 0.3}),
         )
-        assert modulus_tau0(p) == pytest.approx(1.0, rel=1e-13)
+        assert modulus_tau0(p.q0) == pytest.approx(1.0, rel=1e-13)
 
     def test_leading_block_of_perturbed_potential(self):
         Q = radial({1: 1.0, 2: 1.0})
         k = detect_k(Q)
         assert k == 1
-        assert modulus_tau0(canonical_decompose(Q, k).q0) == pytest.approx(1.0, rel=1e-12)
+        assert modulus_tau0(canonical_decompose(Q, k).q0.q0) == pytest.approx(1.0, rel=1e-12)
         assert droplet_radius(Q) == pytest.approx(2.0 ** -0.5, rel=1e-13)
         # the equilibrium density Delta Q inside the droplet
         assert Q.laplacian_radial(0.5) == pytest.approx(1.0 + 4 * 0.25, rel=1e-14)

@@ -344,7 +344,7 @@ class TestBinAveraged:
 class TestConvergenceReport:
     def test_quartic_perturbation_converges(self):
         rep = convergence_report(
-            radial({1: 1.0, 2: 1.0}), 0.0, [5, 10, 20, 40], np.linspace(0.1, 1.0, 10)
+            radial({1: 1.0, 2: 1.0}), [5, 10, 20, 40], np.linspace(0.1, 1.0, 10)
         )
         assert rep.lam == pytest.approx(1.0, rel=1e-13)
         # the quartic perturbation washes out like 1/n, so the sup error
@@ -362,7 +362,7 @@ class TestConvergenceReport:
         # with no perturbation the rescaled kernel is the exact n-term
         # series, so the sup error is pure series truncation
         rep = convergence_report(
-            radial({2: 2.0}, c=1.0), 1.0, [10, 20, 40], np.linspace(0.1, 1.5, 10)
+            radial({2: 2.0}, c=1.0), [10, 20, 40], np.linspace(0.1, 1.5, 10)
         )
         assert rep.lam == pytest.approx(0.5, rel=1e-13)
         assert rep.sup_err[-1] < 1e-5
@@ -378,8 +378,8 @@ class TestConvergenceReport:
             return microscopic_scale(Q, c, n)
 
         monkeypatch.setattr(finite_kernel, "microscopic_scale", counted)
-        Q = radial({1: 1.0, 2: 1.0})
-        rep = convergence_report(Q, 0.5, [40, 10, 20], np.linspace(0.1, 1.0, 4))
+        Q = radial({1: 1.0, 2: 1.0}, c=0.5)
+        rep = convergence_report(Q, [40, 10, 20], np.linspace(0.1, 1.0, 4))
         assert len(calls) == 1
         # the scales are those of separate calls, bit for bit
         Qn, _ = normalize_potential(Q, 1, 0.5)

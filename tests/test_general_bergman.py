@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from focklab import (
     moment_matrix,
     truncated_kernel,
 )
+from focklab.general_bergman import _density_rows
 
 TWISTED = MicroscopicPotential(
     k=1, c=0.0,
@@ -62,7 +62,6 @@ class TestMomentMatrix:
 
 
 class TestTruncatedKernel:
-    @pytest.mark.filterwarnings("ignore:truncation order:RuntimeWarning")
     def test_radial_kernel_is_truncated_exponential(self):
         # Ginibre's orthonormal polynomials are z^j / sqrt(j!)
         tk = truncated_kernel(moment_matrix(GINIBRE, 24))
@@ -94,7 +93,6 @@ class TestBergmanDensity:
         for z in disk_grid(1.8):
             assert bergman_density(tk, GINIBRE, z) == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.filterwarnings("ignore:truncation order:RuntimeWarning")
     def test_twisted_density_near_flat(self):
         tk = truncated_kernel(moment_matrix(TWISTED, 36))
         err2 = max(abs(bergman_density(tk, TWISTED, z) - 1.0) for z in disk_grid(2.0))
@@ -102,7 +100,6 @@ class TestBergmanDensity:
         assert err2 <= 3e-2
         assert err1 <= 4e-5
 
-    @pytest.mark.filterwarnings("ignore:truncation order:RuntimeWarning")
     def test_error_decreases_with_order(self):
         grid = disk_grid(2.0)
         sups = []
@@ -132,20 +129,24 @@ class TestBergmanDensity:
         with pytest.raises(DivergenceError):
             bergman_density(tkn, neg, 0.0)
 
-    def test_warns_when_truncation_too_small(self):
-        tk = truncated_kernel(moment_matrix(GINIBRE, 6))
-        with pytest.warns(RuntimeWarning):
-            bergman_density(tk, GINIBRE, 2.5)
+    @pytest.mark.parametrize("p,N", [(TWISTED, 24), (TWISTED_K2, 16)])
+    def test_leading_rows_are_the_lower_order_density(self, p, N):
+        # the basis rows are the orthonormal polynomials in degree order, so the first N/2 rows of
+        # the order-N kernel sum to the order-N/2 density; the two factorizations round differently
+        tk = truncated_kernel(moment_matrix(p, N))
+        z = disk_grid(2.0)
+        rows = _density_rows(tk, p, z)
+        assert rows.shape == (N, z.size)
+        np.testing.assert_array_equal(rows.sum(axis=0), bergman_density(tk, p, z))
+        low = bergman_density(truncated_kernel(moment_matrix(p, N // 2)), p, z)
+        np.testing.assert_allclose(rows[:N // 2].sum(axis=0), low, rtol=64 * tk.condition * EPS, atol=0.0)
 
-    def test_array_warns_once(self):
+    def test_far_points_give_zero_without_warning(self):
+        # e^{-|z|^2} underflows at |z| = 30; the suite turns any RuntimeWarning into an error
         tk = truncated_kernel(moment_matrix(GINIBRE, 6))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            bergman_density(tk, GINIBRE, disk_grid(3.0))
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert str(caught[0].message).startswith("truncation order N=6 may be too small")
+        assert bergman_density(tk, GINIBRE, 30.0) == 0.0
+        assert np.all(bergman_density(tk, GINIBRE, disk_grid(3.0)) < 1.0)
 
-    @pytest.mark.filterwarnings("ignore:truncation order:RuntimeWarning")
     @pytest.mark.parametrize("p,N", [(GINIBRE, 16), (TWISTED, 24), (TWISTED_K2, 16)])
     def test_array_matches_pointwise(self, p, N):
         tk = truncated_kernel(moment_matrix(p, N))
