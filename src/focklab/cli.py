@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, FitError, NumericalError
+from .errors import ConfigError, FitError, NumericalError
 from .potentials import (
     CanonicalDecomposition,
     MacroscopicPotential,
@@ -187,11 +187,10 @@ def cmd_r0(args) -> int:
         raise ConfigError("r0 requires a radial weight a r^{2k}; gram takes a Q0 with a mixed term")
     grid = parse_grid(args.grid or "0:3:241")
     k, c, a = p.k, p.c, p.amplitude
-    try:
-        val = bergman_function_r0(k, c, a, grid)
-    except DivergenceError as exc:  # only at r = 0, the first point of an increasing grid
-        print(f"note: grid point r=0 rejected: {exc}", file=sys.stderr)
-        val = np.concatenate([[np.nan], bergman_function_r0(k, c, a, grid[1:])])
+    skip = int(c < 0 and grid[0] == 0.0)  # only the first point of an increasing grid can be 0
+    if skip:
+        print("note: grid point r=0 rejected: density diverges at r = 0 for c < 0", file=sys.stderr)
+    val = np.concatenate([[np.nan] * skip, bergman_function_r0(k, c, a, grid[skip:])])
     dq = delta_q0(k, c, a, grid)
     rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
     write_csv(args.out, ["r", "R0", "deltaQ0", "rel_err"], zip(grid, val, dq, rel))
@@ -249,26 +248,25 @@ def cmd_verify_thm1(args) -> int:
 
 def cmd_rescale(args) -> int:
     Q = _potential(args, radial=True)
-    c = Q.c
     n_list = _parse_n_list(args.n_list, default=[16, 64, 256])
     grid = parse_grid(args.grid or "0.1:2:39")
-    rejected = grid[grid == 0.0].tolist() if c < 0 else []
+    rejected = grid[grid == 0.0].tolist() if Q.c < 0 else []
     for x in rejected:
-        print(f"note: grid point z={x:g} rejected: density diverges at 0 for c = {c} < 0", file=sys.stderr)
+        print(f"note: grid point z={x:g} rejected: density diverges at 0 for c = {Q.c} < 0", file=sys.stderr)
     rep = convergence_report(Q, n_list, grid[grid != 0.0] if rejected else grid)
     # the report's rows run over the sorted n; the table keeps the order and repeats of n_list
     row = {int(n): i for i, n in enumerate(rep.n)}
     Rn = {n: rep.values[row[n]] for n in n_list}
-    a_micro = (1.0 + c) / rep.k
+    a_micro = (1.0 + rep.c) / rep.k
     identity = None
     if set(m for m, q in Q.radial_coeffs.items() if q != 0.0) == {rep.k}:
         identity = {}
         for n in n_list:
-            series = truncated_series_r0(rep.k, c, a_micro, n, rep.z)
+            series = truncated_series_r0(rep.k, rep.c, a_micro, n, rep.z)
             identity[n] = bool(np.max(np.abs(Rn[n] - series)) <= 1e-12)
     doc = {
         "k": rep.k,
-        "c": c,
+        "c": rep.c,
         "lambda": rep.lam,
         "micro_amplitude": a_micro,
         "n_list": n_list,
@@ -285,13 +283,12 @@ def cmd_rescale(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     Q = _potential(args, radial=True)
-    c = Q.c
     n_list = _parse_n_list(args.n_list, default=[100])
-    rep = microscale_asymptotic_check(Q, c, n_list)
+    rep = microscale_asymptotic_check(Q, Q.c, n_list)
     R = droplet_radius(Q)
     print(f"R_Q = {R:.12g}")
     print(f"tau0 = {rep.tau0:.12g}")
-    print(f"k = {rep.k}, c = {c:g}, fitted C = {rep.C:.6g}")
+    print(f"k = {rep.k}, c = {rep.c:g}, fitted C = {rep.C:.6g}")
     for n, rn, en in zip(rep.n, rep.rn, rep.en):
         print(f"n = {int(n):d}: rn = {rn:.12g} (deviation {en:+.3e})")
     if args.out:
@@ -299,7 +296,7 @@ def cmd_equilibrium(args) -> int:
             "droplet_radius": R,
             "tau0": rep.tau0,
             "k": rep.k,
-            "c": c,
+            "c": rep.c,
             "C": rep.C,
             "bound_ok": rep.bound_ok,
         }

@@ -286,14 +286,15 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
 
 
 def sample_radial_exact(Q: MacroscopicPotential, c: float, n: int, seed: int, draws: int) -> np.ndarray:
-    """draws x n moduli of the exact radial ensemble by inverse CDFs.
+    """draws x n moduli of the exact radial ensemble of Q, at its charge c = Q.c, by inverse CDFs.
 
     Rotation invariance makes the moduli multiset independent across the
     monomial indices j = 0..n-1; each r_j is drawn from the CDF of ln r_j
     that finite_kernel tabulates on the grid of its norm m_j.
     """
+    Q._check_charge(c)
     rng = np.random.default_rng(seed)
     out = np.empty((draws, n))
-    for j, (t, cdf) in enumerate(_modulus_tables(Q, c, n)):
+    for j, (t, cdf) in enumerate(_modulus_tables(Q, n)):
         out[:, j] = np.exp(np.interp(rng.random(draws), cdf, t))
     return out

@@ -109,13 +109,12 @@ def modulus_tau0(q0: HomogeneousHermitianPoly) -> float:
 
 
 def microscopic_scale(Q: MacroscopicPotential, c: float, n):
-    """r_n solving n r Q'(r)/2 = 1 + c inside the droplet; n an integer, or an array of them elementwise."""
-    if not c > -1:
-        raise ConfigError(f"c must be > -1, got {c}")
+    """r_n solving n r Q'(r)/2 = 1 + c, c = Q.c, inside the droplet; n an integer, or an array of them elementwise."""
+    Q._check_charge(c)
     n_arr = np.asarray(n)
     if np.any(n_arr < 1):
         raise ConfigError(f"n must be >= 1, got {n}")
-    mass = (1.0 + c) / n_arr
+    mass = (1.0 + Q.c) / n_arr
     if np.any(mass > 1.0):
         raise ConfigError(f"n={n} too small: microscopic scale would leave the droplet")
     # the droplet, mass 1, rides along for the monotone-mass check
@@ -144,15 +143,16 @@ class AsymptoticReport:
 
 
 def microscale_asymptotic_check(Q: MacroscopicPotential, c: float, n_list) -> AsymptoticReport:
-    """Check r_n = tau0 (1+c)^{1/2k} n^{-1/2k} (1 + O(n^{-1/2k})) on n_list."""
+    """Check r_n = tau0 (1+c)^{1/2k} n^{-1/2k} (1 + O(n^{-1/2k})) on n_list, at the charge c = Q.c."""
+    Q._check_charge(c)
     n_arr = np.asarray(sorted(int(n) for n in n_list), dtype=int)
     if n_arr.size == 0:
         raise ConfigError("n_list must be nonempty")
     k = detect_k(Q)
     tau0 = modulus_tau0(canonical_decompose(Q, k).q0.q0)
-    rn = microscopic_scale(Q, c, n_arr)
-    pred = tau0 * (1.0 + c) ** (1.0 / (2 * k)) * n_arr ** (-1.0 / (2 * k))
+    rn = microscopic_scale(Q, Q.c, n_arr)
+    pred = tau0 * (1.0 + Q.c) ** (1.0 / (2 * k)) * n_arr ** (-1.0 / (2 * k))
     en = rn / pred - 1.0
     C = float(np.max(np.abs(en) * n_arr ** (1.0 / (2 * k))))
-    return AsymptoticReport(k=k, c=c, tau0=tau0, n=n_arr, rn=rn, en=en, C=C)
+    return AsymptoticReport(k=k, c=Q.c, tau0=tau0, n=n_arr, rn=rn, en=en, C=C)
 

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, NumericalError
-from .potentials import MacroscopicPotential, canonical_decompose, detect_k, normalize_potential
+from .potentials import MacroscopicPotential, detect_k, normalize_potential
 from .radial_bergman import bergman_function_r0, moments
 from .equilibrium import _ln_mass_roots, microscopic_scale
 
@@ -47,22 +47,20 @@ _TS_STEP = 1.0 / 16  # first tanh-sinh step in u; bins that miss their tolerance
 _HUGE = np.finfo(float).max
 
 
-def _rows(Q: MacroscopicPotential, c: float, n: int, j=None):
+def _rows(Q: MacroscopicPotential, n: int, j=None):
     """Exponents beta_j, modes t*_j, widths sigma_j and reaches S_j of the radial rows j (default all n).
 
-    Row j is exp(beta_j t - nQ(e^t)) in t = ln r, beta_j = 2j+2c+2: twice its
-    integral is m_j, and normalised it is the law of ln r_j.  Its mode t*_j
-    solves n r Q'(r) = beta_j, where sigma_j = (4 n r^2 Delta Q)^{-1/2}.  The
-    map t = t*_j + sigma_j sinh(s) on |s| <= S_j covers the row until its slow
-    left tail e^{beta_j t} has fallen by e^-46 (about 1e-20):
+    Row j is exp(beta_j t - nQ(e^t)) in t = ln r, beta_j = 2j+2c+2, c = Q.c:
+    twice its integral is m_j, and normalised it is the law of ln r_j.  Its
+    mode t*_j solves n r Q'(r) = beta_j, where sigma_j = (4 n r^2 Delta Q)^{-1/2}.
+    The map t = t*_j + sigma_j sinh(s) on |s| <= S_j covers the row until its
+    slow left tail e^{beta_j t} has fallen by e^-46 (about 1e-20):
     S_j = asinh((46 + nQ(r*_j)) / (beta_j sigma_j)) + 1/2.  Each row is
     solved on its own, so a subset of rows gives the bits of the full set.
     """
-    if not c > -1:
-        raise ConfigError(f"c must be > -1, got {c}")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    beta = 2.0 * (np.arange(n) if j is None else np.asarray(j)) + 2.0 * c + 2.0
+    beta = 2.0 * (np.arange(n) if j is None else np.asarray(j)) + 2.0 * Q.c + 2.0
     t_star = _ln_mass_roots(Q, beta / (2.0 * n))
     r_star = np.exp(t_star)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -99,9 +97,9 @@ def _row_blocks(Q, n, beta, t_star, sigma, s):
         yield rows, t, np.exp(logf - top[:, None]), top
 
 
-def _log_norms(Q: MacroscopicPotential, c: float, n: int) -> tuple[np.ndarray, float]:
+def _log_norms(Q: MacroscopicPotential, n: int) -> tuple[np.ndarray, float]:
     """ln m_j^(n) for j < n, m_j = 2 sigma_j int row_j ds, and the worst relative error estimate."""
-    beta, t_star, sigma, S = _rows(Q, c, n)
+    beta, t_star, sigma, S = _rows(Q, n)
     logs, est = np.empty(n), np.empty(n)
     todo = np.arange(n)
     for h in _STEP * 0.5 ** np.arange(5):
@@ -118,9 +116,9 @@ def _log_norms(Q: MacroscopicPotential, c: float, n: int) -> tuple[np.ndarray, f
     raise NumericalError(f"norm j={int(todo[0])}: error estimate {est[todo[0]]:.1e} > {_TOL:g} at step {h:g}")
 
 
-def _modulus_tables(Q: MacroscopicPotential, c: float, n: int):
+def _modulus_tables(Q: MacroscopicPotential, n: int):
     """For j = 0..n-1 in turn: the nodes t = ln r of the norm's grid at _STEP, and the CDF of r_j there."""
-    beta, t_star, sigma, S = _rows(Q, c, n)
+    beta, t_star, sigma, S = _rows(Q, n)
     for _, t, w, _ in _row_blocks(Q, n, beta, t_star, sigma, _grid(_STEP, S.max())):
         cdf = np.zeros_like(w)
         np.cumsum(w[:, 1:] + w[:, :-1], axis=1, out=cdf[:, 1:])
@@ -129,18 +127,18 @@ def _modulus_tables(Q: MacroscopicPotential, c: float, n: int):
 
 @dataclass(frozen=True)
 class FiniteKernel:
-    """Monomial log-norms of one n-point radial ensemble, with their worst relative error estimate."""
+    """Monomial log-norms of one n-point radial ensemble at the charge potential.c, with their worst error estimate."""
 
     n: int
-    c: float
     potential: MacroscopicPotential
     log_norms: np.ndarray
     error_estimate: float
 
 
 def finite_moments(Q: MacroscopicPotential, c: float, n: int) -> FiniteKernel:
-    """Weighted monomial norms m_j^(n), j = 0..n-1, to 1e-12 relative."""
-    return FiniteKernel(n, c, Q, *_log_norms(Q, c, n))
+    """Weighted monomial norms m_j^(n), j = 0..n-1, to 1e-12 relative, at the charge c = Q.c."""
+    Q._check_charge(c)
+    return FiniteKernel(n, Q, *_log_norms(Q, n))
 
 
 def _series(r, c: float, log_norms: np.ndarray, nq):
@@ -171,7 +169,7 @@ def _series(r, c: float, log_norms: np.ndarray, nq):
 
 def intensity(fk: FiniteKernel, zeta):
     """One-point intensity bR_n(zeta) = sum_{j<n} |zeta|^{2j+2c} e^{-nQ}/m_j^(n); arrays elementwise."""
-    return _series(zeta, fk.c, fk.log_norms, partial(_nq, fk.potential, fk.n))
+    return _series(zeta, fk.potential.c, fk.log_norms, partial(_nq, fk.potential, fk.n))
 
 
 def rescaled_intensity(fk: FiniteKernel, z, rn: float):
@@ -200,7 +198,8 @@ def _bin_integrals(fk: FiniteKernel, lo, hi, tol: float, pooled: bool = False) -
     is the series at charge c + 1/2 over the norms m_j / 2, all in the log
     domain: near r = 0 the factor r^{2c} alone overflows for c < 0.
     """
-    reach = math.asinh(min(max(40.0, 20.0 / (fk.c + 1.0)), 300.0) / math.pi)
+    c = fk.potential.c
+    reach = math.asinh(min(max(40.0, 20.0 / (c + 1.0)), 300.0) / math.pi)
     log_half_norms = fk.log_norms - math.log(2.0)
     step = max(1, _BLOCK // fk.n)
     val, est = np.empty(lo.size), np.empty(lo.size)
@@ -213,7 +212,7 @@ def _bin_integrals(fk: FiniteKernel, lo, hi, tol: float, pooled: bool = False) -
         x = np.where(u < 0.0, lo[todo, None] + width * near, hi[todo, None] - width * near).ravel()
         f = np.empty(x.size)
         for b in range(0, x.size, step):
-            f[b:b + step] = _series(x[b:b + step], fk.c + 0.5, log_half_norms, partial(_nq, fk.potential, fk.n))
+            f[b:b + step] = _series(x[b:b + step], c + 0.5, log_half_norms, partial(_nq, fk.potential, fk.n))
         terms = f.reshape(width.shape[0], u.size) * width * (h * np.pi * np.cosh(u) * near / (1.0 + e))
         val[todo] = terms.sum(axis=1)
         # |T_h - T_2h|, plus what the ends of the rule still carry
@@ -231,7 +230,7 @@ def mass_integral(fk: FiniteKernel) -> float:
     The bins' rule runs over [0, r(-S)] and the last row's map
     r(s) = exp(t* + sigma sinh s) at steps of at most 1 across its reach |s| <= S.
     """
-    _, (t_star,), (sigma,), (S,) = _rows(fk.potential, fk.c, fk.n, [fk.n - 1])
+    _, (t_star,), (sigma,), (S,) = _rows(fk.potential, fk.n, [fk.n - 1])
     s = np.linspace(-S, S, 2 * math.ceil(S) + 1)
     edges = np.concatenate(([0.0], np.exp(t_star + sigma * np.sinh(s))))
     return float(np.sum(_bin_integrals(fk, edges[:-1], edges[1:], 1e-8, pooled=True)))
@@ -268,8 +267,7 @@ def convergence_report(Q: MacroscopicPotential, n_list, z_grid) -> ConvergenceRe
     c = Q.c
     z = np.asarray(z_grid, dtype=float)
     k = detect_k(Q)
-    Qn, lam = normalize_potential(Q, k, c)
-    canonical_decompose(Qn, k)  # validates the decomposition hypotheses
+    Qn, lam = normalize_potential(Q, k)  # splits Q at k, which validates the decomposition hypotheses
     r0 = bergman_function_r0(k, c, (1.0 + c) / k, z)
     n_arr = np.asarray(sorted(int(n) for n in n_list), dtype=int)
     rn = microscopic_scale(Qn, c, n_arr)

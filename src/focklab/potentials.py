@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +205,7 @@ class MacroscopicPotential:
                 if i == j == 0 and abs(a) > 0:
                     raise ConfigError("potential must vanish at 0 (no constant term)")
             _check_hermitian(self.hermitian_coeffs)
-            top_deg = max(i + j for (i, j), a in self.hermitian_coeffs.items() if abs(a) > 0)
+            top_deg = max((i + j for (i, j), a in self.hermitian_coeffs.items() if abs(a) > 0), default=0)
             top = {
                 (i, j): a for (i, j), a in self.hermitian_coeffs.items() if i + j == top_deg
             }
@@ -243,22 +243,19 @@ class MacroscopicPotential:
         return dict(self.hermitian_coeffs)
 
     def scaled(self, factor: float) -> "MacroscopicPotential":
-        """factor * Q with charges untouched."""
+        """factor * Q at the same charge."""
         if self.kind == "radial":
-            return MacroscopicPotential(
-                kind="radial",
-                c=self.c,
-                radial_coeffs={m: factor * q for m, q in self.radial_coeffs.items()},
-            )
-        return MacroscopicPotential(
-            kind="hermitian",
-            c=self.c,
-            hermitian_coeffs={ij: factor * a for ij, a in self.hermitian_coeffs.items()},
-        )
+            return replace(self, radial_coeffs={m: factor * q for m, q in self.radial_coeffs.items()})
+        return replace(self, hermitian_coeffs={ij: factor * a for ij, a in self.hermitian_coeffs.items()})
 
     def _require_radial(self) -> None:
         if self.kind != "radial":
             raise ConfigError("operation requires a radial potential")
+
+    def _check_charge(self, c: float) -> None:
+        """Refuse a charge argument other than Q.c: the charge is part of the potential, V_n = Q - 2(c/n) log|z|."""
+        if c != self.c:
+            raise ConfigError(f"charge argument c={c!r} differs from the potential's charge Q.c={self.c!r}")
 
 
 @dataclass(frozen=True)
@@ -316,19 +313,19 @@ def canonical_decompose(Q: MacroscopicPotential, k: int) -> CanonicalDecompositi
 def normalize_potential(
     Q: MacroscopicPotential, k: int, c: float | None = None
 ) -> tuple[MacroscopicPotential, float]:
-    """Scale Q so its degree-2k part satisfies the microscopic normalization.
+    """Scale Q so its degree-2k part satisfies the microscopic normalization at the charge c = Q.c.
 
     Returns (lam * Q, lam) with lam = (1+c) k ((k-1)!)^2 / Delta^k Q0(0),
     which reduces to (1+c)/(k a_kk) for the mixed-diagonal coefficient a_kk.
     After scaling the micro-amplitude a_kk becomes (1+c)/k.
     """
-    if c is None:
-        c = Q.c
+    if c is not None:
+        Q._check_charge(c)
     dec = canonical_decompose(Q, k)
     a_kk = float(np.real(dec.q0.q0.coeffs.get((k, k), 0.0)))
     if not a_kk > 0:
         raise ConfigError("normalization requires a positive (k,k) coefficient")
-    lam = (1.0 + c) / (k * a_kk)
+    lam = (1.0 + Q.c) / (k * a_kk)
     return Q.scaled(lam), lam
 
 
@@ -376,7 +373,8 @@ def load_potential_config(source: str | Path | dict) -> MacroscopicPotential:
              "hermitian_coeffs": [[i, j, re, im], ...], "k": optional int}
     Any other key is refused.  Powers and indices are integers, every
     number is finite, and rows with the same power or index add up.  A
-    stated "k" is validated against detect_k.
+    Hermitian config whose nonzero rows are all diagonal is the radial
+    potential {i: a_ii}.  A stated "k" is validated against detect_k.
     """
     if isinstance(source, dict):
         doc = source
@@ -406,6 +404,9 @@ def load_potential_config(source: str | Path | dict) -> MacroscopicPotential:
         for (i, j), a in list(hcoeffs.items()):
             hcoeffs.setdefault((j, i), complex(np.conj(a)))
         pot = MacroscopicPotential(kind="hermitian", c=c, hermitian_coeffs=hcoeffs)
+        rows = {ij: a for ij, a in hcoeffs.items() if a != 0}
+        if all(i == j for i, j in rows):  # |z|^{2i} terms alone, each a_ii real once validated
+            pot = MacroscopicPotential(kind="radial", c=c, radial_coeffs={i: a.real for (i, _), a in rows.items()})
     else:
         raise ConfigError(f"config kind must be 'radial' or 'hermitian', got {kind!r}")
     if doc.get("k") is not None:

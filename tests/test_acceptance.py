@@ -155,7 +155,7 @@ def test_criterion_05_equilibrium_quantities(capsys):
         "tau0(|z|^2)": (modulus_tau0(HomogeneousHermitianPoly(2, {(1, 1): 1.0})), 1.0),
         "tau0(|z|^4)": (modulus_tau0(HomogeneousHermitianPoly(4, {(2, 2): 1.0})), 2.0 ** -0.25),
         "rn(c=0, n=100)": (microscopic_scale(ginibre, 0.0, 100), 0.1),
-        "rn(c=1, n=100)": (microscopic_scale(ginibre, 1.0, 100), math.sqrt(2.0 / 100.0)),
+        "rn(c=1, n=100)": (microscopic_scale(radial({1: 1.0}, c=1.0), 1.0, 100), math.sqrt(2.0 / 100.0)),
     }
     worst = max(abs(got / want - 1.0) for got, want in vals.values())
 

@@ -413,6 +413,19 @@ class TestWeightReader:
             doc = json.loads(from_file[4]["rep.json"])
             assert (doc["k"], doc["c"], doc["amplitude"]) == (2, 0.5, 1.3)
 
+    @pytest.mark.parametrize("cmd", ["equilibrium", "rescale", "sample"])
+    def test_diagonal_hermitian_config_is_radial(self, cmd, tmp_path, monkeypatch, capsys):
+        # rows a_ii |z|^{2i} alone spell a radial weight, which the radial commands take in either spelling
+        spellings = {"radial": {"kind": "radial", "c": 1.0, "radial_coeffs": [[1, 1.0]]},
+                     "hermitian": {"kind": "hermitian", "c": 1.0, "hermitian_coeffs": [[1, 1, 1.0, 0.0]]}}
+        runs = []
+        for name, doc in spellings.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            argv = self.COMMANDS[cmd] + ["--coeffs-file", str(tmp_path / f"{name}.json")]
+            runs.append(self._run(argv, tmp_path / name, monkeypatch, capsys))
+        assert runs[0][0] == 0 and runs[0][4]
+        assert runs[1] == runs[0]
+
     def test_verify_thm1_refuses_a_twisted_weight(self, tmp_path, capsys):
         (config,) = _readme_blocks("json")
         (tmp_path / "mixed.json").write_text(config)

@@ -291,7 +291,7 @@ class TestExactRadialSampler:
     def test_per_index_gamma_moments(self):
         # r_j^2 ~ Gamma(j + c + 1, scale 1/n) for the quadratic potential
         c, n = 0.5, 3
-        s = sample_radial_exact(GINIBRE, c, n, seed=5, draws=20_000)
+        s = sample_radial_exact(radial({1: 1.0}, c=c), c, n, seed=5, draws=20_000)
         for j in range(n):
             want = (j + c + 1.0) / n
             assert float(np.mean(s[:, j] ** 2)) == pytest.approx(want, abs=0.02)
@@ -307,7 +307,7 @@ class TestExactRadialSampler:
         with pytest.raises(ConfigError):
             sample_radial_exact(GINIBRE, 0.0, 0, seed=0, draws=10)
         with pytest.raises(ConfigError):
-            sample_radial_exact(GINIBRE, -1.0, 2, seed=0, draws=10)
+            radial({1: 1.0}, c=-1.0)
 
     @pytest.mark.parametrize("k,c,n", [(1, 0.0, 8), (2, 0.5, 256), (1, -0.75, 1), (3, -0.9, 16)])
     def test_pooled_moduli_match_the_gamma_law(self, k, c, n):

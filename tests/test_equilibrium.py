@@ -114,23 +114,23 @@ class TestModulusTau0:
 class TestMicroscopicScale:
     def test_closed_forms(self):
         assert microscopic_scale(radial({1: 1.0}), 0.0, 100) == pytest.approx(0.1, rel=1e-12)
-        assert microscopic_scale(radial({1: 1.0}), 1.0, 100) == pytest.approx(
+        assert microscopic_scale(radial({1: 1.0}, c=1.0), 1.0, 100) == pytest.approx(
             math.sqrt(2.0 / 100.0), rel=1e-12
         )
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            microscopic_scale(radial({1: 1.0}), -1.0, 10)
+            radial({1: 1.0}, c=-1.0)
         with pytest.raises(ConfigError):
             microscopic_scale(radial({1: 1.0}), 0.0, 0)
 
     def test_scale_must_stay_inside_droplet(self):
         with pytest.raises(ConfigError):
-            microscopic_scale(radial({1: 1.0}), 1.0, 1)
+            microscopic_scale(radial({1: 1.0}, c=1.0), 1.0, 1)
         with pytest.raises(ConfigError):
-            microscopic_scale(radial({1: 1.0}), 0.5, np.array([4, 1]))
+            microscopic_scale(radial({1: 1.0}, c=0.5), 0.5, np.array([4, 1]))
         # (1 + c)/n = 1 is the droplet edge itself
-        assert microscopic_scale(radial({1: 1.0}), 1.0, 2) == droplet_radius(radial({1: 1.0}))
+        assert microscopic_scale(radial({1: 1.0}, c=1.0), 1.0, 2) == droplet_radius(radial({1: 1.0}))
 
     def test_non_monotone_rejected(self):
         with pytest.raises(ConfigError):
@@ -139,7 +139,7 @@ class TestMicroscopicScale:
     @pytest.mark.parametrize("coeffs", SOLVER_POTENTIALS)
     @pytest.mark.parametrize("c", [-0.5, 0.0, 1.0])
     def test_matches_mpmath(self, coeffs, c):
-        Q = radial(coeffs)
+        Q = radial(coeffs, c)
         n = np.array([3, 4, 16, 256, 10_000])
         rn = microscopic_scale(Q, c, n)
         for m, r in zip(n, rn):
@@ -148,7 +148,7 @@ class TestMicroscopicScale:
     @pytest.mark.parametrize("coeffs", SOLVER_POTENTIALS)
     def test_scalar_calls_are_array_elements(self, coeffs):
         # each element of the solver stops on its own step
-        Q = radial(coeffs)
+        Q = radial(coeffs, c=0.5)
         n = np.array([[3, 4, 5], [16, 256, 10_000]])
         rn = microscopic_scale(Q, 0.5, n)
         assert rn.shape == n.shape
@@ -160,16 +160,11 @@ class TestMicroscopicScale:
 
     def test_charge_mass_balance_by_quadrature(self):
         # n * (mass of Delta Q inside r_n) recovers 1 + c
-        Q = radial({1: 1.0, 2: 1.0})
         c, n = 0.5, 50
+        Q = radial({1: 1.0, 2: 1.0}, c)
         rn = microscopic_scale(Q, c, n)
         mass, _ = quad(lambda r: 2.0 * r * Q.laplacian_radial(r), 0.0, rn)
         assert n * mass == pytest.approx(1.0 + c, abs=1e-10)
-
-    def test_charge_from_argument(self):
-        # the c argument, not the potential's own charge, sets the scale
-        Q = radial({1: 1.0}, c=0.0)
-        assert microscopic_scale(Q, 1.0, 100) == pytest.approx(math.sqrt(0.02), rel=1e-12)
 
     @pytest.mark.parametrize("coeffs", [{1: 1.0}, {2: 1.0}, {1: 1.0, 2: 1.0}, {2: 1.0, 3: 1.0}])
     @pytest.mark.parametrize("c", [-0.5, 0.0, 1.0])
@@ -177,8 +172,8 @@ class TestMicroscopicScale:
     def test_matches_the_mode_of_the_first_norm(self, coeffs, c, n):
         # row 0 of the finite-n norms peaks where n r Q'(r) = 2c + 2: the same equation,
         # solved by the same solver, gives the same bits
-        Q = radial(coeffs)
-        t_star = _rows(Q, c, n)[1][0]
+        Q = radial(coeffs, c)
+        t_star = _rows(Q, n)[1][0]
         assert microscopic_scale(Q, c, n) == float(np.exp(t_star))
 
     @given(
@@ -188,7 +183,7 @@ class TestMicroscopicScale:
         st.integers(min_value=4, max_value=10_000),
     )
     def test_homogeneous_exactness(self, k, c, a, n):
-        Q = radial({k: a})
+        Q = radial({k: a}, c)
         tau0 = (a * k) ** (-1.0 / (2 * k))
         want = tau0 * ((1.0 + c) / n) ** (1.0 / (2 * k))
         assert microscopic_scale(Q, c, n) == pytest.approx(want, rel=1e-12)
@@ -205,7 +200,7 @@ class TestAsymptotics:
         assert rep.bound_ok
 
     def test_homogeneous_deviation_is_zero(self):
-        rep = microscale_asymptotic_check(radial({2: 1.0}), 1.0, [10, 100, 1000])
+        rep = microscale_asymptotic_check(radial({2: 1.0}, c=1.0), 1.0, [10, 100, 1000])
         assert np.max(np.abs(rep.en)) < 1e-11
         assert rep.bound_ok
 
@@ -230,7 +225,7 @@ class TestAsymptotics:
             return solve(Q, m)
 
         monkeypatch.setattr(equilibrium, "_ln_mass_roots", counted)
-        Q = radial({1: 1.0, 2: 1.0})
+        Q = radial({1: 1.0, 2: 1.0}, c=0.5)
         rep = microscale_asymptotic_check(Q, 0.5, [16, 64, 256])
         # one solver call, for the droplet and every n at once
         assert len(calls) == 1 and calls[0].size == 4

@@ -39,14 +39,14 @@ class TestFiniteMoments:
 
     def test_gaussian_norms_with_charge(self):
         n = 6
-        fk = finite_moments(radial({1: 1.0}), 1.0, n)
+        fk = finite_moments(radial({1: 1.0}, c=1.0), 1.0, n)
         for j in range(n):
             want = math.factorial(j + 1) / n ** (j + 2)
             assert math.exp(fk.log_norms[j]) == pytest.approx(want, rel=1e-12)
 
     def test_gaussian_norms_negative_charge(self):
         n = 5
-        fk = finite_moments(radial({1: 1.0}), -0.5, n)
+        fk = finite_moments(radial({1: 1.0}, c=-0.5), -0.5, n)
         for j in range(n):
             want = math.exp(gammaln(j + 0.5) - (j + 0.5) * math.log(n))
             assert math.exp(fk.log_norms[j]) == pytest.approx(want, rel=1e-12)
@@ -62,7 +62,7 @@ class TestFiniteMoments:
         with pytest.raises(ConfigError):
             finite_moments(radial({1: 1.0}), 0.0, 0)
         with pytest.raises(ConfigError):
-            finite_moments(radial({1: 1.0}), -1.0, 4)
+            radial({1: 1.0}, c=-1.0)
         herm = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={(1, 1): 1.0})
         with pytest.raises(ConfigError):
             finite_moments(herm, 0.0, 4)
@@ -107,7 +107,7 @@ class TestNormOracles:
     def test_homogeneous_gamma_closed_form(self, k, c, n):
         # Q = a r^{2k}: m_j = (1/k) (n a)^{-(j+c+1)/k} Gamma((j+c+1)/k)
         a = 0.8
-        fk = finite_moments(radial({k: a}), c, n)
+        fk = finite_moments(radial({k: a}, c), c, n)
         p = (np.arange(n) + c + 1.0) / k
         want = -p * math.log(n * a) - math.log(k) + gammaln(p)
         np.testing.assert_allclose(np.exp(fk.log_norms - want), 1.0, rtol=1e-12, atol=0.0)
@@ -117,7 +117,7 @@ class TestNormOracles:
     @pytest.mark.parametrize("c", [-0.5, 0.75])
     @pytest.mark.parametrize("n", [1, 16, 64])
     def test_inhomogeneous_adaptive_quadrature(self, coeffs, c, n):
-        fk = finite_moments(radial(coeffs), c, n)
+        fk = finite_moments(radial(coeffs, c), c, n)
         want = np.array([_quad_log_norm(coeffs, c, n, j) for j in range(n)])
         np.testing.assert_allclose(np.exp(fk.log_norms - want), 1.0, rtol=1e-12, atol=0.0)
         assert fk.error_estimate <= 1e-12
@@ -138,9 +138,9 @@ class TestIntensity:
             assert intensity(fk, 0.0) == pytest.approx(n, rel=1e-12)
 
     def test_origin_branches(self):
-        fkp = finite_moments(radial({1: 1.0}), 1.0, 4)
+        fkp = finite_moments(radial({1: 1.0}, c=1.0), 1.0, 4)
         assert intensity(fkp, 0.0) == 0.0
-        fkn = finite_moments(radial({1: 1.0}), -0.5, 4)
+        fkn = finite_moments(radial({1: 1.0}, c=-0.5), -0.5, 4)
         with pytest.raises(DivergenceError):
             intensity(fkn, 0.0)
 
@@ -152,13 +152,13 @@ class TestIntensity:
         assert intensity(fk, x) == pytest.approx(direct, rel=1e-12)
 
     def test_depends_on_modulus_only(self):
-        fk = finite_moments(radial({1: 1.0, 2: 0.5}), 0.5, 5)
+        fk = finite_moments(radial({1: 1.0, 2: 0.5}, c=0.5), 0.5, 5)
         assert intensity(fk, 0.3 + 0.4j) == pytest.approx(intensity(fk, 0.5), rel=1e-14)
 
     def test_single_point_exact_density(self):
         # n = 1: the intensity is the normalized weight itself
-        Q = radial({1: 1.0, 2: 1.0})
         c, x = 0.3, 0.7
+        Q = radial({1: 1.0, 2: 1.0}, c)
         fk = finite_moments(Q, c, 1)
         m0, _ = quad(lambda r: 2.0 * r ** (2 * c + 1) * math.exp(-Q.q_of_r(r)), 0.0, np.inf)
         want = x ** (2 * c) * math.exp(-Q.q_of_r(x)) / m0
@@ -191,7 +191,7 @@ class TestArrayEvaluation:
         r = np.array([0.0, 1.0])
         assert truncated_series_r0(1, 0.0, 1.0, 5, r)[0] == pytest.approx(1.0, rel=1e-13)
         assert truncated_series_r0(1, 1.0, 1.0, 5, r).tolist() == [0.0, truncated_series_r0(1, 1.0, 1.0, 5, 1.0)]
-        fkn = finite_moments(radial({1: 1.0}), -0.5, 4)
+        fkn = finite_moments(radial({1: 1.0}, c=-0.5), -0.5, 4)
         with pytest.raises(DivergenceError):
             intensity(fkn, np.array([0.5, 0.0]))
         with pytest.raises(DivergenceError):
@@ -265,10 +265,10 @@ class TestMassIntegral:
     def test_solves_the_last_row_only(self, monkeypatch):
         from focklab import finite_kernel
 
-        Qn, _ = normalize_potential(radial({1: 1.0, 2: 1.0}), 1, 0.5)
+        Qn, _ = normalize_potential(radial({1: 1.0, 2: 1.0}, c=0.5), 1, 0.5)
         fk = finite_moments(Qn, 0.5, 16)
         # the partition the last of all 16 solved rows gives, before any solver call is counted
-        _, t_star, sigma, S = finite_kernel._rows(Qn, 0.5, 16)
+        _, t_star, sigma, S = finite_kernel._rows(Qn, 16)
         s = np.linspace(-S[-1], S[-1], 2 * math.ceil(S[-1]) + 1)
         edges = np.concatenate(([0.0], np.exp(t_star[-1] + sigma[-1] * np.sinh(s))))
         want = float(np.sum(finite_kernel._bin_integrals(fk, edges[:-1], edges[1:], 1e-8, pooled=True)))
@@ -384,6 +384,23 @@ class TestConvergenceReport:
         # the scales are those of separate calls, bit for bit
         Qn, _ = normalize_potential(Q, 1, 0.5)
         np.testing.assert_array_equal(rep.rn, [microscopic_scale(Qn, 0.5, n) for n in (10, 20, 40)])
+
+    # Q = r^{2k} + q_p r^p: the rescaled correction n Q1(r_n z) ~ n r_n^p gives sup_err ~ n^{-q},
+    # q = (p-2k)/(2k), and the next one n^{-2q}.  So the local slopes of ln sup_err on ln n,
+    # at the geometric midpoints n_mid, run as -q + B n_mid^{-q}: the fit's intercept is the rate.
+    @pytest.mark.parametrize("coeffs,c,p", [({1: 1.0, 2: 1.0}, 0.5, 4), ({1: 1.0, 2: 1.0}, 0.0, 4),
+                                            ({1: 1.0, 3: 0.5}, 1.0, 6), ({2: 1.0, 3: 1.0}, 0.5, 6),
+                                            ({2: 1.0, 3: 1.0}, -0.5, 6)])
+    def test_rate_of_convergence(self, coeffs, c, p):
+        k = min(coeffs)
+        q = (p - 2 * k) / (2 * k)
+        n = 64 * 2 ** np.arange(6)
+        # the grid stays inside the rescaled n-point droplet at the smallest n
+        rep = convergence_report(radial(coeffs, c), n, np.linspace(0.05, 3.0 if k == 1 else 1.5, 120))
+        slopes = np.diff(np.log(rep.sup_err)) / np.diff(np.log(n))
+        n_mid = np.sqrt(n[1:] * n[:-1])
+        _, intercept = np.polyfit(n_mid ** -q, slopes, 1)
+        assert abs(intercept + q) <= 0.03
 
 
 _BAND_REASON = (

@@ -12,8 +12,12 @@ from focklab import (
     MicroscopicPotential,
     canonical_decompose,
     detect_k,
+    finite_moments,
     load_potential_config,
+    microscale_asymptotic_check,
+    microscopic_scale,
     normalize_potential,
+    sample_radial_exact,
 )
 
 TWIST = {(1, 1): 1.0, (2, 0): 0.3, (0, 2): 0.3}
@@ -237,6 +241,31 @@ class TestNormalizePotential:
         assert Qn.radial_coeffs[k] == pytest.approx((1 + c) / k, rel=1e-13)
 
 
+# the five functions that still take a charge argument; Q.c is the charge, and the argument may
+# only repeat it.  The expected values pin the results at c = Q.c, so the check changes no number.
+CHARGED = MacroscopicPotential(kind="radial", c=1.0, radial_coeffs={1: 1.0, 2: 0.5})
+CHARGED_CALLS = {
+    "normalize_potential": (lambda c: normalize_potential(CHARGED, 1, c)[1], 2.0),
+    "finite_moments": (lambda c: finite_moments(CHARGED, c, 3).log_norms,
+                       [-2.7597090896635974, -3.6231840990840967, -4.166318309119602]),
+    "microscopic_scale": (lambda c: microscopic_scale(CHARGED, c, 100), 0.1400544261016523),
+    "microscale_asymptotic_check": (lambda c: microscale_asymptotic_check(CHARGED, c, [10, 100]).en,
+                                    [-0.07582362816955523, -0.009665655683314678]),
+    "sample_radial_exact": (lambda c: sample_radial_exact(CHARGED, c, 3, 7, 2),
+                            [[0.6799896873866723, 0.8840255639288508, 0.7339139732699613],
+                             [0.8784050753060662, 0.5913700942122961, 1.0378543190694653]]),
+}
+
+
+class TestChargeLivesOnQ:
+    @pytest.mark.parametrize("name", sorted(CHARGED_CALLS))
+    def test_charge_argument_must_repeat_q_c(self, name):
+        call, want = CHARGED_CALLS[name]
+        np.testing.assert_allclose(call(1.0), want, rtol=1e-14, atol=0.0)
+        with pytest.raises(ConfigError, match=r"c=0\.0 differs from .* Q\.c=1\.0"):
+            call(0.0)
+
+
 class TestLoadPotentialConfig:
     def test_radial_round_trip(self, tmp_path):
         doc = {"kind": "radial", "c": 1.0, "radial_coeffs": [[1, 1.0], [2, 0.5]]}
@@ -252,6 +281,17 @@ class TestLoadPotentialConfig:
              "hermitian_coeffs": [[1, 1, 1.0, 0.0], [2, 0, 0.3, 0.1]]}
         )
         assert Q.hermitian_coeffs[(0, 2)] == pytest.approx(complex(0.3, -0.1))
+
+    def test_diagonal_hermitian_rows_are_radial(self):
+        # zero rows drop out; what is left is a_ii |z|^{2i} alone, the radial weight {i: a_ii}
+        Q = load_potential_config({"kind": "hermitian", "c": 0.5, "k": 1, "hermitian_coeffs": [
+            [1, 1, 1.0, 0.0], [2, 2, 0.5, 0.0], [2, 0, 0.0, 0.0]]})
+        assert Q == MacroscopicPotential(kind="radial", c=0.5, radial_coeffs={1: 1.0, 2: 0.5})
+
+    @pytest.mark.parametrize("rows", [[[1, 1, 1.0, 0.2]], [[1, 1, 0.0, 0.0]]], ids=["imaginary", "zero"])
+    def test_diagonal_hermitian_rows_still_validated(self, rows):
+        with pytest.raises(ConfigError):
+            load_potential_config({"kind": "hermitian", "hermitian_coeffs": rows})
 
     def test_stated_k_validated(self):
         doc = {"kind": "radial", "c": 0.0, "radial_coeffs": [[2, 1.0]], "k": 1}
