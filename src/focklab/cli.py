@@ -208,22 +208,7 @@ def cmd_verify_thm1(args) -> int:
         u = np.linspace(4.0, 16.0, 25)
         grid = (u / a) ** (1.0 / (2 * k))
     rep = decay_report(k, c, a, grid)
-    doc = {
-        "k": rep.k,
-        "c": rep.c,
-        "amplitude": rep.amplitude,
-        "n_used": rep.n_used,
-        "n_excluded": rep.n_excluded,
-        "identically_zero": rep.identically_zero,
-        "fit_ok": rep.fit_ok,
-        "slope": rep.slope,
-        "slope_raw": rep.slope_raw,
-        "ln_power": rep.ln_power,
-        "intercept": rep.intercept,
-        "alpha": rep.alpha,
-        "u": rep.u,
-        "rel_err": rep.rel_err,
-    }
+    doc = {key: v for key, v in vars(rep).items() if key not in ("r", "usable")}
     if rep.identically_zero:
         doc["verdict"] = "identically zero error"
         doc["exit_status"] = 0
@@ -259,7 +244,7 @@ def cmd_rescale(args) -> int:
     Rn = {n: rep.values[row[n]] for n in n_list}
     a_micro = (1.0 + rep.c) / rep.k
     identity = None
-    if set(m for m, q in Q.radial_coeffs.items() if q != 0.0) == {rep.k}:
+    if set(Q.radial_coeffs) == {rep.k}:
         identity = {}
         for n in n_list:
             series = truncated_series_r0(rep.k, rep.c, a_micro, n, rep.z)

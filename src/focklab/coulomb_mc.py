@@ -43,10 +43,9 @@ def _site_energy(potential: MacroscopicPotential, n: int, z: np.ndarray) -> np.n
 
     Callers silence numpy's divide-by-zero warning there.
     """
-    r = np.abs(z)
-    val = n * (potential.q_of_r(r) if potential.kind == "radial" else potential.value(z))
+    val = n * potential.value(z)
     if potential.c != 0.0:
-        val = val - 2.0 * potential.c * np.log(r)
+        val = val - 2.0 * potential.c * np.log(np.abs(z))
     return val
 
 

@@ -9,9 +9,10 @@ All types are immutable value objects; all operations are pure.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +88,7 @@ def _check_hermitian(coeffs: dict[tuple[int, int], complex]) -> None:
     scale = max((abs(a) for a in coeffs.values()), default=0.0)
     for (i, j), a in coeffs.items():
         b = coeffs.get((j, i), 0.0)
-        if abs(a - np.conj(b)) > 1e-12 * max(1.0, scale):
+        if abs(a - b.conjugate()) > 1e-12 * max(1.0, scale):
             raise ConfigError(
                 f"coefficients not Hermitian: a[{i},{j}]={a} vs conj(a[{j},{i}])={b}"
             )
@@ -164,10 +165,14 @@ class MicroscopicPotential:
 
 @dataclass(frozen=True)
 class MacroscopicPotential:
-    """Droplet-scale potential: radial Q(r) = sum q_m r^{2m} or a Hermitian Taylor model.
+    """Droplet-scale potential Q = Re sum a_ij z^i conj(z)^j with origin charge c (h0 = 0 in this package).
 
-    Carries the origin charge c; the smooth perturbation h0 is identically
-    zero in this package.
+    Spelled radially, radial_coeffs={m: q_m} is Q(r) = sum q_m r^{2m}, or as
+    hermitian_coeffs={(i, j): a_ij}.  Either way Q keeps one Hermitian map of
+    finite nonzero terms, hermitian_coeffs, with integer indices >= 0, no
+    constant term and a top-degree part positive definite relative to its
+    largest coefficient.  kind is "radial" when every term is some |z|^{2m},
+    with radial_coeffs = {m: Re a_mm}; else kind is "hermitian", radial_coeffs None.
     """
 
     kind: str
@@ -180,45 +185,35 @@ class MacroscopicPotential:
             raise ConfigError(f"kind must be 'radial' or 'hermitian', got {self.kind!r}")
         if not -1 < self.c < math.inf:
             raise ConfigError(f"c must be finite and > -1, got {self.c}")
-        values = [*(self.radial_coeffs or {}).values(), *(self.hermitian_coeffs or {}).values()]
-        if not np.all(np.isfinite(values)):
-            raise ConfigError(f"coefficients must be finite, got {values}")
+        spelled = self.radial_coeffs if self.kind == "radial" else self.hermitian_coeffs
+        if not spelled or self.radial_coeffs and self.hermitian_coeffs:
+            raise ConfigError(f"a {self.kind} potential needs {self.kind}_coeffs and no other coefficients")
         if self.kind == "radial":
-            if not self.radial_coeffs:
-                raise ConfigError("radial potential needs radial_coeffs")
-            if self.hermitian_coeffs:
-                raise ConfigError("radial potential must not carry hermitian_coeffs")
-            for m, q in self.radial_coeffs.items():
-                if not (isinstance(m, int) and m >= 1):
-                    raise ConfigError(f"radial power index must be an integer >= 1, got {m}")
-            top = max(self.radial_coeffs)
-            if not self.radial_coeffs[top] > 0:
-                raise ConfigError("leading radial coefficient must be positive (growth)")
-        else:
-            if not self.hermitian_coeffs:
-                raise ConfigError("hermitian potential needs hermitian_coeffs")
-            if self.radial_coeffs:
-                raise ConfigError("hermitian potential must not carry radial_coeffs")
-            for (i, j), a in self.hermitian_coeffs.items():
-                if i < 0 or j < 0:
-                    raise ConfigError(f"bad coefficient index ({i},{j})")
-                if i == j == 0 and abs(a) > 0:
-                    raise ConfigError("potential must vanish at 0 (no constant term)")
-            _check_hermitian(self.hermitian_coeffs)
-            top_deg = max((i + j for (i, j), a in self.hermitian_coeffs.items() if abs(a) > 0), default=0)
-            top = {
-                (i, j): a for (i, j), a in self.hermitian_coeffs.items() if i + j == top_deg
-            }
-            if top_deg % 2 != 0 or not _angular_minimum(top)[1] > _PD_THRESHOLD:
-                raise ConfigError("leading homogeneous part must be positive definite (growth)")
+            spelled = {(m, m): complex(q) for m, q in spelled.items()}
+        if not all(map(cmath.isfinite, spelled.values())):
+            raise ConfigError(f"coefficients must be finite, got {spelled}")
+        taylor = {ij: a for ij, a in spelled.items() if a != 0}
+        if any(not isinstance(i, int) or i < 0 for ij in taylor for i in ij):
+            raise ConfigError(f"coefficient indices must be integers >= 0, got {list(taylor)}")
+        if not taylor or (0, 0) in taylor:
+            raise ConfigError("potential needs a nonzero term and must vanish at 0 (no constant term)")
+        _check_hermitian(taylor)
+        top_deg = max(i + j for i, j in taylor)
+        top = {(i, j): a for (i, j), a in taylor.items() if i + j == top_deg}
+        # a diagonal top part is the one term a_mm |z|^{2m}: its minimum on the circle is Re a_mm
+        q_min = sum(top.values()).real if all(i == j for i, j in top) else _angular_minimum(top)[1]
+        if not q_min > _PD_THRESHOLD * max(abs(a) for a in top.values()):
+            raise ConfigError("leading homogeneous part must be positive definite (growth)")
+        radial = all(i == j for i, j in taylor)
+        object.__setattr__(self, "kind", "radial" if radial else "hermitian")
+        object.__setattr__(self, "radial_coeffs", {i: a.real for (i, _), a in taylor.items()} if radial else None)
+        object.__setattr__(self, "hermitian_coeffs", taylor)
 
     # --- evaluation ---------------------------------------------------
 
     def value(self, zeta: complex | np.ndarray) -> float | np.ndarray:
         """Q(zeta), the smooth part only (no charges); float in, float out, arrays elementwise."""
-        if self.kind == "radial":
-            return self.q_of_r(abs(zeta))
-        return _hermitian_value(self.hermitian_coeffs, zeta)
+        return self.q_of_r(np.abs(zeta)) if self.kind == "radial" else _hermitian_value(self.hermitian_coeffs, zeta)
 
     def q_of_r(self, r: float | np.ndarray) -> float | np.ndarray:
         """Q(r) = sum q_m r^{2m}; like the two below, float in, float out, arrays elementwise."""
@@ -237,16 +232,10 @@ class MacroscopicPotential:
         v = sum(q * m * m * r ** (2 * m - 2) for m, q in self.radial_coeffs.items())
         return v if isinstance(v, np.ndarray) else float(v)
 
-    def taylor_coeffs(self) -> dict[tuple[int, int], complex]:
-        if self.kind == "radial":
-            return {(m, m): complex(q) for m, q in self.radial_coeffs.items()}
-        return dict(self.hermitian_coeffs)
-
     def scaled(self, factor: float) -> "MacroscopicPotential":
         """factor * Q at the same charge."""
-        if self.kind == "radial":
-            return replace(self, radial_coeffs={m: factor * q for m, q in self.radial_coeffs.items()})
-        return replace(self, hermitian_coeffs={ij: factor * a for ij, a in self.hermitian_coeffs.items()})
+        return MacroscopicPotential("hermitian", self.c, hermitian_coeffs={
+            ij: factor * a for ij, a in self.hermitian_coeffs.items()})
 
     def _require_radial(self) -> None:
         if self.kind != "radial":
@@ -269,11 +258,10 @@ class CanonicalDecomposition:
 
 def detect_k(Q: MacroscopicPotential) -> int:
     """Smallest k with a nonzero, positive definite degree-(2k-2) leading part of Delta Q."""
-    lap = _laplacian_coeffs(Q.taylor_coeffs())
-    degrees = sorted({i + j for (i, j), a in lap.items() if abs(a) > 0})
-    if not degrees:
+    lap = _laplacian_coeffs(Q.hermitian_coeffs)  # no zero terms: (i, j) -> (i-1, j-1) maps none together
+    if not lap:
         raise ConfigError("Delta Q vanishes at 0 to the available order")
-    d = degrees[0]
+    d = min(i + j for i, j in lap)
     leading = {(i, j): a for (i, j), a in lap.items() if i + j == d}
     if d % 2 != 0 or not _angular_minimum(leading)[1] > _PD_THRESHOLD:
         raise ConfigError("indefinite leading part of Delta Q at 0")
@@ -282,8 +270,8 @@ def detect_k(Q: MacroscopicPotential) -> int:
 
 def canonical_decompose(Q: MacroscopicPotential, k: int) -> CanonicalDecomposition:
     """Split Q into Q0 (homogeneous 2k, mixed terms), Re H (pure terms), and Q1."""
-    taylor = Q.taylor_coeffs()
-    max_deg = max((i + j for (i, j), a in taylor.items() if abs(a) > 0), default=0)
+    taylor = Q.hermitian_coeffs
+    max_deg = max(i + j for i, j in taylor)
     if max_deg < 2 * k:
         raise ConfigError(f"potential has degree {max_deg} < 2k = {2 * k}")
     scale = max(abs(a) for a in taylor.values())
@@ -291,8 +279,6 @@ def canonical_decompose(Q: MacroscopicPotential, k: int) -> CanonicalDecompositi
     q0_coeffs: dict[tuple[int, int], complex] = {}
     q1_coeffs: dict[tuple[int, int], complex] = {}
     for (i, j), a in taylor.items():
-        if abs(a) == 0:
-            continue
         deg = i + j
         if deg <= 2 * k and j == 0:
             h_coeffs[i] = 2.0 * complex(a)
@@ -372,9 +358,10 @@ def load_potential_config(source: str | Path | dict) -> MacroscopicPotential:
              "radial_coeffs": [[m, q_m], ...] or
              "hermitian_coeffs": [[i, j, re, im], ...], "k": optional int}
     Any other key is refused.  Powers and indices are integers, every
-    number is finite, and rows with the same power or index add up.  A
-    Hermitian config whose nonzero rows are all diagonal is the radial
-    potential {i: a_ii}.  A stated "k" is validated against detect_k.
+    number is finite, and rows with the same power or index add up.  As
+    in MacroscopicPotential, zero rows drop out and a config whose terms
+    are all |z|^{2i} is radial in either spelling.  A stated "k" is
+    validated against detect_k.
     """
     if isinstance(source, dict):
         doc = source
@@ -401,12 +388,8 @@ def load_potential_config(source: str | Path | dict) -> MacroscopicPotential:
         hcoeffs: dict[tuple[int, int], complex] = {}
         for i, j, re, im in _rows(doc, "hermitian_coeffs"):
             hcoeffs[(i, j)] = hcoeffs.get((i, j), 0.0) + complex(re, im)
-        for (i, j), a in list(hcoeffs.items()):
-            hcoeffs.setdefault((j, i), complex(np.conj(a)))
+        hcoeffs |= {(j, i): a.conjugate() for (i, j), a in hcoeffs.items() if (j, i) not in hcoeffs}
         pot = MacroscopicPotential(kind="hermitian", c=c, hermitian_coeffs=hcoeffs)
-        rows = {ij: a for ij, a in hcoeffs.items() if a != 0}
-        if all(i == j for i, j in rows):  # |z|^{2i} terms alone, each a_ii real once validated
-            pot = MacroscopicPotential(kind="radial", c=c, radial_coeffs={i: a.real for (i, _), a in rows.items()})
     else:
         raise ConfigError(f"config kind must be 'radial' or 'hermitian', got {kind!r}")
     if doc.get("k") is not None:

@@ -64,7 +64,7 @@ class TestDropletRadius:
         assert abs(R / mp_mass_root(coeffs, 1) - 1) <= 1e-15
 
     def test_requires_radial(self):
-        Q = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={(1, 1): 1.0})
+        Q = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={(1, 1): 1.0, (2, 0): 0.2, (0, 2): 0.2})
         with pytest.raises(ConfigError):
             droplet_radius(Q)
 

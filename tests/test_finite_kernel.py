@@ -63,7 +63,7 @@ class TestFiniteMoments:
             finite_moments(radial({1: 1.0}), 0.0, 0)
         with pytest.raises(ConfigError):
             radial({1: 1.0}, c=-1.0)
-        herm = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={(1, 1): 1.0})
+        herm = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={(1, 1): 1.0, (2, 0): 0.2, (0, 2): 0.2})
         with pytest.raises(ConfigError):
             finite_moments(herm, 0.0, 4)
 

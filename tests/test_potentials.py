@@ -7,16 +7,19 @@ from hypothesis import given, strategies as st
 
 from focklab import (
     ConfigError,
+    EnsembleConfig,
     HomogeneousHermitianPoly,
     MacroscopicPotential,
     MicroscopicPotential,
     canonical_decompose,
     detect_k,
+    droplet_radius,
     finite_moments,
     load_potential_config,
     microscale_asymptotic_check,
     microscopic_scale,
     normalize_potential,
+    run_mcmc,
     sample_radial_exact,
 )
 
@@ -152,6 +155,47 @@ class TestMacroscopicPotential:
         # abs(NaN) > 0 is False, so an unchecked NaN term would drop out of the Taylor map
         with pytest.raises(ConfigError, match="must be finite"):
             MacroscopicPotential(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(kind="radial", c=0.0, radial_coeffs={1.5: 1.0, 2: 1.0}),
+        dict(kind="hermitian", c=0.0, hermitian_coeffs={(0.5, 0.5): 1.0, (1, 1): 1.0}),
+        dict(kind="hermitian", c=0.0, hermitian_coeffs={(1, 1): 1.0, (-1, 3): 0.1, (3, -1): 0.1}),
+    ], ids=["radial-half-power", "hermitian-half-index", "hermitian-negative-index"])
+    def test_rejects_non_integer_or_negative_indices(self, kw):
+        # |z| + |z|^2 spelled {(0.5, 0.5): 1, (1, 1): 1} is no Taylor model; detect_k would read k = 1
+        with pytest.raises(ConfigError, match="indices must be integers >= 0"):
+            MacroscopicPotential(**kw)
+
+    def test_both_spellings_are_one_potential(self):
+        # r^2 + 0.5 r^4 at c = 0.5: |z|^{2m} terms alone are radial whichever spelling built them
+        radial = MacroscopicPotential(kind="radial", c=0.5, radial_coeffs={1: 1.0, 2: 0.5})
+        herm = MacroscopicPotential(kind="hermitian", c=0.5, hermitian_coeffs={(1, 1): 1.0, (2, 2): 0.5})
+        assert herm == radial
+        assert herm.kind == "radial" and herm.radial_coeffs == {1: 1.0, 2: 0.5}
+        assert radial.hermitian_coeffs == {(1, 1): 1.0, (2, 2): 0.5}
+        assert droplet_radius(herm) == droplet_radius(radial)
+        np.testing.assert_array_equal(finite_moments(herm, 0.5, 8).log_norms,
+                                      finite_moments(radial, 0.5, 8).log_norms)
+        runs = [run_mcmc(EnsembleConfig(n=6, potential=Q, bin_edges=np.linspace(0.0, 2.0, 9),
+                                        sweeps=40, burn_in=10, seed=5)) for Q in (herm, radial)]
+        np.testing.assert_array_equal(runs[0].histogram.counts, runs[1].histogram.counts)
+        assert (runs[0].acceptance_rate, runs[0].delta_final) == (runs[1].acceptance_rate, runs[1].delta_final)
+
+    def test_growth_is_relative_to_the_top_part(self):
+        # a zero row is no term, so [2, 0.0] is not the top power: r^2 in either spelling
+        zero_top = load_potential_config({"kind": "radial", "c": 1.0, "radial_coeffs": [[1, 1.0], [2, 0.0]]})
+        assert zero_top.radial_coeffs == {1: 1.0}
+        assert zero_top == load_potential_config(
+            {"kind": "hermitian", "c": 1.0, "hermitian_coeffs": [[1, 1, 1.0, 0.0], [2, 2, 0.0, 0.0]]})
+        # r^2 + 1e-12 r^4, and its top part twisted by 2e-13 Re(z^3 conj z): tiny, but positive definite
+        # relative to its own scale in either spelling
+        MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: 1e-12})
+        twisted = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={
+            (1, 1): 1.0, (2, 2): 1e-12, (3, 1): 1e-13, (1, 3): 1e-13})
+        assert twisted.kind == "hermitian" and detect_k(twisted) == 1
+        # a lone (3, 1) term passes the Hermitian tolerance, but its profile 1e-13 cos 2t is indefinite
+        with pytest.raises(ConfigError, match="positive definite"):
+            MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={(1, 1): 1.0, (3, 1): 1e-13})
 
     def test_no_constant_term(self):
         with pytest.raises(ConfigError):
