@@ -5,7 +5,12 @@ V0 = Q0 - 2c log|z| (Q0 positive definite homogeneous of degree 2k,
 c > -1), its finite-n determinantal approximants, the equilibrium
 quantities that set the microscopic scale, and a Metropolis sampler for
 cross-validation.  The command line entry point is ``focklab``.
+
+``import focklab`` loads the errors and the potential types only; every
+other public name imports its module the first time it is used.
 """
+
+from importlib import import_module
 
 from .errors import (
     ConfigError,
@@ -26,49 +31,38 @@ from .potentials import (
     load_potential_config,
     normalize_potential,
 )
-from .radial_bergman import (
-    DecayReport,
-    bergman_function_r0,
-    decay_report,
-    delta_q0,
-    disk_mass,
-    moments,
-    origin_coefficient,
-)
-from .general_bergman import (
-    MomentMatrix,
-    TruncatedKernel,
-    bergman_density,
-    moment_matrix,
-    truncated_kernel,
-)
-from .equilibrium import (
-    AsymptoticReport,
-    droplet_radius,
-    microscale_asymptotic_check,
-    microscopic_scale,
-    modulus_tau0,
-)
-from .finite_kernel import (
-    ConvergenceReport,
-    FiniteKernel,
-    bin_averaged_intensity,
-    convergence_report,
-    finite_moments,
-    intensity,
-    mass_integral,
-    rescaled_intensity,
-    truncated_series_r0,
-)
-from .coulomb_mc import (
-    EnsembleConfig,
-    IntensityHistogram,
-    McmcResult,
-    delta_energy,
-    energy,
-    run_mcmc,
-    sample_radial_exact,
-)
+
+# public name -> the module that defines it, imported on first use
+_LAZY = {
+    name: module
+    for module, names in {
+        "radial_bergman": ("DecayReport", "bergman_function_r0", "decay_report", "delta_q0", "disk_mass",
+                           "moments", "origin_coefficient"),
+        "general_bergman": ("MomentMatrix", "TruncatedKernel", "bergman_density", "moment_matrix",
+                            "truncated_kernel"),
+        "equilibrium": ("AsymptoticReport", "droplet_radius", "microscale_asymptotic_check",
+                        "microscopic_scale", "modulus_tau0"),
+        "finite_kernel": ("ConvergenceReport", "FiniteKernel", "bin_averaged_intensity", "convergence_report",
+                          "finite_moments", "intensity", "mass_integral", "rescaled_intensity",
+                          "truncated_series_r0"),
+        "coulomb_mc": ("EnsembleConfig", "IntensityHistogram", "McmcResult", "delta_energy", "energy",
+                       "run_mcmc", "sample_radial_exact"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

@@ -34,12 +34,7 @@ from .potentials import (
     detect_k,
     load_potential_config,
 )
-from .radial_bergman import bergman_function_r0, decay_report, delta_q0
-from .general_bergman import _density_rows, moment_matrix, truncated_kernel
-from .equilibrium import droplet_radius, microscale_asymptotic_check
-from .finite_kernel import convergence_report, truncated_series_r0
-from .coulomb_mc import EnsembleConfig, run_mcmc
-from .svgplot import write_svg
+# each cmd_* imports the layers it runs, so a command loads those and no others
 
 __all__ = ["main", "build_parser", "parse_grid", "write_csv", "read_table"]
 
@@ -182,6 +177,8 @@ def _parse_n_list(text: str | None, default: list[int]) -> list[int]:
 
 
 def cmd_r0(args) -> int:
+    from .radial_bergman import bergman_function_r0, delta_q0
+
     p = _homogeneous(_potential(args)).q0
     if not p.is_radial:
         raise ConfigError("r0 requires a radial weight a r^{2k}; gram takes a Q0 with a mixed term")
@@ -198,6 +195,8 @@ def cmd_r0(args) -> int:
 
 
 def cmd_verify_thm1(args) -> int:
+    from .radial_bergman import decay_report
+
     p = _homogeneous(_potential(args)).q0
     if not p.is_radial:
         raise ConfigError("verify-thm1 requires a radial weight a r^{2k}")
@@ -232,6 +231,8 @@ def cmd_verify_thm1(args) -> int:
 
 
 def cmd_rescale(args) -> int:
+    from .finite_kernel import convergence_report, truncated_series_r0
+
     Q = _potential(args, radial=True)
     n_list = _parse_n_list(args.n_list, default=[16, 64, 256])
     grid = parse_grid(args.grid or "0.1:2:39")
@@ -267,6 +268,8 @@ def cmd_rescale(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
+    from .equilibrium import droplet_radius, microscale_asymptotic_check
+
     Q = _potential(args, radial=True)
     n_list = _parse_n_list(args.n_list, default=[100])
     rep = microscale_asymptotic_check(Q, Q.c, n_list)
@@ -290,6 +293,9 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .coulomb_mc import EnsembleConfig, run_mcmc
+    from .equilibrium import droplet_radius
+
     Q = _potential(args, radial=True)
     if args.n is None:
         raise ConfigError("sample requires --n (number of particles)")
@@ -341,6 +347,9 @@ _FIG1_CASES = [
 
 
 def cmd_fig1(args) -> int:
+    from .radial_bergman import bergman_function_r0
+    from .svgplot import write_svg
+
     r = np.linspace(0.0, 3.0, 241)
     cols, curves = [r], []
     for k, c, a, rmin, _, label in _FIG1_CASES:
@@ -356,6 +365,8 @@ def cmd_fig1(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    from .general_bergman import _density_rows, moment_matrix, truncated_kernel
+
     dec = _homogeneous(_potential(args))
     p = dec.q0
     grid = parse_grid(args.grid or "0:2:21")

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ConfigError
 from .potentials import MacroscopicPotential
 from .equilibrium import droplet_radius
-from .finite_kernel import _modulus_tables
 
 __all__ = [
     "EnsembleConfig",
@@ -291,6 +290,8 @@ def sample_radial_exact(Q: MacroscopicPotential, c: float, n: int, seed: int, dr
     monomial indices j = 0..n-1; each r_j is drawn from the CDF of ln r_j
     that finite_kernel tabulates on the grid of its norm m_j.
     """
+    from .finite_kernel import _modulus_tables
+
     Q._check_charge(c)
     rng = np.random.default_rng(seed)
     out = np.empty((draws, n))

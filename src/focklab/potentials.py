@@ -30,7 +30,8 @@ __all__ = [
     "load_potential_config",
 ]
 
-# positive-definiteness threshold for the angular minimum of Q0 on |z| = 1
+# positive-definiteness threshold for the angular minimum on |z| = 1 of a homogeneous part,
+# relative to the largest coefficient of that part
 _PD_THRESHOLD = 1e-10
 _ANGULAR_SCAN = 512
 
@@ -143,7 +144,7 @@ class MicroscopicPotential:
         if self.q0.degree != 2 * self.k:
             raise ConfigError(f"q0 degree {self.q0.degree} != 2k = {2 * self.k}")
         theta_min, q_min = self.q0.angular_minimum()
-        if not q_min > _PD_THRESHOLD:
+        if not q_min > _PD_THRESHOLD * max(map(abs, self.q0.coeffs.values()), default=0.0):
             raise ConfigError(
                 f"q0 not positive definite: min over the circle = {q_min:.3e} at theta={theta_min:.6f}"
             )
@@ -263,7 +264,7 @@ def detect_k(Q: MacroscopicPotential) -> int:
         raise ConfigError("Delta Q vanishes at 0 to the available order")
     d = min(i + j for i, j in lap)
     leading = {(i, j): a for (i, j), a in lap.items() if i + j == d}
-    if d % 2 != 0 or not _angular_minimum(leading)[1] > _PD_THRESHOLD:
+    if d % 2 != 0 or not _angular_minimum(leading)[1] > _PD_THRESHOLD * max(map(abs, leading.values())):
         raise ConfigError("indefinite leading part of Delta Q at 0")
     return d // 2 + 1
 
@@ -357,7 +358,8 @@ def load_potential_config(source: str | Path | dict) -> MacroscopicPotential:
     Schema: {"kind": "radial"|"hermitian", "c": float,
              "radial_coeffs": [[m, q_m], ...] or
              "hermitian_coeffs": [[i, j, re, im], ...], "k": optional int}
-    Any other key is refused.  Powers and indices are integers, every
+    Any other key, and the coefficients key of the other kind, is
+    refused.  Powers and indices are integers, every
     number is finite, and rows with the same power or index add up.  As
     in MacroscopicPotential, zero rows drop out and a config whose terms
     are all |z|^{2i} is radial in either spelling.  A stated "k" is
@@ -379,19 +381,22 @@ def load_potential_config(source: str | Path | dict) -> MacroscopicPotential:
         raise ConfigError(f"unknown potential config keys {unknown}; allowed are {sorted(_KEYS)}")
     kind = doc.get("kind")
     (c,) = _row([doc.get("c", 0.0)], "x", "c")
+    if kind not in ("radial", "hermitian"):
+        raise ConfigError(f"config kind must be 'radial' or 'hermitian', got {kind!r}")
+    other = "hermitian_coeffs" if kind == "radial" else "radial_coeffs"
+    if other in doc:
+        raise ConfigError(f"a {kind} config spells its terms in {kind}_coeffs and takes no {other}")
     if kind == "radial":
         coeffs: dict[int, float] = {}
         for m, q in _rows(doc, "radial_coeffs"):
             coeffs[m] = coeffs.get(m, 0.0) + q
         pot = MacroscopicPotential(kind="radial", c=c, radial_coeffs=coeffs)
-    elif kind == "hermitian":
+    else:
         hcoeffs: dict[tuple[int, int], complex] = {}
         for i, j, re, im in _rows(doc, "hermitian_coeffs"):
             hcoeffs[(i, j)] = hcoeffs.get((i, j), 0.0) + complex(re, im)
         hcoeffs |= {(j, i): a.conjugate() for (i, j), a in hcoeffs.items() if (j, i) not in hcoeffs}
         pot = MacroscopicPotential(kind="hermitian", c=c, hermitian_coeffs=hcoeffs)
-    else:
-        raise ConfigError(f"config kind must be 'radial' or 'hermitian', got {kind!r}")
     if doc.get("k") is not None:
         (stated,) = _row([doc["k"]], "i", "k")
         found = detect_k(pot)

@@ -367,7 +367,7 @@ class TestMain:
         def never(cfg):
             raise AssertionError("run_mcmc called")
 
-        monkeypatch.setattr("focklab.cli.run_mcmc", never)
+        monkeypatch.setattr("focklab.coulomb_mc.run_mcmc", never)
         monkeypatch.chdir(tmp_path)
         assert run(["sample", "--n", "16", "--c", "1", "--out", "absent/s"]) == 2
         assert capsys.readouterr().err.startswith("focklab: file error: ")
@@ -444,6 +444,15 @@ class TestWeightReader:
         (tmp_path / "q.json").write_text(json.dumps(doc))
         assert run(["equilibrium", "--coeffs-file", tmp_path / "q.json"]) == 2
         assert capsys.readouterr().err.startswith("focklab: config error: ")
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "radial", "radial_coeffs": [[1, 1.0]], "hermitian_coeffs": [[2, 0, 5.0, 0.0]]},
+        {"kind": "hermitian", "hermitian_coeffs": [[1, 1, 1.0, 0.0]], "radial_coeffs": [[2, 1.0]]},
+    ], ids=lambda doc: doc["kind"])
+    def test_other_spelling_is_a_config_error(self, doc, tmp_path, capsys):
+        (tmp_path / "q.json").write_text(json.dumps(doc))
+        assert run(["equilibrium", "--coeffs-file", tmp_path / "q.json"]) == 2
+        assert capsys.readouterr().err.startswith(f"focklab: config error: a {doc['kind']} config ")
 
     @pytest.mark.parametrize("argv", [["r0", "--c", "inf"], ["sample", "--n", "4", "--c", "inf"],
                                       ["gram", "--coeffs-file", "nan.json"]], ids=lambda argv: argv[0])
@@ -564,3 +573,47 @@ class TestImport:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         assert _child_stdout(code, cwd=tmp_path).splitlines()[-1] == "[]"
+
+    # the layers each README command loads besides focklab.cli, focklab.errors and focklab.potentials
+    LAYERS = {
+        "r0": ["radial_bergman"],
+        "verify-thm1": ["radial_bergman"],
+        "rescale": ["equilibrium", "finite_kernel", "radial_bergman"],
+        "equilibrium": ["equilibrium"],
+        "sample": ["coulomb_mc", "equilibrium"],
+        "fig1": ["radial_bergman", "svgplot"],
+        "gram": ["general_bergman"],
+    }
+
+    def test_import_loads_the_base_layer_and_names_load_on_first_use(self):
+        code = (
+            "import sys, focklab\n"
+            "print(sorted(m for m in sys.modules if m.startswith('focklab.')))\n"
+            "for name in set(focklab.__all__) - {'__version__'}:\n"
+            "    obj = getattr(focklab, name)\n"
+            "    assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+            "    assert obj.__module__.startswith('focklab.'), name\n"
+            "star = {}\n"
+            "exec('from focklab import *', star)\n"
+            "assert all(star[name] is getattr(focklab, name) for name in focklab.__all__)\n"
+            "assert set(focklab.__all__) <= set(dir(focklab))\n"
+            "try:\n"
+            "    focklab.nonexistent\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert _child_stdout(code).splitlines() == [
+            "['focklab.errors', 'focklab.potentials']", "module 'focklab' has no attribute 'nonexistent'"]
+
+    @pytest.mark.parametrize("line", TestReadmeExamples.LINES, ids=lambda line: line[1])
+    def test_each_command_loads_only_its_layers(self, line, tmp_path):
+        (config,) = _readme_blocks("json")
+        (tmp_path / "mixed.json").write_text(config, encoding="utf-8")
+        code = (
+            "import sys\n"
+            "from focklab.cli import main\n"
+            f"assert main({line[1:]!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('focklab.')))\n"
+        )
+        loaded = ["cli", "errors", "potentials", *self.LAYERS[line[1]]]
+        assert _child_stdout(code, cwd=tmp_path).splitlines()[-1] == str(sorted(f"focklab.{m}" for m in loaded))

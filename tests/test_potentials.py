@@ -197,6 +197,16 @@ class TestMacroscopicPotential:
         with pytest.raises(ConfigError, match="positive definite"):
             MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={(1, 1): 1.0, (3, 1): 1e-13})
 
+    def test_tiny_weight_is_accepted_by_every_check(self):
+        # positive definiteness is relative to the largest coefficient of the part tested, so the
+        # constructor, detect_k and the MicroscopicPotential of normalize_potential all take 1e-12 r^2
+        Q = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1e-12})
+        assert detect_k(Q) == 1
+        assert droplet_radius(Q) == pytest.approx(1e6, rel=1e-12)
+        scaled, lam = normalize_potential(Q, 1)
+        assert lam == pytest.approx(1e12, rel=1e-12) and scaled.radial_coeffs == {1: pytest.approx(1.0)}
+        assert canonical_decompose(Q, 1).q0.amplitude == 1e-12
+
     def test_no_constant_term(self):
         with pytest.raises(ConfigError):
             MacroscopicPotential(kind="hermitian", c=0.0,
@@ -372,6 +382,15 @@ class TestLoadPotentialConfig:
         doc = {"kind": "radial", "radial_coeffs": [[1, 1.0]], **change}
         with pytest.raises(ConfigError):
             load_potential_config({key: v for key, v in doc.items() if v is not None or key == "c"})
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "radial", "radial_coeffs": [[1, 1.0]], "hermitian_coeffs": [[2, 0, 5.0, 0.0]]},
+        {"kind": "hermitian", "hermitian_coeffs": [[1, 1, 1.0, 0.0]], "radial_coeffs": [[2, 1.0]]},
+    ], ids=lambda doc: doc["kind"])
+    def test_other_spelling_refused(self, doc):
+        # as MacroscopicPotential refuses both fields, a config is refused for the other kind's rows
+        with pytest.raises(ConfigError, match="takes no"):
+            load_potential_config(doc)
 
     def test_integral_floats_and_repeated_rows(self):
         Q = load_potential_config({"kind": "radial", "c": 1, "k": 2.0, "radial_coeffs": [[2.0, 1.0], [2, 0.5]]})
