@@ -110,6 +110,8 @@ class EnsembleConfig:
             raise ConfigError("sweeps >= 2, burn_in >= 0, thin >= 1 required")
         if not self.delta0 > 0:
             raise ConfigError("delta0 must be positive")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         edges = np.asarray(self.bin_edges, dtype=float)
         if (edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
                 or np.any(np.diff(edges) <= 0) or edges[0] < 0):

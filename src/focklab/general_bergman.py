@@ -27,12 +27,9 @@ COND_LIMIT = 1e12
 _ANGULAR_POINTS = 512
 
 
-def _assemble(p: MicroscopicPotential, N: int, M: int) -> np.ndarray:
-    theta = 2 * np.pi * np.arange(M) / M
-    q = p.q0.angular_profile(theta)
-    if np.any(q <= 0):
-        raise NumericalError("angular profile not positive on the quadrature grid")
-    k, c = p.k, p.c
+def _assemble(p: MicroscopicPotential, N: int, q: np.ndarray) -> np.ndarray:
+    """A_ij, i, j < N, from the angular profile q at theta = 2 pi m / M, m < M = q.size."""
+    k, c, M = p.k, p.c, q.size
     A = np.zeros((N, N), dtype=complex)
     for d in range(2 * N - 1):
         pw = (d + 2 * c + 2.0) / (2 * k)
@@ -49,12 +46,19 @@ def moment_matrix(p: MicroscopicPotential, N: int) -> "MomentMatrix":
 
     The angular factor uses periodic trapezoid quadrature (spectrally exact
     up to rounding for trigonometric-polynomial q) and is re-checked on a
-    doubled grid to 1e-12.
+    doubled grid to 1e-12.  An N whose moments pass the largest double is refused first.
     """
     if not (isinstance(N, int) and N >= 1):
         raise ConfigError(f"N must be an integer >= 1, got {N}")
-    A = _assemble(p, N, _ANGULAR_POINTS)
-    A2 = _assemble(p, N, 2 * _ANGULAR_POINTS)
+    q = p.q0.angular_profile(np.pi * np.arange(2 * _ANGULAR_POINTS) / _ANGULAR_POINTS)  # the grid is q[::2]
+    if not q.min() > 0:
+        raise NumericalError("angular profile not positive on the quadrature grid")
+    pw = (N + p.c) / p.k  # top moments: Gamma(pw)/k times means of q^-pw <= min(q)^-pw, doubled in A + A^H
+    log_gamma = math.lgamma(pw) - math.log(p.k)
+    if max(log_gamma, log_gamma + math.log(2.0) - pw * math.log(q.min())) > math.log(np.finfo(float).max):
+        raise NumericalError(f"moments of degree {2 * N - 2} overflow double precision at N={N}; reduce N")
+    A = _assemble(p, N, q[::2])
+    A2 = _assemble(p, N, q)
     scale = np.abs(A2).max()
     if np.abs(A - A2).max() > 1e-12 * scale:
         raise NumericalError("angular quadrature did not converge under grid doubling")

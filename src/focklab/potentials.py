@@ -4,7 +4,12 @@ A macroscopic potential Q acts at the droplet scale.  Near the origin it
 splits canonically as Q = Q0 + Re H + Q1 where Q0 is positive definite and
 homogeneous of degree 2k, H is a holomorphic polynomial of degree <= 2k,
 and Q1 = O(|z|^{2k+1}).  The microscopic model is V0 = Q0 - 2c log|z|.
-All types are immutable value objects; all operations are pure.
+Each rule on a weight has one check, which every type and routine applies:
+a coefficient map {(i, j): a_ij} is finite, Hermitian and has integer
+indices >= 0 (_check_coeff_map); a homogeneous part is positive definite
+when its minimum on |z| = 1 is above 1e-10 times its largest coefficient
+(_positive_definite); k is an integer >= 1 and -1 < c < inf
+(_check_exponents).  All types are immutable values; all operations are pure.
 """
 
 from __future__ import annotations
@@ -30,9 +35,7 @@ __all__ = [
     "load_potential_config",
 ]
 
-# positive-definiteness threshold for the angular minimum on |z| = 1 of a homogeneous part,
-# relative to the largest coefficient of that part
-_PD_THRESHOLD = 1e-10
+_PD_THRESHOLD = 1e-10  # see _positive_definite
 _ANGULAR_SCAN = 512
 
 
@@ -45,12 +48,8 @@ def _angular_values(coeffs: dict[tuple[int, int], complex], theta: np.ndarray, o
 
 
 def _angular_minimum(coeffs: dict[tuple[int, int], complex]) -> tuple[float, float]:
-    """Global minimum of the angular profile: 512-point scan plus Newton refinement.
-
-    Newton steps on q'/q'' start from the scan minimum and stop once a step
-    falls below 1e-15 or q'' <= 0; the scan point is kept unless the
-    refined point is lower.
-    """
+    """Global minimum of the angular profile: a 512-point scan, then Newton steps on q'/q'' until a
+    step is below 1e-15 or q'' <= 0; the scan point is kept unless the refined point is lower."""
     theta = np.linspace(0.0, 2 * np.pi, _ANGULAR_SCAN, endpoint=False)
     q = _angular_values(coeffs, theta)
     i0 = int(np.argmin(q))
@@ -85,14 +84,32 @@ def _laplacian_coeffs(coeffs: dict[tuple[int, int], complex]) -> dict[tuple[int,
     return out
 
 
-def _check_hermitian(coeffs: dict[tuple[int, int], complex]) -> None:
+def _check_exponents(c: float, k: int = 1) -> None:
+    """k an integer >= 1 and -1 < c < inf: the ranges of V0 = Q0 - 2c log|z| with Q0 of degree 2k."""
+    if not (isinstance(k, int) and k >= 1):
+        raise ConfigError(f"k must be an integer >= 1, got {k}")
+    if not -1 < c < math.inf:
+        raise ConfigError(f"c must be finite and > -1, got {c}")
+
+
+def _check_coeff_map(coeffs: dict[tuple[int, int], complex]) -> None:
+    """A map {(i, j): a_ij} is finite, has integer indices >= 0 and is Hermitian, a_ji = conj(a_ij)."""
+    if not all(map(cmath.isfinite, coeffs.values())):
+        raise ConfigError(f"coefficients must be finite, got {coeffs}")
+    if any(not isinstance(i, int) or i < 0 for ij in coeffs for i in ij):
+        raise ConfigError(f"coefficient indices must be integers >= 0, got {list(coeffs)}")
     scale = max((abs(a) for a in coeffs.values()), default=0.0)
     for (i, j), a in coeffs.items():
         b = coeffs.get((j, i), 0.0)
         if abs(a - b.conjugate()) > 1e-12 * max(1.0, scale):
-            raise ConfigError(
-                f"coefficients not Hermitian: a[{i},{j}]={a} vs conj(a[{j},{i}])={b}"
-            )
+            raise ConfigError(f"coefficients not Hermitian: a[{i},{j}]={a} vs conj(a[{j},{i}])={b}")
+
+
+def _positive_definite(part: dict[tuple[int, int], complex]) -> bool:
+    """Whether the minimum on |z| = 1 of a homogeneous part is above _PD_THRESHOLD times its largest coefficient."""
+    # a diagonal part is the one term a_mm |z|^{2m}, whose minimum is Re a_mm
+    q_min = sum(part.values()).real if all(i == j for i, j in part) else _angular_minimum(part)[1]
+    return q_min > _PD_THRESHOLD * max(map(abs, part.values()), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -105,12 +122,10 @@ class HomogeneousHermitianPoly:
     def __post_init__(self) -> None:
         if self.degree < 0 or self.degree % 2 != 0:
             raise ConfigError(f"degree must be a nonnegative even integer, got {self.degree}")
-        for (i, j), a in self.coeffs.items():
-            if i < 0 or j < 0 or i + j != self.degree:
+        _check_coeff_map(self.coeffs)
+        for i, j in self.coeffs:
+            if i + j != self.degree:
                 raise ConfigError(f"coefficient ({i},{j}) has total degree != {self.degree}")
-        if not np.all(np.isfinite(list(self.coeffs.values()))):
-            raise ConfigError(f"coefficients must be finite, got {self.coeffs}")
-        _check_hermitian(self.coeffs)
 
     def evaluate(self, z):
         """Value at z: float for a scalar, elementwise on an array."""
@@ -137,23 +152,16 @@ class MicroscopicPotential:
     q0: HomogeneousHermitianPoly
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise ConfigError(f"k must be an integer >= 1, got {self.k}")
-        if not -1 < self.c < math.inf:
-            raise ConfigError(f"c must be finite and > -1, got {self.c}")
+        _check_exponents(self.c, self.k)
         if self.q0.degree != 2 * self.k:
             raise ConfigError(f"q0 degree {self.q0.degree} != 2k = {2 * self.k}")
-        theta_min, q_min = self.q0.angular_minimum()
-        if not q_min > _PD_THRESHOLD * max(map(abs, self.q0.coeffs.values()), default=0.0):
-            raise ConfigError(
-                f"q0 not positive definite: min over the circle = {q_min:.3e} at theta={theta_min:.6f}"
-            )
+        if not _positive_definite(self.q0.coeffs):
+            theta_min, q_min = self.q0.angular_minimum()
+            raise ConfigError(f"q0 not positive definite: min over the circle = {q_min:.3e} at theta={theta_min:.6f}")
 
     @property
     def is_radial(self) -> bool:
-        return all(
-            (i, j) == (self.k, self.k) or abs(a) == 0.0 for (i, j), a in self.q0.coeffs.items()
-        )
+        return all(ij == (self.k, self.k) for ij, a in self.q0.coeffs.items() if a != 0)
 
     @property
     def amplitude(self) -> float:
@@ -169,11 +177,10 @@ class MacroscopicPotential:
     """Droplet-scale potential Q = Re sum a_ij z^i conj(z)^j with origin charge c (h0 = 0 in this package).
 
     Spelled radially, radial_coeffs={m: q_m} is Q(r) = sum q_m r^{2m}, or as
-    hermitian_coeffs={(i, j): a_ij}.  Either way Q keeps one Hermitian map of
-    finite nonzero terms, hermitian_coeffs, with integer indices >= 0, no
-    constant term and a top-degree part positive definite relative to its
-    largest coefficient.  kind is "radial" when every term is some |z|^{2m},
-    with radial_coeffs = {m: Re a_mm}; else kind is "hermitian", radial_coeffs None.
+    hermitian_coeffs={(i, j): a_ij}.  Either way Q keeps one coefficient map of
+    nonzero terms, hermitian_coeffs, with no constant term and a positive
+    definite top-degree part.  kind is "radial" when every term is some
+    |z|^{2m}, with radial_coeffs = {m: Re a_mm}; else kind is "hermitian", radial_coeffs None.
     """
 
     kind: str
@@ -184,26 +191,18 @@ class MacroscopicPotential:
     def __post_init__(self) -> None:
         if self.kind not in ("radial", "hermitian"):
             raise ConfigError(f"kind must be 'radial' or 'hermitian', got {self.kind!r}")
-        if not -1 < self.c < math.inf:
-            raise ConfigError(f"c must be finite and > -1, got {self.c}")
+        _check_exponents(self.c)
         spelled = self.radial_coeffs if self.kind == "radial" else self.hermitian_coeffs
         if not spelled or self.radial_coeffs and self.hermitian_coeffs:
             raise ConfigError(f"a {self.kind} potential needs {self.kind}_coeffs and no other coefficients")
         if self.kind == "radial":
             spelled = {(m, m): complex(q) for m, q in spelled.items()}
-        if not all(map(cmath.isfinite, spelled.values())):
-            raise ConfigError(f"coefficients must be finite, got {spelled}")
-        taylor = {ij: a for ij, a in spelled.items() if a != 0}
-        if any(not isinstance(i, int) or i < 0 for ij in taylor for i in ij):
-            raise ConfigError(f"coefficient indices must be integers >= 0, got {list(taylor)}")
+        taylor = {ij: a for ij, a in spelled.items() if a != 0}  # a NaN term stays and is refused
+        _check_coeff_map(taylor)
         if not taylor or (0, 0) in taylor:
             raise ConfigError("potential needs a nonzero term and must vanish at 0 (no constant term)")
-        _check_hermitian(taylor)
         top_deg = max(i + j for i, j in taylor)
-        top = {(i, j): a for (i, j), a in taylor.items() if i + j == top_deg}
-        # a diagonal top part is the one term a_mm |z|^{2m}: its minimum on the circle is Re a_mm
-        q_min = sum(top.values()).real if all(i == j for i, j in top) else _angular_minimum(top)[1]
-        if not q_min > _PD_THRESHOLD * max(abs(a) for a in top.values()):
+        if not _positive_definite({(i, j): a for (i, j), a in taylor.items() if i + j == top_deg}):
             raise ConfigError("leading homogeneous part must be positive definite (growth)")
         radial = all(i == j for i, j in taylor)
         object.__setattr__(self, "kind", "radial" if radial else "hermitian")
@@ -259,12 +258,10 @@ class CanonicalDecomposition:
 
 def detect_k(Q: MacroscopicPotential) -> int:
     """Smallest k with a nonzero, positive definite degree-(2k-2) leading part of Delta Q."""
-    lap = _laplacian_coeffs(Q.hermitian_coeffs)  # no zero terms: (i, j) -> (i-1, j-1) maps none together
-    if not lap:
-        raise ConfigError("Delta Q vanishes at 0 to the available order")
+    lap = _laplacian_coeffs(Q.hermitian_coeffs)  # no zero terms, never empty: Q's top part has mean a_mm > 0
     d = min(i + j for i, j in lap)
     leading = {(i, j): a for (i, j), a in lap.items() if i + j == d}
-    if d % 2 != 0 or not _angular_minimum(leading)[1] > _PD_THRESHOLD * max(map(abs, leading.values())):
+    if d % 2 != 0 or not _positive_definite(leading):
         raise ConfigError("indefinite leading part of Delta Q at 0")
     return d // 2 + 1
 
@@ -303,16 +300,13 @@ def normalize_potential(
     """Scale Q so its degree-2k part satisfies the microscopic normalization at the charge c = Q.c.
 
     Returns (lam * Q, lam) with lam = (1+c) k ((k-1)!)^2 / Delta^k Q0(0),
-    which reduces to (1+c)/(k a_kk) for the mixed-diagonal coefficient a_kk.
-    After scaling the micro-amplitude a_kk becomes (1+c)/k.
+    which reduces to (1+c)/(k a_kk) for the mixed-diagonal coefficient a_kk,
+    the circle mean of the positive definite Q0 and so > 0.  After scaling
+    the micro-amplitude a_kk becomes (1+c)/k.
     """
     if c is not None:
         Q._check_charge(c)
-    dec = canonical_decompose(Q, k)
-    a_kk = float(np.real(dec.q0.q0.coeffs.get((k, k), 0.0)))
-    if not a_kk > 0:
-        raise ConfigError("normalization requires a positive (k,k) coefficient")
-    lam = (1.0 + Q.c) / (k * a_kk)
+    lam = (1.0 + Q.c) / (k * canonical_decompose(Q, k).q0.amplitude)
     return Q.scaled(lam), lam
 
 

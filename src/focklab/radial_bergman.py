@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, FitError
+from .potentials import _check_exponents
 
 __all__ = [
     "moments",
@@ -40,10 +41,7 @@ _HUGE = np.finfo(float).max
 
 
 def _validate(k: int, c: float, a: float) -> None:
-    if not (isinstance(k, int) and k >= 1):
-        raise ConfigError(f"k must be an integer >= 1, got {k}")
-    if not -1 < c < math.inf:
-        raise ConfigError(f"c must be finite and > -1, got {c}")
+    _check_exponents(c, k)
     if not 0 < a < math.inf:
         raise ConfigError(f"amplitude must be finite and positive, got {a}")
 

@@ -213,6 +213,14 @@ class TestSample:
         assert "finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        # numpy's generator would end in a traceback; the configuration refuses it first
+        args = ["sample", "--n", "4", "--c", "1", "--sweeps", "4", "--burn-in", "0", "--seed", "-1",
+                "--out", tmp_path / "s"]
+        assert run(args) == 2
+        assert capsys.readouterr().err == "focklab: config error: seed must be an integer >= 0, got -1\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("bins", ["-3", "0"])
     def test_no_bins_refused(self, bins, tmp_path, capsys):
         args = ["sample", "--n", "4", "--bins", bins, "--sweeps", "2", "--burn-in", "0", "--out", tmp_path / "s"]
@@ -321,6 +329,16 @@ class TestGram:
         cfgp.write_text(json.dumps(MIXED))
         assert run(["gram", "--coeffs-file", cfgp, "--n", "60"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_order_past_the_float_range_fails_numerically(self, tmp_path, capsys):
+        # the twist's Q0 is |z|^2, whose moments j! pass the largest double at j = 171
+        cfgp = tmp_path / "twist.json"
+        cfgp.write_text(json.dumps(TWIST))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["gram", "--coeffs-file", cfgp, "--n", "200", "--grid", "0:1:3", "--out", out / "g"]) == 3
+        assert "overflow double precision at N=200" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("cmd", ["r0", "gram"])
     def test_negative_radius_refused(self, cmd, tmp_path, capsys):

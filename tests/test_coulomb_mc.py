@@ -217,6 +217,13 @@ class TestEnsembleConfig:
         with pytest.raises(ConfigError):
             EnsembleConfig(n=2, potential=GINIBRE, bin_edges=[0.0, 0.5, np.nan])
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        edges = np.linspace(0.0, 2.0, 9)
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            EnsembleConfig(n=2, potential=GINIBRE, bin_edges=edges, seed=seed)
+        assert EnsembleConfig(n=2, potential=GINIBRE, bin_edges=edges, seed=np.int64(7)).seed == 7
+
     def test_bins_must_cover_droplet(self):
         with pytest.raises(ConfigError):
             EnsembleConfig(n=2, potential=GINIBRE, bin_edges=np.linspace(0.0, 0.5, 5))

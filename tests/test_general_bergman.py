@@ -9,10 +9,13 @@ from focklab import (
     HomogeneousHermitianPoly,
     IllConditionedError,
     MicroscopicPotential,
+    NumericalError,
     bergman_density,
+    bergman_function_r0,
     moment_matrix,
     truncated_kernel,
 )
+from focklab import general_bergman
 from focklab.general_bergman import _density_rows
 
 TWISTED = MicroscopicPotential(
@@ -59,6 +62,16 @@ class TestMomentMatrix:
     def test_validation(self):
         with pytest.raises(ConfigError):
             moment_matrix(GINIBRE, 0)
+
+    @pytest.mark.parametrize("k,c,a,N", [(1, 0.0, 1.0, 171), (1, 3.0, 1.0, 168), (2, 0.5, 1.0, 342), (1, 0.0, 0.5, 150)])
+    def test_last_order_inside_the_float_range(self, k, c, a, N, monkeypatch):
+        # the top moment Gamma((N+c)/k)/k a^{-(N+c)/k} and twice it stay finite at N, not at N + 1
+        p = MicroscopicPotential(k=k, c=c, q0=HomogeneousHermitianPoly(2 * k, {(k, k): a}))
+        tk = truncated_kernel(moment_matrix(p, N))
+        assert bergman_density(tk, p, 0.5) == pytest.approx(bergman_function_r0(k, c, a, 0.5), rel=1e-12)
+        monkeypatch.setattr(general_bergman, "_assemble", lambda *args: pytest.fail("assembled"))
+        with pytest.raises(NumericalError, match=f"overflow double precision at N={N + 1}"):
+            moment_matrix(p, N + 1)
 
 
 class TestTruncatedKernel:

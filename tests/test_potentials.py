@@ -46,6 +46,12 @@ class TestHomogeneousHermitianPoly:
         with pytest.raises(ConfigError):
             HomogeneousHermitianPoly(2, {(2, 0): 0.3, (0, 2): 0.4})
 
+    def test_rejects_half_integer_indices(self):
+        # (0.5, 1.5) has total degree 2, but z^0.5 conj(z)^1.5 is no monomial: the map
+        # MacroscopicPotential refuses is refused here with the same message
+        with pytest.raises(ConfigError, match="coefficient indices must be integers >= 0"):
+            HomogeneousHermitianPoly(2, {(0.5, 1.5): 0.2, (1.5, 0.5): 0.2, (1, 1): 1.0})
+
     def test_angular_minimum_of_twist(self):
         q = HomogeneousHermitianPoly(2, TWIST)
         theta, qmin = q.angular_minimum()
@@ -218,6 +224,35 @@ class TestMacroscopicPotential:
                                  hermitian_coeffs={(1, 1): 1.0})
         with pytest.raises(ConfigError):
             MacroscopicPotential(kind="other", c=0.0, radial_coeffs={1: 1.0})
+
+
+# (k, homogeneous part of degree 2k, whether it is positive definite)
+PD_PARTS = {
+    "ginibre": (1, {(1, 1): 1.0}, True),
+    "tiny": (1, {(1, 1): 1e-12}, True),
+    "twist": (1, TWIST, True),
+    "indefinite": (1, {(1, 1): 1.0, (2, 0): 0.6, (0, 2): 0.6}, False),
+    "k2-mixed": (2, {(2, 2): 1.0, (3, 1): 0.3, (1, 3): 0.3}, True),
+    "k2-indefinite": (2, {(2, 2): 1.0, (3, 1): 0.6, (1, 3): 0.6}, False),
+}
+
+
+@pytest.mark.parametrize("k,part,definite", PD_PARTS.values(), ids=list(PD_PARTS))
+def test_positive_definiteness_is_one_rule(k, part, definite):
+    # the growth test of Q, the Q0 of V0 and detect_k's leading part of Delta Q apply one rule
+    def accepts(build) -> bool:
+        try:
+            build()
+        except ConfigError:
+            return False
+        return True
+
+    macro = accepts(lambda: MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs=dict(part)))
+    micro = accepts(lambda: MicroscopicPotential(k, 0.0, HomogeneousHermitianPoly(2 * k, dict(part))))
+    assert macro == micro == definite
+    if definite:
+        # Delta of a positive definite part of degree 2k is positive definite of degree 2k - 2
+        assert detect_k(MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs=dict(part))) == k
 
 
 class TestDetectK:
