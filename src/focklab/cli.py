@@ -26,10 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FitError, NumericalError
+from .errors import ConfigError, DivergenceError, FitError, NumericalError
 from .potentials import (
     CanonicalDecomposition,
     MacroscopicPotential,
+    _check_points,
     canonical_decompose,
     detect_k,
     load_potential_config,
@@ -57,6 +58,8 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"grid spec {spec!r}: rmin and rmax must be finite")
     if not hi > lo:
         raise ConfigError(f"grid needs rmax > rmin, got [{lo}, {hi}]")
+    if lo < 0:
+        raise ConfigError("r must be >= 0")
     if len(parts) == 4:
         if parts[3] != "log":
             raise ConfigError(f"grid spacing must be 'log', got {parts[3]!r}")
@@ -64,6 +67,15 @@ def parse_grid(spec: str) -> np.ndarray:
             raise ConfigError("log-spaced grid needs rmin > 0")
         return np.geomspace(lo, hi, npts)
     return np.linspace(lo, hi, npts)
+
+
+def _kept(grid: np.ndarray, c: float) -> np.ndarray:
+    """The grid points a density at charge c takes, as a mask; at c < 0, r = 0 is dropped with a note."""
+    try:
+        return np.ones(_check_points(c, grid).size, dtype=bool)
+    except DivergenceError as exc:
+        print(f"note: grid point r=0 rejected: {exc}", file=sys.stderr)
+        return grid != 0.0
 
 
 def _fmt(v) -> str:
@@ -184,10 +196,9 @@ def cmd_r0(args) -> int:
         raise ConfigError("r0 requires a radial weight a r^{2k}; gram takes a Q0 with a mixed term")
     grid = parse_grid(args.grid or "0:3:241")
     k, c, a = p.k, p.c, p.amplitude
-    skip = int(c < 0 and grid[0] == 0.0)  # only the first point of an increasing grid can be 0
-    if skip:
-        print("note: grid point r=0 rejected: density diverges at r = 0 for c < 0", file=sys.stderr)
-    val = np.concatenate([[np.nan] * skip, bergman_function_r0(k, c, a, grid[skip:])])
+    keep = _kept(grid, c)
+    val = np.full(grid.size, np.nan)
+    val[keep] = bergman_function_r0(k, c, a, grid[keep])
     dq = delta_q0(k, c, a, grid)
     rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
     write_csv(args.out, ["r", "R0", "deltaQ0", "rel_err"], zip(grid, val, dq, rel))
@@ -236,10 +247,8 @@ def cmd_rescale(args) -> int:
     Q = _potential(args, radial=True)
     n_list = _parse_n_list(args.n_list, default=[16, 64, 256])
     grid = parse_grid(args.grid or "0.1:2:39")
-    rejected = grid[grid == 0.0].tolist() if Q.c < 0 else []
-    for x in rejected:
-        print(f"note: grid point z={x:g} rejected: density diverges at 0 for c = {Q.c} < 0", file=sys.stderr)
-    rep = convergence_report(Q, n_list, grid[grid != 0.0] if rejected else grid)
+    keep = _kept(grid, Q.c)
+    rep = convergence_report(Q, n_list, grid[keep])
     # the report's rows run over the sorted n; the table keeps the order and repeats of n_list
     row = {int(n): i for i, n in enumerate(rep.n)}
     Rn = {n: rep.values[row[n]] for n in n_list}
@@ -259,7 +268,7 @@ def cmd_rescale(args) -> int:
         "rn": {n: rep.rn[row[n]] for n in n_list},
         "sup_err": {n: rep.sup_err[row[n]] for n in n_list},
         "series_identity": identity,
-        "rejected_points": rejected,
+        "rejected_points": grid[~keep].tolist(),
     }
     header = ["z", "R0"] + [f"Rn_{n}" for n in n_list]
     rows = np.column_stack([rep.z, rep.r0] + [Rn[n] for n in n_list])
@@ -370,12 +379,8 @@ def cmd_gram(args) -> int:
     dec = _homogeneous(_potential(args))
     p = dec.q0
     grid = parse_grid(args.grid or "0:2:21")
-    if np.any(grid < 0):
-        raise ConfigError("r must be >= 0")
     tk = truncated_kernel(moment_matrix(p, args.n))
-    if p.c < 0 and grid[0] == 0.0:  # only the first point of an increasing grid can be 0
-        print("note: grid point r=0 rejected: density diverges at z = 0 for c < 0", file=sys.stderr)
-        grid = grid[1:]
+    grid = grid[_kept(grid, p.c)]
     thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     r, th = np.array([(x, t) for x in grid for t in (thetas if x > 0 else thetas[:1])]).T
     z = r * np.cos(th) + 1j * (r * np.sin(th))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .potentials import MacroscopicPotential
+from .potentials import MacroscopicPotential, _check_grid
 from .equilibrium import droplet_radius
 
 __all__ = [
@@ -35,6 +35,12 @@ __all__ = [
 _TUNE_TARGET = 0.35  # burn-in acceptance the proposal scale is tuned toward
 _TUNE_INTERVAL = 25  # burn-in sweeps between two tuning steps
 _BATCHES = 32        # batch means behind each error bar
+
+
+def _check_count(value, what: str) -> None:
+    """A seed or a number of draws: an integer >= 0."""
+    if not (isinstance(value, (int, np.integer)) and value >= 0):
+        raise ConfigError(f"{what} must be an integer >= 0, got {value!r}")
 
 
 def _site_energy(potential: MacroscopicPotential, n: int, z: np.ndarray) -> np.ndarray:
@@ -110,18 +116,13 @@ class EnsembleConfig:
             raise ConfigError("sweeps >= 2, burn_in >= 0, thin >= 1 required")
         if not self.delta0 > 0:
             raise ConfigError("delta0 must be positive")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        edges = np.asarray(self.bin_edges, dtype=float)
-        if (edges.ndim != 1 or edges.size < 2 or not np.all(np.isfinite(edges))
-                or np.any(np.diff(edges) <= 0) or edges[0] < 0):
-            raise ConfigError("bin_edges must be an increasing nonnegative finite grid")
-        object.__setattr__(self, "bin_edges", edges)
+        _check_count(self.seed, "seed")
+        object.__setattr__(self, "bin_edges", _check_grid(self.bin_edges, "bin_edges"))
         if self.potential.kind == "radial":
             R = droplet_radius(self.potential)
-            if edges[-1] < R:
+            if self.bin_edges[-1] < R:
                 raise ConfigError(
-                    f"bins must cover the droplet with margin (outer edge {edges[-1]} < R = {R:.4g})"
+                    f"bins must cover the droplet with margin (outer edge {self.bin_edges[-1]} < R = {R:.4g})"
                 )
 
 
@@ -295,6 +296,8 @@ def sample_radial_exact(Q: MacroscopicPotential, c: float, n: int, seed: int, dr
     from .finite_kernel import _modulus_tables
 
     Q._check_charge(c)
+    _check_count(seed, "seed")
+    _check_count(draws, "draws")
     rng = np.random.default_rng(seed)
     out = np.empty((draws, n))
     for j, (t, cdf) in enumerate(_modulus_tables(Q, n)):

@@ -23,9 +23,9 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, NumericalError
-from .potentials import MacroscopicPotential, detect_k, normalize_potential
-from .radial_bergman import bergman_function_r0, moments
+from .errors import ConfigError, NumericalError
+from .potentials import MacroscopicPotential, _check_grid, _check_overflow, _check_points, detect_k, normalize_potential
+from .radial_bergman import _log_power, bergman_function_r0, moments
 from .equilibrium import _ln_mass_roots, microscopic_scale
 
 __all__ = [
@@ -146,24 +146,15 @@ def _series(r, c: float, log_norms: np.ndarray, nq):
 
     Scalar in, scalar out, elementwise on arrays; nq maps radii to nQ there.
     Points sit on axis 0 and the terms on axis 1, so a scalar call gives the
-    same bits as its element of an array call.  At r = 0 the value is 0 for
-    c > 0 and e^{-nQ(0)}/m_0 for c = 0; for c < 0 it diverges
-    (DivergenceError).
+    same bits as its element of an array call; r = 0 needs no branch.
     """
-    r = np.asarray(r)
+    r = _check_points(c, r)
     x = np.abs(r).reshape(-1, 1).astype(float, copy=False)
-    has_zero = np.count_nonzero(x) < x.size
-    if has_zero:
-        if c < 0:
-            raise DivergenceError("diverges at 0 for c < 0")
-        zero = x[:, 0] == 0.0
-        x[zero] = 1.0  # r = 0 is filled in at the end
-    lt = (2.0 * c + np.arange(0.0, 2.0 * log_norms.size, 2.0)) * np.log(x) - nq(x) - log_norms
-    # where every term underflows, the floor keeps lt - top at -inf: the sum is 0
-    top = lt.max(axis=1, keepdims=True, initial=-_HUGE)
-    out = np.exp(top[:, 0]) * np.exp(lt - top).sum(axis=1)
-    if has_zero:
-        out[zero] = 0.0 if c > 0 else np.exp(-nq(0.0) - log_norms[0])
+    with np.errstate(over="ignore"):  # a sum past the largest double is refused
+        lt = _log_power(2.0 * c + np.arange(0.0, 2.0 * log_norms.size, 2.0), x) - nq(x) - log_norms
+        # where every term underflows, the floor keeps lt - top at -inf: the sum is 0
+        top = lt.max(axis=1, keepdims=True, initial=-_HUGE)
+        out = _check_overflow(np.exp(top[:, 0]) * np.exp(lt - top).sum(axis=1))
     return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 
@@ -238,7 +229,7 @@ def mass_integral(fk: FiniteKernel) -> float:
 
 def bin_averaged_intensity(fk: FiniteKernel, edges) -> np.ndarray:
     """Mean of bR_n over each radial bin in dA measure: 2 int r bR_n dr / (hi^2 - lo^2)."""
-    edges = np.asarray(edges, dtype=float)
+    edges = _check_grid(edges, "edges")
     lo, hi = edges[:-1], edges[1:]
     return _bin_integrals(fk, lo, hi, 1e-9) / ((hi - lo) * (hi + lo))
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, IllConditionedError, NotPositiveDefiniteError, NumericalError
-from .potentials import MicroscopicPotential
+from .errors import ConfigError, IllConditionedError, NotPositiveDefiniteError, NumericalError
+from .potentials import MicroscopicPotential, _check_overflow, _check_points
 
 __all__ = ["MomentMatrix", "TruncatedKernel", "moment_matrix", "truncated_kernel", "bergman_density"]
 
@@ -127,13 +127,13 @@ def _density_rows(tk: TruncatedKernel, p: MicroscopicPotential, zz: np.ndarray) 
     """
     if p.k != tk.k or p.c != tk.c:
         raise ConfigError("kernel and potential disagree on (k, c)")
-    flat = zz.reshape(-1)
-    az = np.abs(flat)
-    if tk.c < 0 and np.count_nonzero(az) < az.size:
-        raise DivergenceError("density diverges at z = 0 for c < 0")
+    flat = _check_points(tk.c, zz.reshape(-1))
     q = p.evaluate(complex(zz) if zz.ndim == 0 else flat)  # a scalar takes the faster Python arithmetic
-    y = tk.basis @ (flat ** np.arange(tk.N)[:, None] * (az**tk.c * np.exp(-0.5 * q)))
-    return (y * y.conj()).real
+    y = tk.basis @ (flat ** np.arange(tk.N)[:, None] * (np.abs(flat) ** tk.c * np.exp(-0.5 * q)))
+    with np.errstate(over="ignore"):  # a sum past the largest double is refused
+        rows = (y * y.conj()).real
+        _check_overflow(rows.sum(axis=0))
+    return rows
 
 
 def bergman_density(tk: TruncatedKernel, p: MicroscopicPotential, z):

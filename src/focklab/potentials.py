@@ -9,7 +9,8 @@ a coefficient map {(i, j): a_ij} is finite, Hermitian and has integer
 indices >= 0 (_check_coeff_map); a homogeneous part is positive definite
 when its minimum on |z| = 1 is above 1e-10 times its largest coefficient
 (_positive_definite); k is an integer >= 1 and -1 < c < inf
-(_check_exponents).  All types are immutable values; all operations are pure.
+(_check_exponents); so has each input of a density (_check_points,
+_check_grid, _check_overflow).  All types are immutable values; all operations are pure.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 
 __all__ = [
     "HomogeneousHermitianPoly",
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 _PD_THRESHOLD = 1e-10  # see _positive_definite
-_ANGULAR_SCAN = 512
+_ANGULAR_SCAN = 512  # least scan of the circle; see _angular_minimum
 
 
 def _angular_values(coeffs: dict[tuple[int, int], complex], theta: np.ndarray, order: int = 0) -> np.ndarray:
@@ -48,9 +49,11 @@ def _angular_values(coeffs: dict[tuple[int, int], complex], theta: np.ndarray, o
 
 
 def _angular_minimum(coeffs: dict[tuple[int, int], complex]) -> tuple[float, float]:
-    """Global minimum of the angular profile: a 512-point scan, then Newton steps on q'/q'' until a
-    step is below 1e-15 or q'' <= 0; the scan point is kept unless the refined point is lower."""
-    theta = np.linspace(0.0, 2 * np.pi, _ANGULAR_SCAN, endpoint=False)
+    """Global minimum of the angular profile: a scan, then Newton steps on q'/q'' until a step is
+    below 1e-15 or q'' <= 0; the scan point is kept unless the refined point is lower.  The scan
+    takes max(512, 4 max|i-j|) angles, so no frequency i-j aliases to a constant on it."""
+    points = max(_ANGULAR_SCAN, 4 * max((abs(i - j) for i, j in coeffs), default=0))
+    theta = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
     q = _angular_values(coeffs, theta)
     i0 = int(np.argmin(q))
     t = theta[i0:i0 + 1]
@@ -103,6 +106,31 @@ def _check_coeff_map(coeffs: dict[tuple[int, int], complex]) -> None:
         b = coeffs.get((j, i), 0.0)
         if abs(a - b.conjugate()) > 1e-12 * max(1.0, scale):
             raise ConfigError(f"coefficients not Hermitian: a[{i},{j}]={a} vs conj(a[{j},{i}])={b}")
+
+
+def _check_points(c: float, z) -> np.ndarray:
+    """The points z of a density with charge c as an array: finite, and not 0 when c < 0, where |z|^{2c} diverges."""
+    z = np.asarray(z)
+    if not np.isfinite(z).all():
+        raise ConfigError("points must be finite")
+    if c < 0 and np.count_nonzero(z) < z.size:
+        raise DivergenceError("density diverges at z = 0 for c < 0")
+    return z
+
+
+def _check_grid(edges, what: str, least: int = 2) -> np.ndarray:
+    """A radial grid as floats: one axis of at least `least` finite radii >= 0, strictly increasing."""
+    g = np.asarray(edges, dtype=float)
+    if g.ndim != 1 or g.size < least or not np.isfinite(g).all() or g[0] < 0 or np.any(np.diff(g) <= 0):
+        raise ConfigError(f"{what} must be one axis of at least {least} finite radii >= 0, strictly increasing")
+    return g
+
+
+def _check_overflow(values: np.ndarray) -> np.ndarray:
+    """Density values summed under np.errstate(over="ignore"), refused where a sum passed the largest double."""
+    if np.isinf(values).any():
+        raise DivergenceError("series overflow: the density passes the largest double")
+    return values
 
 
 def _positive_definite(part: dict[tuple[int, int], complex]) -> bool:

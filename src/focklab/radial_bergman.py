@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, FitError
-from .potentials import _check_exponents
+from .errors import ConfigError, FitError
+from .potentials import _check_exponents, _check_grid, _check_overflow, _check_points
 
 __all__ = [
     "moments",
@@ -44,6 +44,13 @@ def _validate(k: int, c: float, a: float) -> None:
     _check_exponents(c, k)
     if not 0 < a < math.inf:
         raise ConfigError(f"amplitude must be finite and positive, got {a}")
+
+
+def _log_power(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """p ln x, broadcast, with 0 ln 0 = 0: the log of x^p, also at x = 0 (masked, so slower, only if a p is 0)."""
+    with np.errstate(divide="ignore"):  # ln 0 = -inf
+        ln_x = np.log(x)
+    return p * ln_x if p.all() else np.multiply(p, ln_x, out=np.zeros(np.broadcast(p, ln_x).shape), where=p != 0)
 
 
 def _lgamma(a: np.ndarray) -> np.ndarray:
@@ -161,34 +168,25 @@ def bergman_function_r0(k: int, c: float, a: float, r):
     P (DLMF 8.2): with x = a r^{2k} and beta_s = (s+c+1)/k,
     R0 = sum_{j<k} r^{2j+2c} e^{-x} / m_j + a k r^{2k-2} sum_{s<k} P(beta_s, x),
     the first k terms of the series plus the rest of each class.  Every
-    summand is positive, so nothing cancels.  At r = 0 the value is 0 for
-    c > 0 and origin_coefficient for c = 0; for c < 0 it diverges
-    (DivergenceError).
+    summand is positive, so nothing cancels, and r = 0 needs no branch.
     """
     _validate(k, c, a)
     # points on axis 0 and the k classes on axis 1: every point's sum then
     # runs in the same order whatever the array size, so a scalar call gives
     # the same bits as its element of an array call
-    rr = np.asarray(r, dtype=float).reshape(-1, 1)
-    r_min = rr.min(initial=np.inf)
-    if not r_min >= 0:
+    rr = _check_points(c, np.asarray(r, dtype=float).reshape(-1, 1))
+    if rr.min(initial=0.0) < 0:
         raise ConfigError("r must be >= 0")
-    if r_min == 0.0:
-        if c < 0:
-            raise DivergenceError("density diverges at r = 0 for c < 0")
-        zero = rr == 0.0
-        rr = np.where(zero, 1.0, rr)  # r = 0 is filled in at the end
     j = np.arange(k)
     beta = (j + c + 1.0) / k
     log_m = _log_moments(k, a, beta)
-    x = a * rr ** (2 * k)
-    # the first k terms in the log domain, so that no factor of
-    # r^{2j+2c} e^{-x} / m_j over- or underflows on its own
-    head = np.exp(2 * (j + c) * np.log(rr) - x - log_m)
-    terms = head + a * k * rr ** (2 * k - 2) * _incomplete_gamma(beta, x)[0]
-    out = terms.sum(axis=1)
-    if r_min == 0.0:
-        out[zero[:, 0]] = 0.0 if c > 0 else origin_coefficient(k, c, a)
+    with np.errstate(over="ignore"):  # a sum past the largest double is refused
+        x = a * rr ** (2 * k)
+        # the first k terms in the log domain, so that no factor of
+        # r^{2j+2c} e^{-x} / m_j over- or underflows on its own
+        head = np.exp(_log_power(2 * (j + c), rr) - x - log_m)
+        terms = head + a * k * rr ** (2 * k - 2) * _incomplete_gamma(beta, x)[0]
+        out = _check_overflow(terms.sum(axis=1))
     return float(out[0]) if np.ndim(r) == 0 else out.reshape(np.shape(r))
 
 
@@ -278,11 +276,7 @@ def decay_report(k: int, c: float, a: float, r_grid) -> DecayReport:
     fit_ok=False (and identically_zero when nothing survives at all).
     """
     _validate(k, c, a)
-    r = np.asarray(r_grid, dtype=float)
-    if r.ndim != 1 or r.size < 3:
-        raise ConfigError("r_grid must be a 1-D grid with at least 3 points")
-    if np.any(np.diff(r) <= 0):
-        raise ConfigError("r_grid must be strictly increasing")
+    r = _check_grid(r_grid, "r_grid", least=3)  # the fit has 3 parameters
     u = a * r ** (2 * k)
     if u[0] < 0.5 * (1.0 - 1e-9) or u[-1] > 40.0 * (1.0 + 1e-9):
         raise ConfigError(

@@ -34,7 +34,8 @@ class TestParseGrid:
         np.testing.assert_allclose(parse_grid("1:100:3:log"), [1.0, 10.0, 100.0])
 
     @pytest.mark.parametrize(
-        "spec", ["1:2", "1:2:3:4:5", "a:2:3", "1:2:1", "2:1:5", "0:2:5:log", "1:2:5:geo", "0:inf:5", "1:inf:3:log"]
+        "spec",
+        ["1:2", "1:2:3:4:5", "a:2:3", "1:2:1", "2:1:5", "0:2:5:log", "1:2:5:geo", "0:inf:5", "1:inf:3:log", "-1:1:3"],
     )
     def test_rejects(self, spec):
         with pytest.raises(ConfigError):
@@ -351,6 +352,21 @@ class TestGram:
         assert run([cmd, "--coeffs-file", cfgp, "--grid=-1:1:3", "--out", out / "t"]) == 2
         assert "r must be >= 0" in capsys.readouterr().err
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("cmd", ["r0", "rescale", "gram"])
+    def test_origin_dropped_with_one_note(self, cmd, tmp_path, capsys):
+        # every grid command drops r = 0 at c < 0 with the same note, and keeps the other points
+        cfgp = tmp_path / "q.json"
+        radial = {"kind": "radial", "radial_coeffs": [[1, 1.0]]}
+        cfgp.write_text(json.dumps({**(MIXED if cmd == "gram" else radial), "c": -0.5}))
+        argv = [cmd, "--coeffs-file", cfgp, "--grid", "0:1:3", "--out", tmp_path / "t"]
+        assert run(argv + (["--n-list", "4"] if cmd == "rescale" else [])) == 0
+        err = capsys.readouterr().err
+        assert err.count("note:") == 1
+        assert "note: grid point r=0 rejected: density diverges at z = 0 for c < 0\n" in err
+        _, rows = read_table(tmp_path / ("t" if cmd == "r0" else "t.csv"))
+        kept = {"r0": [0.0, 0.5, 1.0], "rescale": [0.5, 1.0], "gram": [0.5] * 16 + [1.0] * 16}  # r0 keeps a blank row
+        assert [row[0] for row in rows] == kept[cmd]
 
     def test_missing_config(self, tmp_path):
         assert run(["gram", "--coeffs-file", tmp_path / "absent.json"]) == 2

@@ -12,8 +12,10 @@ from focklab import (
     EnsembleConfig,
     IntensityHistogram,
     MacroscopicPotential,
+    bin_averaged_intensity,
     delta_energy,
     energy,
+    finite_moments,
     run_mcmc,
     sample_radial_exact,
 )
@@ -208,14 +210,20 @@ class TestEnsembleConfig:
             EnsembleConfig(n=2, potential=GINIBRE, bin_edges=edges, thin=0)
         with pytest.raises(ConfigError):
             EnsembleConfig(n=2, potential=GINIBRE, bin_edges=edges, delta0=0.0)
-        with pytest.raises(ConfigError):
-            EnsembleConfig(n=2, potential=GINIBRE, bin_edges=[0.0, 0.5, 0.4])
-        with pytest.raises(ConfigError):
-            EnsembleConfig(n=2, potential=GINIBRE, bin_edges=[-0.1, 0.5, 1.2])
-        with pytest.raises(ConfigError):
-            EnsembleConfig(n=2, potential=GINIBRE, bin_edges=[0.0, 0.5, np.inf])
-        with pytest.raises(ConfigError):
-            EnsembleConfig(n=2, potential=GINIBRE, bin_edges=[0.0, 0.5, np.nan])
+
+    # one grid rule for the Monte Carlo bins and the exact bin averages: one axis of at least
+    # 2 finite radii >= 0, strictly increasing
+    @pytest.mark.parametrize("edges", [
+        [0.0, 0.5, 0.4], [0.0, 1.0, 0.5], [0.0, 0.5, 0.5], [-0.1, 0.5, 1.2], [-1.0, 1.0], [0.0, 0.5, np.inf],
+        [0.0, 0.5, np.nan], [0.0, np.nan, 1.0], [[0.0, 1.0], [1.0, 2.0]], [1.0], [],
+    ], ids=str)
+    @pytest.mark.parametrize("use", [
+        lambda edges: EnsembleConfig(n=2, potential=GINIBRE, bin_edges=edges),
+        lambda edges: bin_averaged_intensity(finite_moments(GINIBRE, 0.0, 2), edges),
+    ], ids=["EnsembleConfig", "bin_averaged_intensity"])
+    def test_bad_edges(self, use, edges):
+        with pytest.raises(ConfigError, match="must be one axis of at least 2 finite radii >= 0, strictly increasing"):
+            use(edges)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
@@ -309,6 +317,14 @@ class TestExactRadialSampler:
         s = sample_radial_exact(Q, -0.75, 1, seed=3, draws=20_000)
         assert float(np.mean(s**2)) == pytest.approx(0.25, abs=0.02)
         assert np.all(s > 0)
+
+    @pytest.mark.parametrize("seed,draws,what", [(-1, 10, "seed"), (1.5, 10, "seed"), ("7", 10, "seed"),
+                                                 (0, -1, "draws"), (0, 2.0, "draws")])
+    def test_seed_and_draws_must_be_nonnegative_integers(self, seed, draws, what):
+        # the seed rule of EnsembleConfig, and a count of draws
+        with pytest.raises(ConfigError, match=f"{what} must be an integer >= 0"):
+            sample_radial_exact(GINIBRE, 0.0, 2, seed=seed, draws=draws)
+        assert sample_radial_exact(GINIBRE, 0.0, 2, seed=np.int64(7), draws=0).shape == (0, 2)
 
     def test_rejects_an_empty_ensemble_and_charges_at_most_minus_one(self):
         with pytest.raises(ConfigError):

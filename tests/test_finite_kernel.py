@@ -196,6 +196,24 @@ class TestArrayEvaluation:
             intensity(fkn, np.array([0.5, 0.0]))
         with pytest.raises(DivergenceError):
             truncated_series_r0(1, -0.5, 1.0, 5, np.array([0.5, 0.0]))
+        # a point that is not finite is refused at every charge, in or out of an array
+        for fk, c in ((fk0, 0.0), (fkn, -0.5)):
+            for x in (math.nan, math.inf, complex(0.5, math.nan), np.array([0.5, math.inf])):
+                with pytest.raises(ConfigError, match="points must be finite"):
+                    intensity(fk, x)
+                with pytest.raises(ConfigError, match="points must be finite"):
+                    rescaled_intensity(fk, x, 0.5)
+                with pytest.raises(ConfigError, match="points must be finite"):
+                    truncated_series_r0(1, c, 1.0, 5, x)
+
+    def test_overflow_near_the_origin_is_refused(self):
+        # |r|^{2c} = 1e540 at r = 1e-300, c = -0.9: past the largest double, without a RuntimeWarning
+        fk = finite_moments(radial({1: 1.0}, c=-0.9), -0.9, 4)
+        with pytest.raises(DivergenceError, match="series overflow"):
+            intensity(fk, 1e-300)
+        with pytest.raises(DivergenceError, match="series overflow"):
+            truncated_series_r0(1, -0.9, 1.0, 5, np.array([0.5, 1e-300]))
+        assert math.isfinite(intensity(fk, 1e-100))
 
 
 class TestRescaledIdentity:

@@ -174,8 +174,24 @@ class TestBergmanDensity:
         pos = MicroscopicPotential(k=1, c=1.0, q0=GINIBRE.q0)
         assert bergman_density(truncated_kernel(moment_matrix(pos, 16)), pos, [0.0, 0.5])[0] == 0.0
         neg = MicroscopicPotential(k=1, c=-0.5, q0=GINIBRE.q0)
+        tkn = truncated_kernel(moment_matrix(neg, 16))
         with pytest.raises(DivergenceError):
-            bergman_density(truncated_kernel(moment_matrix(neg, 16)), neg, np.array([0.5, 0.0]))
+            bergman_density(tkn, neg, np.array([0.5, 0.0]))
+        # a point that is not finite is refused at every charge, in or out of an array
+        for tk, p in ((tk0, GINIBRE), (tkn, neg)):
+            for z in (math.nan, math.inf, complex(0.5, math.nan), complex(math.inf, 0.0), [0.5, math.inf]):
+                with pytest.raises(ConfigError, match="points must be finite"):
+                    bergman_density(tk, p, z)
+
+    def test_overflow_near_the_origin_is_refused(self):
+        # |z|^{2c} = 1e540 at |z| = 1e-300, c = -0.9: past the largest double, without a RuntimeWarning
+        p = MicroscopicPotential(k=1, c=-0.9, q0=GINIBRE.q0)
+        tk = truncated_kernel(moment_matrix(p, 16))
+        with pytest.raises(DivergenceError, match="series overflow"):
+            bergman_density(tk, p, 1e-300)
+        with pytest.raises(DivergenceError, match="series overflow"):
+            bergman_density(tk, p, np.array([0.5, 1e-300j]))
+        assert math.isfinite(bergman_density(tk, p, 1e-100))
 
     def test_kernel_potential_mismatch(self):
         tk = truncated_kernel(moment_matrix(GINIBRE, 8))

@@ -79,6 +79,15 @@ class TestHomogeneousHermitianPoly:
         with pytest.raises(ConfigError):
             MicroscopicPotential(k=1, c=0.0, q0=q)
 
+    def test_high_frequency_does_not_alias(self):
+        # 1 + 1.8 cos(512 theta) is constant on 512 equispaced angles; its minimum is -0.8 at pi/512
+        q = HomogeneousHermitianPoly(600, {(300, 300): 1.0, (556, 44): 0.9, (44, 556): 0.9})
+        theta, qmin = q.angular_minimum()
+        assert qmin == pytest.approx(-0.8, abs=1e-12)
+        assert math.cos(512 * theta) == pytest.approx(-1.0, abs=1e-12)
+        with pytest.raises(ConfigError, match="positive definite"):
+            MicroscopicPotential(300, 0.0, q)
+
     def test_laplacian(self):
         # d/dz d/dzbar |z|^4 = 4 |z|^2
         q = HomogeneousHermitianPoly(4, {(2, 2): 1.0})

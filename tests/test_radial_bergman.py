@@ -179,6 +179,22 @@ class TestBergmanFunctionR0:
         with pytest.raises(ConfigError):
             bergman_function_r0(1, 0.0, 1.0, np.array([0.5, -0.1]))
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_rejects_non_finite_points(self, x):
+        for c in (-0.5, 0.0, 1.0):
+            with pytest.raises(ConfigError, match="points must be finite"):
+                bergman_function_r0(1, c, 1.0, x)
+            with pytest.raises(ConfigError, match="points must be finite"):
+                bergman_function_r0(2, c, 1.0, np.array([0.0 if c >= 0 else 0.5, 1.0, x]))
+
+    def test_overflow_near_the_origin_is_refused(self):
+        # |r|^{2c} = 1e540 at r = 1e-300, c = -0.9: past the largest double, without a RuntimeWarning
+        with pytest.raises(DivergenceError, match="series overflow"):
+            bergman_function_r0(1, -0.9, 1.0, 1e-300)
+        with pytest.raises(DivergenceError, match="series overflow"):
+            bergman_function_r0(1, -0.9, 1.0, np.array([0.5, 1e-300]))
+        assert math.isfinite(bergman_function_r0(1, -0.9, 1.0, 1e-100))
+
     def test_ginibre_flat_at_unit_amplitude(self):
         for r in [0.0, 0.3, 1.0, 2.5, 4.0]:
             assert bergman_function_r0(1, 0.0, 1.0, r) == pytest.approx(1.0, abs=1e-13)
