@@ -384,8 +384,7 @@ def cmd_gram(args) -> int:
     thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     r, th = np.array([(x, t) for x in grid for t in (thetas if x > 0 else thetas[:1])]).T
     z = r * np.cos(th) + 1j * (r * np.sin(th))
-    rows = _density_rows(tk, p, z)
-    val = rows.sum(axis=0)
+    rows, val = _density_rows(tk, p, z)
     dq = p.q0.laplacian().evaluate(z)
     rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
     # share of the last 8 orthonormal rows, (R^N - R^{N-8}) / R^N; where R^N is 0 it is 0 at the

@@ -150,7 +150,7 @@ def _series(r, c: float, log_norms: np.ndarray, nq):
     """
     r = _check_points(c, r)
     x = np.abs(r).reshape(-1, 1).astype(float, copy=False)
-    with np.errstate(over="ignore"):  # a sum past the largest double is refused
+    with np.errstate(over="ignore", divide="ignore"):  # a sum past the largest double is refused; ln 0 = -inf
         lt = _log_power(2.0 * c + np.arange(0.0, 2.0 * log_norms.size, 2.0), x) - nq(x) - log_norms
         # where every term underflows, the floor keeps lt - top at -inf: the sum is 0
         top = lt.max(axis=1, keepdims=True, initial=-_HUGE)

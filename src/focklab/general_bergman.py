@@ -117,23 +117,24 @@ class TruncatedKernel:
     condition: float
 
 
-def _density_rows(tk: TruncatedKernel, p: MicroscopicPotential, zz: np.ndarray) -> np.ndarray:
-    """|p_j(z)|^2 |z|^{2c} e^{-Q0(z)} for j < N (axis 0) at the points of zz, flattened (axis 1).
+def _density_rows(tk: TruncatedKernel, p: MicroscopicPotential, zz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|p_j(z)|^2 |z|^{2c} e^{-Q0(z)} for j < N (axis 0) at the points of zz, flattened (axis 1), and their sum.
 
     The basis rows are the orthonormal polynomials in degree order, so the
     first N' rows sum to the density of order N'.  The monomial block is
     premultiplied by |z|^c e^{-Q0/2} so no intermediate reaches e^{+Q0},
-    and one product with the basis serves every point.
+    and one product with the basis serves every point.  Where that factor
+    passes the largest double, so does the density (near 0 for c < 0).
     """
     if p.k != tk.k or p.c != tk.c:
         raise ConfigError("kernel and potential disagree on (k, c)")
     flat = _check_points(tk.c, zz.reshape(-1))
     q = p.evaluate(complex(zz) if zz.ndim == 0 else flat)  # a scalar takes the faster Python arithmetic
-    y = tk.basis @ (flat ** np.arange(tk.N)[:, None] * (np.abs(flat) ** tk.c * np.exp(-0.5 * q)))
-    with np.errstate(over="ignore"):  # a sum past the largest double is refused
+    with np.errstate(over="ignore"):  # a value past the largest double is refused
+        w = _check_overflow(np.abs(flat) ** tk.c * np.exp(-0.5 * q))
+        y = tk.basis @ (flat ** np.arange(tk.N)[:, None] * w)
         rows = (y * y.conj()).real
-        _check_overflow(rows.sum(axis=0))
-    return rows
+        return rows, _check_overflow(rows.sum(axis=0))
 
 
 def bergman_density(tk: TruncatedKernel, p: MicroscopicPotential, z):
@@ -142,5 +143,5 @@ def bergman_density(tk: TruncatedKernel, p: MicroscopicPotential, z):
     Scalar in, scalar out, elementwise on arrays.
     """
     zz = np.asarray(z, dtype=complex)
-    value = _density_rows(tk, p, zz).sum(axis=0)
+    value = _density_rows(tk, p, zz)[1]
     return float(value[0]) if zz.ndim == 0 else value.reshape(zz.shape)

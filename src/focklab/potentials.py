@@ -127,7 +127,7 @@ def _check_grid(edges, what: str, least: int = 2) -> np.ndarray:
 
 
 def _check_overflow(values: np.ndarray) -> np.ndarray:
-    """Density values summed under np.errstate(over="ignore"), refused where a sum passed the largest double."""
+    """Density values or factors under np.errstate(over="ignore"), refused where one passed the largest double."""
     if np.isinf(values).any():
         raise DivergenceError("series overflow: the density passes the largest double")
     return values

@@ -47,10 +47,9 @@ def _validate(k: int, c: float, a: float) -> None:
 
 
 def _log_power(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """p ln x, broadcast, with 0 ln 0 = 0: the log of x^p, also at x = 0 (masked, so slower, only if a p is 0)."""
-    with np.errstate(divide="ignore"):  # ln 0 = -inf
-        ln_x = np.log(x)
-    return p * ln_x if p.all() else np.multiply(p, ln_x, out=np.zeros(np.broadcast(p, ln_x).shape), where=p != 0)
+    """p ln x, broadcast, with 0 ln 0 = 0: the log of x^p, also at x = 0; call under np.errstate(divide="ignore")."""
+    ln_x = np.log(x)
+    return np.multiply(p, ln_x, out=np.zeros(np.broadcast(p, ln_x).shape), where=p != 0)
 
 
 def _lgamma(a: np.ndarray) -> np.ndarray:
@@ -180,7 +179,7 @@ def bergman_function_r0(k: int, c: float, a: float, r):
     j = np.arange(k)
     beta = (j + c + 1.0) / k
     log_m = _log_moments(k, a, beta)
-    with np.errstate(over="ignore"):  # a sum past the largest double is refused
+    with np.errstate(over="ignore", divide="ignore"):  # a sum past the largest double is refused; ln 0 = -inf
         x = a * rr ** (2 * k)
         # the first k terms in the log domain, so that no factor of
         # r^{2j+2c} e^{-x} / m_j over- or underflows on its own

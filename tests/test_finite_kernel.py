@@ -214,6 +214,8 @@ class TestArrayEvaluation:
         with pytest.raises(DivergenceError, match="series overflow"):
             truncated_series_r0(1, -0.9, 1.0, 5, np.array([0.5, 1e-300]))
         assert math.isfinite(intensity(fk, 1e-100))
+        with pytest.raises(DivergenceError, match="series overflow"):
+            truncated_series_r0(1, -0.99, 1.0, 5, 1e-320)
 
 
 class TestRescaledIdentity:

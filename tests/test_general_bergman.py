@@ -148,9 +148,10 @@ class TestBergmanDensity:
         # the order-N kernel sum to the order-N/2 density; the two factorizations round differently
         tk = truncated_kernel(moment_matrix(p, N))
         z = disk_grid(2.0)
-        rows = _density_rows(tk, p, z)
+        rows, total = _density_rows(tk, p, z)
         assert rows.shape == (N, z.size)
-        np.testing.assert_array_equal(rows.sum(axis=0), bergman_density(tk, p, z))
+        np.testing.assert_array_equal(rows.sum(axis=0), total)
+        np.testing.assert_array_equal(total, bergman_density(tk, p, z))
         low = bergman_density(truncated_kernel(moment_matrix(p, N // 2)), p, z)
         np.testing.assert_allclose(rows[:N // 2].sum(axis=0), low, rtol=64 * tk.condition * EPS, atol=0.0)
 
@@ -192,6 +193,13 @@ class TestBergmanDensity:
         with pytest.raises(DivergenceError, match="series overflow"):
             bergman_density(tk, p, np.array([0.5, 1e-300j]))
         assert math.isfinite(bergman_density(tk, p, 1e-100))
+        # |z|^c = 1e317 at |z| = 1e-320, c = -0.99: the factor itself passes the largest double
+        p = MicroscopicPotential(k=1, c=-0.99, q0=GINIBRE.q0)
+        tk = truncated_kernel(moment_matrix(p, 16))
+        with pytest.raises(DivergenceError, match="series overflow"):
+            bergman_density(tk, p, 1e-320)
+        with pytest.raises(DivergenceError, match="series overflow"):
+            bergman_density(tk, p, np.array([0.5, 1e-320j]))
 
     def test_kernel_potential_mismatch(self):
         tk = truncated_kernel(moment_matrix(GINIBRE, 8))

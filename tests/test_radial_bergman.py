@@ -194,6 +194,8 @@ class TestBergmanFunctionR0:
         with pytest.raises(DivergenceError, match="series overflow"):
             bergman_function_r0(1, -0.9, 1.0, np.array([0.5, 1e-300]))
         assert math.isfinite(bergman_function_r0(1, -0.9, 1.0, 1e-100))
+        with pytest.raises(DivergenceError, match="series overflow"):
+            bergman_function_r0(1, -0.99, 1.0, 1e-320)
 
     def test_ginibre_flat_at_unit_amplitude(self):
         for r in [0.0, 0.3, 1.0, 2.5, 4.0]:
