@@ -12,25 +12,9 @@ other public name imports its module the first time it is used.
 
 from importlib import import_module
 
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    FitError,
-    FocklabError,
-    IllConditionedError,
-    NotPositiveDefiniteError,
-    NumericalError,
-)
-from .potentials import (
-    CanonicalDecomposition,
-    HomogeneousHermitianPoly,
-    MacroscopicPotential,
-    MicroscopicPotential,
-    canonical_decompose,
-    detect_k,
-    load_potential_config,
-    normalize_potential,
-)
+from . import errors, potentials
+from .errors import *
+from .potentials import *
 
 # public name -> the module that defines it, imported on first use
 _LAZY = {
@@ -66,29 +50,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "FocklabError", "ConfigError", "NumericalError", "NotPositiveDefiniteError",
-    "IllConditionedError", "DivergenceError", "FitError",
-    # potentials
-    "HomogeneousHermitianPoly", "MicroscopicPotential", "MacroscopicPotential",
-    "CanonicalDecomposition", "detect_k", "canonical_decompose",
-    "normalize_potential", "load_potential_config",
-    # radial closed forms
-    "moments", "bergman_function_r0", "delta_q0",
-    "origin_coefficient", "disk_mass", "DecayReport", "decay_report",
-    # general homogeneous weights
-    "MomentMatrix", "TruncatedKernel", "moment_matrix", "truncated_kernel",
-    "bergman_density",
-    # equilibrium
-    "droplet_radius", "modulus_tau0", "microscopic_scale",
-    "AsymptoticReport", "microscale_asymptotic_check",
-    # finite-n kernels
-    "FiniteKernel", "finite_moments", "intensity", "rescaled_intensity",
-    "truncated_series_r0", "mass_integral", "bin_averaged_intensity",
-    "ConvergenceReport", "convergence_report",
-    # Monte Carlo
-    "EnsembleConfig", "IntensityHistogram", "McmcResult",
-    "energy", "delta_energy", "run_mcmc", "sample_radial_exact",
-]
+__all__ = ["__version__", *errors.__all__, *potentials.__all__, *_LAZY]

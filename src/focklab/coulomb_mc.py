@@ -180,8 +180,7 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
     E[i, j] = (log|p_i - w_j| - log|p_i - p_j|) - (log|w_i - w_j| - log|w_i - p_j|),
     which is symmetric, so each acceptance adds one row of 2E to a running
     correction.  The moves themselves are scalar arithmetic; a non-finite
-    change (a singular site, a coincidence, an overflow) is recomputed by
-    delta_energy and decides the move from there.
+    change (a singular site, a coincidence, an overflow) is rejected.
     """
     rng = np.random.default_rng(cfg.seed)
     pot, n = cfg.potential, cfg.n
@@ -229,15 +228,7 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
             moved = []
             for i in range(n):
                 dh = (base[i] + float(corr[i])) + (new[i] - site[i])
-                if not math.isfinite(dh):
-                    cur = pts.copy()
-                    cur[moved] = w[moved]
-                    dh = delta_energy(cur, i, w[i], pot, n)
-                    # singular targets (and exact singular-point attractors) are
-                    # measure zero: rejecting them keeps the chain ergodic
-                    if not math.isfinite(dh):
-                        continue
-                if dh <= 0.0 or us[i] < math.exp(-dh):
+                if math.isfinite(dh) and (dh <= 0.0 or us[i] < math.exp(-dh)):
                     moved.append(i)
                     site[i] = new[i]
                     corr += cross[i]

@@ -4,6 +4,16 @@ The CLI maps these onto process exit codes: ConfigError -> 2,
 NumericalError -> 3, FitError -> 4.
 """
 
+__all__ = [
+    "FocklabError",
+    "ConfigError",
+    "NumericalError",
+    "NotPositiveDefiniteError",
+    "IllConditionedError",
+    "DivergenceError",
+    "FitError",
+]
+
 
 class FocklabError(Exception):
     """Base class for all package-specific errors."""

@@ -24,8 +24,9 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .potentials import MacroscopicPotential, _check_grid, _check_overflow, _check_points, detect_k, normalize_potential
-from .radial_bergman import _log_power, bergman_function_r0, moments
+from .potentials import (MacroscopicPotential, _check_grid, _check_overflow, _check_points, _log_power, _top_value,
+                         detect_k, normalize_potential)
+from .radial_bergman import bergman_function_r0, moments
 from .equilibrium import _ln_mass_roots, microscopic_scale
 
 __all__ = [
@@ -78,10 +79,9 @@ def _grid(h: float, reach: float) -> np.ndarray:
 
 
 def _nq(Q: MacroscopicPotential, n: int, r):
-    """nQ(r), +inf where r^{2m} overflows: mixed-sign coefficients give inf - inf there, and the leading term wins."""
+    """nQ(r), +inf where it passes the largest double."""
     with np.errstate(over="ignore", invalid="ignore"):
-        nq = n * Q.q_of_r(r)
-    return np.where(np.isnan(nq), np.inf, nq)
+        return n * _top_value(Q.q_of_r, r)
 
 
 def _row_blocks(Q, n, beta, t_star, sigma, s):

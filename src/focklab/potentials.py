@@ -10,7 +10,8 @@ indices >= 0 (_check_coeff_map); a homogeneous part is positive definite
 when its minimum on |z| = 1 is above 1e-10 times its largest coefficient
 (_positive_definite); k is an integer >= 1 and -1 < c < inf
 (_check_exponents); so has each input of a density (_check_points,
-_check_grid, _check_overflow).  All types are immutable values; all operations are pure.
+_check_grid, _check_overflow), and a weight past the largest double is
++inf (_top_value).  All types are immutable values; all operations are pure.
 """
 
 from __future__ import annotations
@@ -131,6 +132,28 @@ def _check_overflow(values: np.ndarray) -> np.ndarray:
     if np.isinf(values).any():
         raise DivergenceError("series overflow: the density passes the largest double")
     return values
+
+
+def _log_power(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """p ln x, broadcast, with 0 ln 0 = 0: the log of x^p, also at x = 0, on the principal branch for complex x.
+
+    Call under np.errstate(divide="ignore"), and for complex x also invalid="ignore".
+    """
+    ln_x = np.log(x)
+    return np.multiply(p, ln_x, out=np.zeros(np.broadcast(p, ln_x).shape, ln_x.dtype), where=p != 0)
+
+
+def _top_value(f, z):
+    """f(z) for a weight f whose top-degree part is positive definite, +inf wherever f passes the largest double.
+
+    There a Python power raises OverflowError and mixed-sign numpy terms give
+    inf - inf = NaN; the top-degree part wins, so either counts as +inf.
+    Call under np.errstate(over="ignore", invalid="ignore").
+    """
+    try:
+        return np.fmin(f(z), np.inf)  # fmin returns the other operand of a NaN
+    except OverflowError:
+        return math.inf
 
 
 def _positive_definite(part: dict[tuple[int, int], complex]) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FitError
-from .potentials import _check_exponents, _check_grid, _check_overflow, _check_points
+from .potentials import _check_exponents, _check_grid, _check_overflow, _check_points, _log_power
 
 __all__ = [
     "moments",
@@ -44,12 +44,6 @@ def _validate(k: int, c: float, a: float) -> None:
     _check_exponents(c, k)
     if not 0 < a < math.inf:
         raise ConfigError(f"amplitude must be finite and positive, got {a}")
-
-
-def _log_power(p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """p ln x, broadcast, with 0 ln 0 = 0: the log of x^p, also at x = 0; call under np.errstate(divide="ignore")."""
-    ln_x = np.log(x)
-    return np.multiply(p, ln_x, out=np.zeros(np.broadcast(p, ln_x).shape), where=p != 0)
 
 
 def _lgamma(a: np.ndarray) -> np.ndarray:
@@ -193,7 +187,8 @@ def delta_q0(k: int, c: float, a: float, r):
     """Flat-density limit Delta Q0 = a k^2 r^{2k-2} (c does not enter)."""
     _validate(k, c, a)
     rr = np.asarray(r, dtype=float)
-    out = a * k * k * rr ** (2 * k - 2)
+    with np.errstate(over="ignore"):  # a value past the largest double is refused
+        out = _check_overflow(a * k * k * rr ** (2 * k - 2))
     return float(out) if np.ndim(r) == 0 else out
 
 
@@ -225,8 +220,6 @@ class DecayReport:
 
     The error model is ln|rel_err| = intercept + slope * u + ln_power * ln u
     with u = a r^{2k}; alpha = -slope * a is the decay rate in r^{2k} units.
-    slope_raw is the plain two-parameter fit without the ln u regressor,
-    kept as a diagnostic (it absorbs the power prefactor into the rate).
     usable marks the grid points above the rounding floor, the ones fitted.
     """
 
@@ -242,7 +235,6 @@ class DecayReport:
     identically_zero: bool
     fit_ok: bool
     slope: float | None = None
-    slope_raw: float | None = None
     ln_power: float | None = None
     intercept: float | None = None
     alpha: float | None = None
@@ -293,15 +285,11 @@ def decay_report(k: int, c: float, a: float, r_grid) -> DecayReport:
     if n_used < 3:
         return DecayReport(**base, identically_zero=(n_used == 0), fit_ok=False)
     C, s, p = fit_error_model(u[usable], np.log(np.abs(rel[usable])))
-    # plain 2-parameter fit for the diagnostic slope_raw
-    X = np.column_stack([np.ones(n_used), u[usable]])
-    coef_raw, *_ = np.linalg.lstsq(X, np.log(np.abs(rel[usable])), rcond=None)
     return DecayReport(
         **base,
         identically_zero=False,
         fit_ok=True,
         slope=s,
-        slope_raw=float(coef_raw[1]),
         ln_power=p,
         intercept=C,
         alpha=-s * a,

@@ -162,6 +162,17 @@ class TestEquilibrium:
         assert "R_Q = 1" in out and "tau0 = 1" in out
         assert "rn = 0.1" in out
 
+    def test_default_n_list(self, capsys):
+        assert run(["equilibrium", "--k", "1"]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("n = ")]
+        assert line.startswith("n = 100: rn = 0.1")
+
+    @pytest.mark.parametrize("cmd", ["rescale", "equilibrium"])
+    @pytest.mark.parametrize("n_list", ["4,x", "0"])
+    def test_bad_n_list_refused(self, cmd, n_list, capsys):
+        assert run([cmd, "--n-list", n_list]) == 2
+        assert capsys.readouterr().err.startswith("focklab: config error: ")
+
     def test_artifacts(self, tmp_path):
         prefix = tmp_path / "eq"
         assert run(["equilibrium", "--c", "1", "--n-list", "100,400", "--out", prefix]) == 0
@@ -465,6 +476,15 @@ class TestWeightReader:
         (tmp_path / "mixed.json").write_text(config)
         assert run(["verify-thm1", "--coeffs-file", tmp_path / "mixed.json"]) == 2
         assert "requires a radial weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["rescale", "equilibrium", "sample"])
+    def test_radial_commands_refuse_a_twisted_weight(self, cmd, tmp_path, monkeypatch, capsys):
+        (config,) = _readme_blocks("json")
+        (tmp_path / "mixed.json").write_text(config)
+        monkeypatch.chdir(tmp_path)
+        assert run(self.COMMANDS[cmd] + ["--coeffs-file", "mixed.json"]) == 2
+        assert capsys.readouterr().err == "focklab: config error: this subcommand requires a radial potential\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["mixed.json"]
 
     @pytest.mark.parametrize("change", [
         {"c": "x"}, {"c": None}, {"radial_coeffs": [[1.5, 1.0]]}, {"radial_coeffs": [["a", 1.0]]},

@@ -164,11 +164,9 @@ class TestSweepBlockedChain:
     }
 
     @pytest.mark.parametrize("name", list(CASES))
-    def test_matches_per_particle_loop(self, name, monkeypatch):
+    def test_matches_per_particle_loop(self, name):
         cfg = EnsembleConfig(bin_edges=self.EDGES, sweeps=120, burn_in=60, seed=17,
                              collect_moduli=True, **self.CASES[name])
-        # every energy change of these chains is finite, so none needs the fallback
-        monkeypatch.setattr("focklab.coulomb_mc.delta_energy", None)
         res = run_mcmc(cfg)
         counts, batch_counts, rate, delta, moduli = reference_chain(cfg)
         np.testing.assert_array_equal(res.histogram.counts, counts)
@@ -177,20 +175,21 @@ class TestSweepBlockedChain:
         assert res.delta_final == delta
         np.testing.assert_array_equal(res.moduli, moduli)
 
-    def test_non_finite_change_falls_back_to_delta_energy(self, monkeypatch):
+    def test_non_finite_change_is_rejected(self, monkeypatch):
         # r^400 overflows past r ~ 5.9, so wide proposals have an infinite site energy
-        calls = []
+        infinite = []
 
         def counted(*args):
-            calls.append(args[1])
-            return delta_energy(*args)
+            out = _site_energy(*args)
+            infinite.append(int(np.count_nonzero(np.isinf(out))))
+            return out
 
-        monkeypatch.setattr("focklab.coulomb_mc.delta_energy", counted)
+        monkeypatch.setattr("focklab.coulomb_mc._site_energy", counted)
         cfg = EnsembleConfig(n=3, potential=radial({1: 1.0, 200: 1.0}), bin_edges=self.EDGES,
                              sweeps=40, burn_in=0, delta0=8.0, seed=5, collect_moduli=True)
         res = run_mcmc(cfg)
+        assert sum(infinite) > 10
         counts, batch_counts, rate, delta, moduli = reference_chain(cfg)
-        assert len(calls) > 10
         np.testing.assert_array_equal(res.histogram.counts, counts)
         assert res.acceptance_rate == rate
         np.testing.assert_array_equal(res.moduli, moduli)

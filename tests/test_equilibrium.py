@@ -110,6 +110,11 @@ class TestModulusTau0:
         with pytest.raises(ConfigError):
             modulus_tau0(HomogeneousHermitianPoly(0, {(0, 0): 1.0}))
 
+    def test_refuses_a_zero_circle_mean(self):
+        # Re(z^2 + conj(z)^2) has no |z|^2 term, so Delta Q0 averages to 0 on the circle
+        with pytest.raises(ConfigError, match="nonpositive circle average"):
+            modulus_tau0(HomogeneousHermitianPoly(2, {(2, 0): 1.0, (0, 2): 1.0}))
+
 
 class TestMicroscopicScale:
     def test_closed_forms(self):

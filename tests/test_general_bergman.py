@@ -30,6 +30,12 @@ TWISTED_K2 = MicroscopicPotential(
     q0=HomogeneousHermitianPoly(4, {(2, 2): 1.0, (4, 0): 0.2, (0, 4): 0.2, (3, 1): 0.1j, (1, 3): -0.1j}),
 )
 
+# the k = 2 mixed weight of the README's gram example: Q0 = |z|^4 + 0.6 Re(z^3 conj(z)), c = 1/2
+MIXED = MicroscopicPotential(
+    k=2, c=0.5,
+    q0=HomogeneousHermitianPoly(4, {(2, 2): 1.0, (3, 1): 0.3, (1, 3): 0.3}),
+)
+
 EPS = np.finfo(float).eps
 
 
@@ -62,6 +68,12 @@ class TestMomentMatrix:
     def test_validation(self):
         with pytest.raises(ConfigError):
             moment_matrix(GINIBRE, 0)
+
+    def test_coarse_grid_is_refused(self, monkeypatch):
+        # on 16 angles q^{-pw} aliases visibly: every other angle gives moments more than 1e-12 apart
+        monkeypatch.setattr(general_bergman, "_ANGULAR_POINTS", 8)
+        with pytest.raises(NumericalError, match="did not converge under grid doubling"):
+            moment_matrix(TWISTED, 12)
 
     @pytest.mark.parametrize("k,c,a,N", [(1, 0.0, 1.0, 171), (1, 3.0, 1.0, 168), (2, 0.5, 1.0, 342), (1, 0.0, 0.5, 150)])
     def test_last_order_inside_the_float_range(self, k, c, a, N, monkeypatch):
@@ -160,6 +172,14 @@ class TestBergmanDensity:
         tk = truncated_kernel(moment_matrix(GINIBRE, 6))
         assert bergman_density(tk, GINIBRE, 30.0) == 0.0
         assert np.all(bergman_density(tk, GINIBRE, disk_grid(3.0)) < 1.0)
+
+    @pytest.mark.parametrize("p,N", [(GINIBRE, 48), (TWISTED, 36), (MIXED, 44)])
+    @pytest.mark.parametrize("r", [1e10, 1e80, 1e200, 1e300])
+    def test_far_points_give_zero(self, p, N, r):
+        # z^j alone passes the largest double at these radii, and Q0 does where |z|^{2k} > 1e308
+        tk = truncated_kernel(moment_matrix(p, N))
+        assert bergman_density(tk, p, r * np.exp(0.3j)) == 0.0
+        np.testing.assert_array_equal(bergman_density(tk, p, r * np.exp(1j * np.arange(4.0))), 0.0)
 
     @pytest.mark.parametrize("p,N", [(GINIBRE, 16), (TWISTED, 24), (TWISTED_K2, 16)])
     def test_array_matches_pointwise(self, p, N):

@@ -281,6 +281,13 @@ class TestDeltaQ0:
     def test_charge_does_not_enter(self):
         assert delta_q0(2, 0.0, 1.3, 0.9) == delta_q0(2, 1.0, 1.3, 0.9)
 
+    def test_overflow_is_refused(self):
+        # r^4 = 1e400 at k = 3: past the largest double, without a RuntimeWarning
+        with pytest.raises(DivergenceError, match="series overflow"):
+            delta_q0(3, 0.0, 1.0, 1e100)
+        with pytest.raises(DivergenceError, match="series overflow"):
+            delta_q0(3, 0.0, 1.0, np.array([1.0, 1e100]))
+
 
 class TestOriginCoefficient:
     def test_closed_form(self):
