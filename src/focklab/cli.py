@@ -30,7 +30,9 @@ from .errors import ConfigError, DivergenceError, FitError, NumericalError
 from .potentials import (
     CanonicalDecomposition,
     MacroscopicPotential,
+    _check_overflow,
     _check_points,
+    _top_value,
     canonical_decompose,
     detect_k,
     load_potential_config,
@@ -384,8 +386,9 @@ def cmd_gram(args) -> int:
     thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     r, th = np.array([(x, t) for x in grid for t in (thetas if x > 0 else thetas[:1])]).T
     z = r * np.cos(th) + 1j * (r * np.sin(th))
-    rows, val = _density_rows(tk, p, z)
-    dq = p.q0.laplacian().evaluate(z)
+    rows, val = _density_rows(tk, z)
+    with np.errstate(over="ignore", invalid="ignore"):  # Delta Q0 is refused past the largest double, as R0 is
+        dq = _check_overflow(_top_value(p.q0.laplacian().evaluate, z))
     rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
     # share of the last 8 orthonormal rows, (R^N - R^{N-8}) / R^N; where R^N is 0 it is 0 at the
     # origin (c > 0: every order vanishes there) and 1 elsewhere (R^N underflowed)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .potentials import MacroscopicPotential, _check_grid
+from .potentials import MacroscopicPotential, _check_grid, _top_value
 from .equilibrium import droplet_radius
 
 __all__ = [
@@ -46,9 +46,10 @@ def _check_count(value, what: str) -> None:
 def _site_energy(potential: MacroscopicPotential, n: int, z: np.ndarray) -> np.ndarray:
     """n V_n(z) elementwise over an array of particles; +-inf at the origin for c != 0.
 
-    Callers silence numpy's divide-by-zero warning there.
+    Where Q passes the largest double, n V_n is +inf (potentials._top_value).
+    Call under np.errstate(divide="ignore", over="ignore", invalid="ignore").
     """
-    val = n * potential.value(z)
+    val = n * _top_value(potential.value, z)
     if potential.c != 0.0:
         val = val - 2.0 * potential.c * np.log(np.abs(z))
     return val
@@ -59,7 +60,7 @@ def energy(points, potential: MacroscopicPotential, n: int | None = None) -> flo
     z = np.asarray(points, dtype=complex)
     if n is None:
         n = z.size
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d = np.abs(z[:, None] - z[None, :])
         iu = np.triu_indices(z.size, k=1)
         if z.size > 1 and np.any(d[iu] == 0.0):
@@ -78,7 +79,7 @@ def delta_energy(points, i: int, znew: complex, potential: MacroscopicPotential,
     if n is None:
         n = z.size
     others = np.delete(z, i)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d_old = np.abs(others - z[i])
         d_new = np.abs(others - znew)
         if np.any(d_new == 0.0):
@@ -95,8 +96,9 @@ class EnsembleConfig:
     sweeps counts RECORDED sweeps, at least 2; the chain runs
     burn_in + sweeps*thin single-particle sweeps in total.  delta0 is tuned
     during burn-in toward an acceptance of 0.35, every 25 sweeps, and then
-    frozen; the recorded sweeps are split into 32 batches for the error
-    bars, so at least two batches are never empty.
+    frozen; recorded sweep i falls in batch i * 32 // sweeps of the 32 behind
+    the error bars, so at least two are never empty.  collect_moduli returns
+    the radii of every recorded sweep, which the chain keeps either way.
     """
 
     n: int
@@ -181,6 +183,9 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
     which is symmetric, so each acceptance adds one row of 2E to a running
     correction.  The moves themselves are scalar arithmetic; a non-finite
     change (a singular site, a coincidence, an overflow) is rejected.
+    The chain keeps one record, the radii of each recorded sweep, and cuts
+    it into batches after the last sweep: batch b holds the recorded sweeps
+    i with i * 32 // sweeps == b.
     """
     rng = np.random.default_rng(cfg.seed)
     pot, n = cfg.potential, cfg.n
@@ -190,20 +195,12 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
     pts = r0 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
     delta = cfg.delta0
 
-    nbins = edges.size - 1
-    counts = np.zeros(nbins, dtype=np.int64)
-    batch_counts = np.zeros((_BATCHES, nbins), dtype=np.int64)
-    batch_recorded = np.zeros(_BATCHES, dtype=np.int64)
-    # recorded radii: every sweep's for collect_moduli, else those of the open batch
-    held = np.empty((cfg.sweeps if cfg.collect_moduli else -(-cfg.sweeps // _BATCHES), n))
-    first = 0  # first recorded sweep of the open batch
-
+    radii = np.empty((cfg.sweeps, n))  # row i: the radii of recorded sweep i
     diag = np.arange(n) * (2 * n + 1)  # flat indices of the (i, i) entries of an n x 2n block
 
     tuned_acc = 0
     rec_acc = 0
     total = cfg.burn_in + cfg.sweeps * cfg.thin
-    recorded = 0
     # singular and overflowing energies are infinite: those moves are rejected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         site = _site_energy(pot, n, pts).tolist()
@@ -241,19 +238,12 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
                     tuned_acc = 0
                 continue
             rec_acc += len(moved)
-            post = sweep - cfg.burn_in
-            if post % cfg.thin != 0:
-                continue
-            np.abs(pts, out=held[recorded if cfg.collect_moduli else recorded - first])
-            recorded += 1
-            b = first * _BATCHES // cfg.sweeps
-            if recorded == cfg.sweeps or recorded * _BATCHES // cfg.sweeps != b:
-                radii = held[first:recorded] if cfg.collect_moduli else held[:recorded - first]
-                cnt, _ = np.histogram(radii, edges)
-                counts += cnt
-                batch_counts[b] = cnt
-                batch_recorded[b] = recorded - first
-                first = recorded
+            post, skip = divmod(sweep - cfg.burn_in, cfg.thin)
+            if not skip:
+                np.abs(pts, out=radii[post])
+
+    batch = np.arange(cfg.sweeps) * _BATCHES // cfg.sweeps
+    batch_counts = np.array([np.histogram(radii[batch == b], edges)[0] for b in range(_BATCHES)])
 
     rate = rec_acc / (cfg.sweeps * cfg.thin * n)
     if not 0.2 <= rate <= 0.6:
@@ -264,16 +254,16 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
         )
     hist = IntensityHistogram(
         edges=edges,
-        counts=counts,
-        recorded=recorded,
+        counts=batch_counts.sum(axis=0),
+        recorded=cfg.sweeps,
         batch_counts=batch_counts,
-        batch_recorded=batch_recorded,
+        batch_recorded=np.bincount(batch, minlength=_BATCHES),
     )
     return McmcResult(
         histogram=hist,
         acceptance_rate=float(rate),
         delta_final=float(delta),
-        moduli=held.reshape(-1) if cfg.collect_moduli else None,
+        moduli=radii.reshape(-1) if cfg.collect_moduli else None,
     )
 
 

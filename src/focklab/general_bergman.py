@@ -64,16 +64,14 @@ def moment_matrix(p: MicroscopicPotential, N: int) -> "MomentMatrix":
     A, change = _assemble(p, N, q)
     if change > 1e-12 * np.abs(A).max():
         raise NumericalError("angular quadrature did not converge under grid doubling")
-    return MomentMatrix(k=p.k, c=p.c, N=N, entries=A, scale=np.sqrt(np.real(np.diag(A))))
+    return MomentMatrix(weight=p, entries=A, scale=np.sqrt(np.real(np.diag(A))))
 
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Hermitian monomial Gram matrix with its diagonal preconditioner."""
+    """Hermitian monomial Gram matrix of the weight |z|^{2c} e^{-Q0} with its diagonal preconditioner."""
 
-    k: int
-    c: float
-    N: int
+    weight: MicroscopicPotential
     entries: np.ndarray
     scale: np.ndarray
 
@@ -95,27 +93,25 @@ def truncated_kernel(A: MomentMatrix) -> "TruncatedKernel":
     if cond > COND_LIMIT:
         raise IllConditionedError(
             f"scaled moment matrix condition {cond:.3e} exceeds {COND_LIMIT:.1e} "
-            f"at N={A.N}; reduce N"
+            f"at N={A.scale.size}; reduce N"
         )
     try:
         chol = np.linalg.cholesky(As)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"moment matrix not positive definite: {exc}") from exc
-    return TruncatedKernel(k=A.k, c=A.c, N=A.N, basis=np.linalg.inv(chol) / A.scale, condition=cond)
+    return TruncatedKernel(weight=A.weight, basis=np.linalg.inv(chol) / A.scale, condition=cond)
 
 
 @dataclass(frozen=True)
 class TruncatedKernel:
-    """L^(N)(z,w) = sum_{j<N} p_j(z) conj(p_j(w)); row j of basis holds the monomial coefficients of p_j."""
+    """L^(N)(z,w) = sum_{j<N} p_j(z) conj(p_j(w)) of the weight; row j of basis holds p_j's monomial coefficients."""
 
-    k: int
-    c: float
-    N: int
+    weight: MicroscopicPotential
     basis: np.ndarray
     condition: float
 
 
-def _density_rows(tk: TruncatedKernel, p: MicroscopicPotential, zz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _density_rows(tk: TruncatedKernel, zz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|p_j(z)|^2 |z|^{2c} e^{-Q0(z)} for j < N (axis 0) at the points of zz, flattened (axis 1), and their sum.
 
     The basis rows are the orthonormal polynomials in degree order, so the
@@ -126,13 +122,12 @@ def _density_rows(tk: TruncatedKernel, p: MicroscopicPotential, zz: np.ndarray) 
     |p_j(z)|^2 does not see it.  Where the block or the density passes the
     largest double (near 0 for c < 0), it is refused.
     """
-    if p.k != tk.k or p.c != tk.c:
-        raise ConfigError("kernel and potential disagree on (k, c)")
-    flat = _check_points(tk.c, zz.reshape(-1))
+    p = tk.weight
+    flat = _check_points(p.c, zz.reshape(-1))
     # past the largest double a value is refused and Q0 counts as +inf; ln 0 = -inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         q = _top_value(p.evaluate, complex(zz) if zz.ndim == 0 else flat)  # a scalar takes the faster Python arithmetic
-        y = tk.basis @ _check_overflow(np.exp(_log_power(np.arange(float(tk.N))[:, None] + tk.c, flat) - 0.5 * q))
+        y = tk.basis @ _check_overflow(np.exp(_log_power(np.arange(len(tk.basis))[:, None] + p.c, flat) - 0.5 * q))
         rows = (y * y.conj()).real
         return rows, _check_overflow(rows.sum(axis=0))
 
@@ -140,8 +135,11 @@ def _density_rows(tk: TruncatedKernel, p: MicroscopicPotential, zz: np.ndarray) 
 def bergman_density(tk: TruncatedKernel, p: MicroscopicPotential, z):
     """Weighted diagonal L^(N)(z,z) |z|^{2c} e^{-Q0(z)}, damped at the vector level.
 
-    Scalar in, scalar out, elementwise on arrays.
+    Scalar in, scalar out, elementwise on arrays.  The weight is the
+    kernel's own; p must equal it, or ConfigError is raised.
     """
+    if p != tk.weight:
+        raise ConfigError("potential differs from the weight the kernel was built from")
     zz = np.asarray(z, dtype=complex)
-    value = _density_rows(tk, p, zz)[1]
+    value = _density_rows(tk, zz)[1]
     return float(value[0]) if zz.ndim == 0 else value.reshape(zz.shape)

@@ -352,6 +352,16 @@ class TestGram:
         assert "overflow double precision at N=200" in capsys.readouterr().err
         assert not list(out.iterdir())
 
+    def test_delta_q0_past_the_largest_double_refused(self, tmp_path, capsys):
+        # Delta Q0 = 4|z|^2 + 1.8 Re z^2 is inf - inf = NaN at z = 1e200 i; refused as a density is
+        cfgp = tmp_path / "q.json"
+        cfgp.write_text(json.dumps(MIXED))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["gram", "--coeffs-file", cfgp, "--grid", "0:1e200:3", "--out", out / "g"]) == 3
+        assert "series overflow" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("cmd", ["r0", "gram"])
     def test_negative_radius_refused(self, cmd, tmp_path, capsys):
         cfgp = tmp_path / "q.json"
@@ -407,6 +417,14 @@ class TestMain:
         assert out == "" and err.startswith("focklab: file error: ") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    def test_out_naming_a_directory_exits_2(self, tmp_path, capsys):
+        # the folder is writable, so the write itself fails
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert run(["r0", "--grid", "0:1:3", "--out", taken]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("focklab: file error: ") and err.count("\n") == 1
+        assert not list(taken.iterdir())
 
     def test_unwritable_out_refused_before_the_run(self, tmp_path, monkeypatch, capsys):
         def never(cfg):

@@ -23,6 +23,8 @@ from focklab.coulomb_mc import _BATCHES, _TUNE_INTERVAL, _TUNE_TARGET, _site_ene
 from focklab.radial_bergman import _incomplete_gamma
 
 GINIBRE = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0})
+# |z|^2 + 0.3 (z^2 + conj(z)^2)
+TWISTED = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={(1, 1): 1.0, (2, 0): 0.3, (0, 2): 0.3})
 
 
 def radial(coeffs, c=0.0):
@@ -63,6 +65,11 @@ class TestEnergy:
         Q = radial({1: 1.0, 200: 1.0}, c=0.5)
         assert energy([0.5 + 0j, 10.0 + 0j], Q) == math.inf
         assert delta_energy([0.5 + 0j, 1.0 + 0j], 1, 10.0 + 0j, Q) == math.inf
+        # mixed-sign terms give inf - inf = NaN past the largest double; the positive definite top part
+        # wins, so the energy is +inf there too
+        assert energy([1e200 + 1e200j, 0.5 + 0j], TWISTED) == math.inf
+        assert delta_energy([0.1 + 0j, 0.5 + 0j], 0, 1e200 + 1e200j, TWISTED) == math.inf
+        assert energy([1e120 + 0j, 0.5 + 0j], radial({1: 1.0, 2: -1e-4, 3: 1.0})) == math.inf
 
 
 class TestSiteEnergy:
@@ -88,6 +95,16 @@ class TestSiteEnergy:
             assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
         assert arr[9] == (math.inf if pot.c > 0 else -math.inf)
 
+    def test_one_point_past_the_largest_double_is_inf(self):
+        # one Python complex point: z**2 is NaN on the diagonal 1e200 (1 + i) and raises OverflowError on
+        # the axes; either counts as +inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(TWISTED.value(complex(1e200, 1e200)))
+            assert _site_energy(TWISTED, 6, complex(1e200, 1e200)) == math.inf
+            with pytest.raises(OverflowError):
+                TWISTED.value(1e200j)
+            assert _site_energy(TWISTED, 6, 1e200j) == math.inf
+
 
 class TestDeltaEnergy:
     def test_matches_full_recompute(self):
@@ -109,13 +126,17 @@ class TestDeltaEnergy:
 
 
 def reference_chain(cfg):
-    """The per-particle Metropolis loop on delta_energy, one histogram per recorded sweep."""
+    """The per-particle Metropolis loop on delta_energy, one histogram per recorded sweep.
+
+    Recorded sweep i goes to batch i * 32 // sweeps as soon as it is drawn.
+    """
     rng = np.random.default_rng(cfg.seed)
     pot, n, edges = cfg.potential, cfg.n, cfg.bin_edges
     pts = edges[-1] * 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
     delta = cfg.delta0
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     batch_counts = np.zeros((_BATCHES, edges.size - 1), dtype=np.int64)
+    batch_recorded = np.zeros(_BATCHES, dtype=np.int64)
     moduli = []
     tuned_acc = rec_acc = recorded = 0
     for sweep in range(cfg.burn_in + cfg.sweeps * cfg.thin):
@@ -143,9 +164,11 @@ def reference_chain(cfg):
         cnt, _ = np.histogram(np.abs(pts), edges)
         counts += cnt
         batch_counts[recorded * _BATCHES // cfg.sweeps] += cnt
+        batch_recorded[recorded * _BATCHES // cfg.sweeps] += 1
         moduli.append(np.abs(pts))
         recorded += 1
-    return counts, batch_counts, rec_acc / (cfg.sweeps * cfg.thin * n), delta, np.concatenate(moduli)
+    rate = rec_acc / (cfg.sweeps * cfg.thin * n)
+    return counts, batch_counts, batch_recorded, rate, delta, np.concatenate(moduli)
 
 
 @pytest.mark.filterwarnings("ignore:acceptance rate:RuntimeWarning")
@@ -165,15 +188,24 @@ class TestSweepBlockedChain:
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_matches_per_particle_loop(self, name):
-        cfg = EnsembleConfig(bin_edges=self.EDGES, sweeps=120, burn_in=60, seed=17,
-                             collect_moduli=True, **self.CASES[name])
-        res = run_mcmc(cfg)
-        counts, batch_counts, rate, delta, moduli = reference_chain(cfg)
-        np.testing.assert_array_equal(res.histogram.counts, counts)
-        np.testing.assert_array_equal(res.histogram.batch_counts, batch_counts)
-        assert res.acceptance_rate == rate
-        assert res.delta_final == delta
-        np.testing.assert_array_equal(res.moduli, moduli)
+        # with and without the moduli (the CLI and the benchmark's chains keep none), and at 7 recorded
+        # sweeps, where 25 of the 32 batches stay empty
+        for sweeps, collect in [(120, True), (120, False), (7, True), (7, False)]:
+            cfg = EnsembleConfig(bin_edges=self.EDGES, sweeps=sweeps, burn_in=60, seed=17,
+                                 collect_moduli=collect, **self.CASES[name])
+            res = run_mcmc(cfg)
+            counts, batch_counts, batch_recorded, rate, delta, moduli = reference_chain(cfg)
+            h = res.histogram
+            np.testing.assert_array_equal(h.counts, counts)
+            np.testing.assert_array_equal(h.batch_counts, batch_counts)
+            np.testing.assert_array_equal(h.batch_recorded, batch_recorded)
+            assert h.recorded == sweeps
+            assert res.acceptance_rate == rate
+            assert res.delta_final == delta
+            if collect:
+                np.testing.assert_array_equal(res.moduli, moduli)
+            else:
+                assert res.moduli is None
 
     def test_non_finite_change_is_rejected(self, monkeypatch):
         # r^400 overflows past r ~ 5.9, so wide proposals have an infinite site energy
@@ -189,7 +221,7 @@ class TestSweepBlockedChain:
                              sweeps=40, burn_in=0, delta0=8.0, seed=5, collect_moduli=True)
         res = run_mcmc(cfg)
         assert sum(infinite) > 10
-        counts, batch_counts, rate, delta, moduli = reference_chain(cfg)
+        counts, batch_counts, batch_recorded, rate, delta, moduli = reference_chain(cfg)
         np.testing.assert_array_equal(res.histogram.counts, counts)
         assert res.acceptance_rate == rate
         np.testing.assert_array_equal(res.moduli, moduli)

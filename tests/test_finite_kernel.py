@@ -328,6 +328,12 @@ class TestQuadratureErrorChecks:
         with pytest.raises(NumericalError):
             bin_averaged_intensity(fk, [0.0, 0.5, 1.0])
 
+    def test_norms_reject_a_large_error_estimate(self, monkeypatch):
+        # a tolerance below every estimate (all are >= 0) fails each row at every halving of the step
+        monkeypatch.setattr("focklab.finite_kernel._TOL", -1.0)
+        with pytest.raises(NumericalError, match=r"norm j=0: error estimate .* > -1 at step 0\.0015625"):
+            finite_moments(radial({1: 1.0}), 0.0, 4)
+
 
 def _quad_bin_means(fk, edges):
     """Bin means of bR_n by adaptive quadrature over scalar intensity calls."""

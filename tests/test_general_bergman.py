@@ -160,7 +160,7 @@ class TestBergmanDensity:
         # the order-N kernel sum to the order-N/2 density; the two factorizations round differently
         tk = truncated_kernel(moment_matrix(p, N))
         z = disk_grid(2.0)
-        rows, total = _density_rows(tk, p, z)
+        rows, total = _density_rows(tk, z)
         assert rows.shape == (N, z.size)
         np.testing.assert_array_equal(rows.sum(axis=0), total)
         np.testing.assert_array_equal(total, bergman_density(tk, p, z))
@@ -226,3 +226,14 @@ class TestBergmanDensity:
         other = MicroscopicPotential(k=1, c=1.0, q0=GINIBRE.q0)
         with pytest.raises(ConfigError):
             bergman_density(tk, other, 0.5)
+        # TWISTED and GINIBRE share (k, c) = (1, 0), so only the kernel's weight tells them apart; the
+        # TWISTED kernel on the Ginibre weight would give 1.1618 at z = 0.5 and 0.8607 at z = 0.5i
+        A = moment_matrix(TWISTED, 24)
+        tk = truncated_kernel(A)
+        assert A.weight is TWISTED and tk.weight is TWISTED
+        for z in (0.5, 0.5j, [0.5, 0.5j]):
+            with pytest.raises(ConfigError, match="differs from the weight the kernel was built from"):
+                bergman_density(tk, GINIBRE, z)
+        # an equal weight built anew is the kernel's weight
+        same = MicroscopicPotential(k=1, c=0.0, q0=HomogeneousHermitianPoly(2, dict(TWISTED.q0.coeffs)))
+        assert bergman_density(tk, same, 0.5) == bergman_density(tk, TWISTED, 0.5)

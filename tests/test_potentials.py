@@ -37,6 +37,10 @@ class TestHomogeneousHermitianPoly:
         with pytest.raises(ConfigError):
             HomogeneousHermitianPoly(2, {(2, 2): 1.0})
 
+    def test_rejects_odd_degree(self):
+        with pytest.raises(ConfigError, match="degree must be a nonnegative even integer, got 3"):
+            HomogeneousHermitianPoly(3, {(2, 1): 1.0, (1, 2): 1.0})
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.3, math.nan)])
     def test_rejects_non_finite_coefficients(self, bad):
         with pytest.raises(ConfigError, match="must be finite"):
@@ -313,6 +317,11 @@ class TestCanonicalDecompose:
         q1 = sum(a * z**i * z.conjugate() ** j for (i, j), a in dec.q1_coeffs.items()).real
         assert dec.q0.evaluate(z) + re_h + q1 == pytest.approx(Q.value(z), rel=1e-12, abs=1e-12)
 
+    def test_degree_below_2k_rejected(self):
+        Q = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0})
+        with pytest.raises(ConfigError, match="potential has degree 2 < 2k = 4"):
+            canonical_decompose(Q, 2)
+
     def test_low_degree_mixed_term_rejected(self):
         Q = MacroscopicPotential(kind="hermitian", c=0.0,
                                  hermitian_coeffs={(1, 1): 1.0, (2, 2): 1.0})
@@ -390,6 +399,12 @@ class TestLoadPotentialConfig:
     def test_diagonal_hermitian_rows_still_validated(self, rows):
         with pytest.raises(ConfigError):
             load_potential_config({"kind": "hermitian", "hermitian_coeffs": rows})
+
+    def test_json_array_refused(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps([["radial_coeffs", [[1, 1.0]]]]))
+        with pytest.raises(ConfigError, match="potential config must be a JSON object"):
+            load_potential_config(path)
 
     def test_stated_k_validated(self):
         doc = {"kind": "radial", "c": 0.0, "radial_coeffs": [[2, 1.0]], "k": 1}
