@@ -32,7 +32,6 @@ from .potentials import (
     MacroscopicPotential,
     _check_overflow,
     _check_points,
-    _top_value,
     canonical_decompose,
     detect_k,
     load_potential_config,
@@ -387,8 +386,7 @@ def cmd_gram(args) -> int:
     r, th = np.array([(x, t) for x in grid for t in (thetas if x > 0 else thetas[:1])]).T
     z = r * np.cos(th) + 1j * (r * np.sin(th))
     rows, val = _density_rows(tk, z)
-    with np.errstate(over="ignore", invalid="ignore"):  # Delta Q0 is refused past the largest double, as R0 is
-        dq = _check_overflow(_top_value(p.q0.laplacian().evaluate, z))
+    dq = _check_overflow(p.q0.laplacian().evaluate(z), "deltaQ0")  # refused past the largest double, as R0 is
     rel = val / np.where(dq != 0.0, dq, np.nan) - 1.0
     # share of the last 8 orthonormal rows, (R^N - R^{N-8}) / R^N; where R^N is 0 it is 0 at the
     # origin (c > 0: every order vanishes there) and 1 elsewhere (R^N underflowed)

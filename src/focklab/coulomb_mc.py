@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .potentials import MacroscopicPotential, _check_grid, _top_value
+from .potentials import MacroscopicPotential, _check_grid
 from .equilibrium import droplet_radius
 
 __all__ = [
@@ -46,10 +46,10 @@ def _check_count(value, what: str) -> None:
 def _site_energy(potential: MacroscopicPotential, n: int, z: np.ndarray) -> np.ndarray:
     """n V_n(z) elementwise over an array of particles; +-inf at the origin for c != 0.
 
-    Where Q passes the largest double, n V_n is +inf (potentials._top_value).
+    Where Q passes the largest double, n V_n is +inf (MacroscopicPotential.value).
     Call under np.errstate(divide="ignore", over="ignore", invalid="ignore").
     """
-    val = n * _top_value(potential.value, z)
+    val = n * potential.value(z)
     if potential.c != 0.0:
         val = val - 2.0 * potential.c * np.log(np.abs(z))
     return val

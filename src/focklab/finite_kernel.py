@@ -24,8 +24,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .potentials import (MacroscopicPotential, _check_grid, _check_overflow, _check_points, _log_power, _top_value,
-                         detect_k, normalize_potential)
+from .potentials import (MacroscopicPotential, _check_grid, _check_overflow, _check_points, _log_power, detect_k,
+                         normalize_potential)
 from .radial_bergman import bergman_function_r0, moments
 from .equilibrium import _ln_mass_roots, microscopic_scale
 
@@ -79,9 +79,9 @@ def _grid(h: float, reach: float) -> np.ndarray:
 
 
 def _nq(Q: MacroscopicPotential, n: int, r):
-    """nQ(r), +inf where it passes the largest double."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return n * _top_value(Q.q_of_r, r)
+    """nQ(r), +inf where it passes the largest double, as Q does in Q.q_of_r."""
+    with np.errstate(over="ignore"):
+        return n * Q.q_of_r(r)
 
 
 def _row_blocks(Q, n, beta, t_star, sigma, s):

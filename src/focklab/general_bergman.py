@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IllConditionedError, NotPositiveDefiniteError, NumericalError
-from .potentials import MicroscopicPotential, _check_overflow, _check_points, _log_power, _top_value
+from .potentials import MicroscopicPotential, _check_overflow, _check_points, _log_power
 
 __all__ = ["MomentMatrix", "TruncatedKernel", "moment_matrix", "truncated_kernel", "bergman_density"]
 
@@ -119,14 +119,15 @@ def _density_rows(tk: TruncatedKernel, zz: np.ndarray) -> tuple[np.ndarray, np.n
     z^{j+c} e^{-Q0/2} is formed in the log domain, so no factor of it
     over- or underflows on its own, and one product with the basis serves
     every point; the phase e^{ic arg z} is the same for every j, so
-    |p_j(z)|^2 does not see it.  Where the block or the density passes the
-    largest double (near 0 for c < 0), it is refused.
+    |p_j(z)|^2 does not see it.  Where Q0 passes the largest double it is
+    +inf (HomogeneousHermitianPoly.evaluate), so the density is 0; where the
+    block or the density does (near 0 for c < 0), it is refused.
     """
     p = tk.weight
     flat = _check_points(p.c, zz.reshape(-1))
-    # past the largest double a value is refused and Q0 counts as +inf; ln 0 = -inf
+    q = p.q0.evaluate(complex(zz) if zz.ndim == 0 else flat)  # a scalar takes the faster Python arithmetic
+    # past the largest double a value is refused; ln 0 = -inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        q = _top_value(p.evaluate, complex(zz) if zz.ndim == 0 else flat)  # a scalar takes the faster Python arithmetic
         y = tk.basis @ _check_overflow(np.exp(_log_power(np.arange(len(tk.basis))[:, None] + p.c, flat) - 0.5 * q))
         rows = (y * y.conj()).real
         return rows, _check_overflow(rows.sum(axis=0))

@@ -10,8 +10,9 @@ indices >= 0 (_check_coeff_map); a homogeneous part is positive definite
 when its minimum on |z| = 1 is above 1e-10 times its largest coefficient
 (_positive_definite); k is an integer >= 1 and -1 < c < inf
 (_check_exponents); so has each input of a density (_check_points,
-_check_grid, _check_overflow), and a weight past the largest double is
-+inf (_top_value).  All types are immutable values; all operations are pure.
+_check_grid, _check_overflow).  The evaluators of a weight, value, q_of_r
+and evaluate, give +inf wherever it passes the largest double, for any
+input type (_top_value).  All types are immutable values; all operations are pure.
 """
 
 from __future__ import annotations
@@ -73,10 +74,8 @@ def _angular_minimum(coeffs: dict[tuple[int, int], complex]) -> tuple[float, flo
 
 
 def _hermitian_value(coeffs: dict[tuple[int, int], complex], z):
-    """Re sum a_ij z^i conj(z)^j: float for a scalar z, elementwise on an array."""
-    z = np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
-    v = sum(a * z**i * np.conj(z) ** j for (i, j), a in coeffs.items()).real
-    return v if isinstance(v, np.ndarray) else float(v)
+    """Re sum a_ij z^i conj(z)^j: float for a scalar z, elementwise on an array; +inf past the largest double."""
+    return _top_value(lambda z: sum(a * z**i * z.conjugate() ** j for (i, j), a in coeffs.items()).real, z, complex)
 
 
 def _laplacian_coeffs(coeffs: dict[tuple[int, int], complex]) -> dict[tuple[int, int], complex]:
@@ -127,10 +126,10 @@ def _check_grid(edges, what: str, least: int = 2) -> np.ndarray:
     return g
 
 
-def _check_overflow(values: np.ndarray) -> np.ndarray:
-    """Density values or factors under np.errstate(over="ignore"), refused where one passed the largest double."""
+def _check_overflow(values: np.ndarray, what: str = "series overflow: the density") -> np.ndarray:
+    """Values of a density, or of what, under np.errstate(over="ignore"); refused if one passed the largest double."""
     if np.isinf(values).any():
-        raise DivergenceError("series overflow: the density passes the largest double")
+        raise DivergenceError(f"{what} passes the largest double")
     return values
 
 
@@ -143,17 +142,23 @@ def _log_power(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.multiply(p, ln_x, out=np.zeros(np.broadcast(p, ln_x).shape, ln_x.dtype), where=p != 0)
 
 
-def _top_value(f, z):
+def _top_value(f, z, kind: type):
     """f(z) for a weight f whose top-degree part is positive definite, +inf wherever f passes the largest double.
 
-    There a Python power raises OverflowError and mixed-sign numpy terms give
-    inf - inf = NaN; the top-degree part wins, so either counts as +inf.
-    Call under np.errstate(over="ignore", invalid="ignore").
+    z is taken as a Python scalar of kind (float or complex) or as an array
+    of that dtype.  There a Python power raises OverflowError, and numpy
+    terms give inf, or inf - inf = NaN where their signs differ; the
+    top-degree part wins, so each counts as +inf, with no warning.  A NaN
+    point, outside every weight's domain, gives +inf as well.
     """
-    try:
-        return np.fmin(f(z), np.inf)  # fmin returns the other operand of a NaN
-    except OverflowError:
-        return math.inf
+    if np.ndim(z) == 0:
+        try:
+            v = f(kind(z))
+        except OverflowError:
+            return math.inf
+        return math.inf if v != v else v
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fmin(f(np.asarray(z, dtype=kind)), np.inf)  # fmin returns the other operand of a NaN
 
 
 def _positive_definite(part: dict[tuple[int, int], complex]) -> bool:
@@ -179,7 +184,10 @@ class HomogeneousHermitianPoly:
                 raise ConfigError(f"coefficient ({i},{j}) has total degree != {self.degree}")
 
     def evaluate(self, z):
-        """Value at z: float for a scalar, elementwise on an array."""
+        """Value at z: float for a scalar, elementwise on an array; +inf past the largest double.
+
+        That rule holds when the polynomial is positive definite, as every weight Q0 and every Delta Q0 is.
+        """
         return _hermitian_value(self.coeffs, z)
 
     def angular_profile(self, theta: np.ndarray) -> np.ndarray:
@@ -218,9 +226,6 @@ class MicroscopicPotential:
     def amplitude(self) -> float:
         """Radial amplitude a in Q0 = a r^{2k}; equals the angular mean for radial q0."""
         return float(np.real(self.q0.coeffs.get((self.k, self.k), 0.0)))
-
-    def evaluate(self, z):
-        return self.q0.evaluate(z)
 
 
 @dataclass(frozen=True)
@@ -263,14 +268,13 @@ class MacroscopicPotential:
     # --- evaluation ---------------------------------------------------
 
     def value(self, zeta: complex | np.ndarray) -> float | np.ndarray:
-        """Q(zeta), the smooth part only (no charges); float in, float out, arrays elementwise."""
+        """Q(zeta) without the charge; float in, float out, arrays elementwise, +inf past the largest double."""
         return self.q_of_r(np.abs(zeta)) if self.kind == "radial" else _hermitian_value(self.hermitian_coeffs, zeta)
 
     def q_of_r(self, r: float | np.ndarray) -> float | np.ndarray:
-        """Q(r) = sum q_m r^{2m}; like the two below, float in, float out, arrays elementwise."""
+        """Q(r) = sum q_m r^{2m}; like the two below, float in, float out, arrays elementwise; +inf as in value."""
         self._require_radial()
-        v = sum(q * r ** (2 * m) for m, q in self.radial_coeffs.items())
-        return v if isinstance(v, np.ndarray) else float(v)
+        return _top_value(lambda r: sum(q * r ** (2 * m) for m, q in self.radial_coeffs.items()), r, float)
 
     def dq_dr(self, r: float | np.ndarray) -> float | np.ndarray:
         self._require_radial()

@@ -188,7 +188,7 @@ def delta_q0(k: int, c: float, a: float, r):
     _validate(k, c, a)
     rr = np.asarray(r, dtype=float)
     with np.errstate(over="ignore"):  # a value past the largest double is refused
-        out = _check_overflow(a * k * k * rr ** (2 * k - 2))
+        out = _check_overflow(a * k * k * rr ** (2 * k - 2), "deltaQ0")
     return float(out) if np.ndim(r) == 0 else out
 
 
@@ -240,20 +240,12 @@ class DecayReport:
     alpha: float | None = None
 
 
-def fit_error_model(u, y, fix_slope: float | None = None):
-    """LSQ fit of y ~ C + s*u + p*ln(u).
-
-    Returns (C, s, p).  With fix_slope given, s is pinned and only (C, p)
-    are fitted (used to measure the power prefactor at a known rate).
-    """
+def fit_error_model(u, y):
+    """LSQ fit of y ~ C + s*u + p*ln(u); returns (C, s, p)."""
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
-    if u.size < (2 if fix_slope is not None else 3):
-        raise FitError(f"fit needs at least {2 if fix_slope is not None else 3} points")
-    if fix_slope is not None:
-        X = np.column_stack([np.ones_like(u), np.log(u)])
-        coef, *_ = np.linalg.lstsq(X, y - fix_slope * u, rcond=None)
-        return float(coef[0]), float(fix_slope), float(coef[1])
+    if u.size < 3:
+        raise FitError("fit needs at least 3 points")
     X = np.column_stack([np.ones_like(u), u, np.log(u)])
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     return float(coef[0]), float(coef[1]), float(coef[2])

@@ -353,13 +353,13 @@ class TestGram:
         assert not list(out.iterdir())
 
     def test_delta_q0_past_the_largest_double_refused(self, tmp_path, capsys):
-        # Delta Q0 = 4|z|^2 + 1.8 Re z^2 is inf - inf = NaN at z = 1e200 i; refused as a density is
+        # Delta Q0 = 4|z|^2 + 1.8 Re z^2 is +inf at z = 1e200 i, where the density is 0; refused under its own name
         cfgp = tmp_path / "q.json"
         cfgp.write_text(json.dumps(MIXED))
         out = tmp_path / "out"
         out.mkdir()
         assert run(["gram", "--coeffs-file", cfgp, "--grid", "0:1e200:3", "--out", out / "g"]) == 3
-        assert "series overflow" in capsys.readouterr().err
+        assert "deltaQ0 passes the largest double" in capsys.readouterr().err
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("cmd", ["r0", "gram"])

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,40 @@ class TestMacroscopicPotential:
             MacroscopicPotential(kind="other", c=0.0, radial_coeffs={1: 1.0})
 
 
+R2_R4 = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: 1.0})
+R2_R4_R6 = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: -1e-4, 3: 1.0})
+TWISTED = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs=TWIST)
+MIXED_Q0 = canonical_decompose(MacroscopicPotential(kind="hermitian", c=0.5, hermitian_coeffs={
+    (2, 2): 1.0, (3, 1): 0.3, (1, 3): 0.3}), 2).q0.q0
+# the evaluators of a weight: value and evaluate take points, q_of_r takes their radii
+WEIGHT_EVALUATORS = {
+    "r2+r4-value": (R2_R4.value, False),
+    "r2+r4-q_of_r": (R2_R4.q_of_r, True),
+    "r2-1e-4r4+r6-value": (R2_R4_R6.value, False),
+    "r2-1e-4r4+r6-q_of_r": (R2_R4_R6.q_of_r, True),
+    "twist-value": (TWISTED.value, False),
+    "k2-mixed-q0-evaluate": (MIXED_Q0.evaluate, False),
+}
+
+
+@pytest.mark.parametrize("point", [1e200, 1e200j, complex(1e200, 1e200), 1e160], ids=str)
+@pytest.mark.parametrize("f,radii", WEIGHT_EVALUATORS.values(), ids=list(WEIGHT_EVALUATORS))
+def test_weight_past_the_largest_double_is_inf(f, radii, point):
+    # every input type gets +inf, with no OverflowError, no NaN and no warning: a Python float for a
+    # scalar or a 0-d array, an array of the input's shape otherwise
+    x = abs(point) if radii else point
+    scalars = [float(x), np.float64(x)] if x.imag == 0 else []
+    scalars += [] if radii else [complex(x), np.complex128(x)]
+    for z in scalars + [np.array(x), np.array([x, x])]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f(z)
+        if np.ndim(z):
+            assert isinstance(got, np.ndarray) and got.shape == z.shape and (got == math.inf).all()
+        else:
+            assert type(got) is float and got == math.inf
+
+
 # (k, homogeneous part of degree 2k, whether it is positive definite)
 PD_PARTS = {
     "ginibre": (1, {(1, 1): 1.0}, True),
@@ -315,7 +350,7 @@ class TestCanonicalDecompose:
         z = complex(x, y)
         re_h = sum(h * z**m for m, h in dec.h_coeffs.items()).real
         q1 = sum(a * z**i * z.conjugate() ** j for (i, j), a in dec.q1_coeffs.items()).real
-        assert dec.q0.evaluate(z) + re_h + q1 == pytest.approx(Q.value(z), rel=1e-12, abs=1e-12)
+        assert dec.q0.q0.evaluate(z) + re_h + q1 == pytest.approx(Q.value(z), rel=1e-12, abs=1e-12)
 
     def test_degree_below_2k_rejected(self):
         Q = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0})
