@@ -30,10 +30,10 @@ from .errors import ConfigError, DivergenceError, FitError, NumericalError
 from .potentials import (
     CanonicalDecomposition,
     MacroscopicPotential,
+    _check_grid,
     _check_overflow,
     _check_points,
     canonical_decompose,
-    detect_k,
     load_potential_config,
 )
 # each cmd_* imports the layers it runs, so a command loads those and no others
@@ -45,7 +45,7 @@ __all__ = ["main", "build_parser", "parse_grid", "write_csv", "read_table"]
 
 
 def parse_grid(spec: str) -> np.ndarray:
-    """Parse 'rmin:rmax:points' or 'rmin:rmax:points:log' into a grid."""
+    """Parse 'rmin:rmax:points' or 'rmin:rmax:points:log' into a grid, checked as every radial grid is (_check_grid)."""
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise ConfigError(f"grid spec {spec!r} is not rmin:rmax:points[:log]")
@@ -57,17 +57,14 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"grid needs at least 2 points, got {npts}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"grid spec {spec!r}: rmin and rmax must be finite")
-    if not hi > lo:
-        raise ConfigError(f"grid needs rmax > rmin, got [{lo}, {hi}]")
-    if lo < 0:
-        raise ConfigError("r must be >= 0")
-    if len(parts) == 4:
-        if parts[3] != "log":
-            raise ConfigError(f"grid spacing must be 'log', got {parts[3]!r}")
-        if lo <= 0:
-            raise ConfigError("log-spaced grid needs rmin > 0")
-        return np.geomspace(lo, hi, npts)
-    return np.linspace(lo, hi, npts)
+    if len(parts) == 4 and parts[3] != "log":
+        raise ConfigError(f"grid spacing must be 'log', got {parts[3]!r}")
+    if len(parts) == 4 and lo <= 0:
+        raise ConfigError("log-spaced grid needs rmin > 0")
+    # rmax - rmin may pass the largest double, and a log grid may change sign: _check_grid refuses what results
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.geomspace(lo, hi, npts) if len(parts) == 4 else np.linspace(lo, hi, npts)
+    return _check_grid(grid, "grid")
 
 
 def _kept(grid: np.ndarray, c: float) -> np.ndarray:
@@ -168,7 +165,7 @@ def _homogeneous(Q: MacroscopicPotential) -> CanonicalDecomposition:
     f -> f e^{h/2} maps A^2(e^{-Q0}) isometrically onto A^2(e^{-Q0 - Re h}),
     so the pure terms in Re H leave the density R0 unchanged.
     """
-    dec = canonical_decompose(Q, detect_k(Q))
+    dec = canonical_decompose(Q)
     if dec.q1_coeffs:
         raise ConfigError(f"the microscopic weight must be Q0 + Re H, got terms {sorted(dec.q1_coeffs)} of degree > 2k")
     return dec

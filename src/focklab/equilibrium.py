@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .potentials import (
-    HomogeneousHermitianPoly,
-    MacroscopicPotential,
-    canonical_decompose,
-    detect_k,
-)
+from .potentials import HomogeneousHermitianPoly, MacroscopicPotential, canonical_decompose
 
 __all__ = [
     "droplet_radius",
@@ -148,8 +143,8 @@ def microscale_asymptotic_check(Q: MacroscopicPotential, c: float, n_list) -> As
     n_arr = np.asarray(sorted(int(n) for n in n_list), dtype=int)
     if n_arr.size == 0:
         raise ConfigError("n_list must be nonempty")
-    k = detect_k(Q)
-    tau0 = modulus_tau0(canonical_decompose(Q, k).q0.q0)
+    p = canonical_decompose(Q).q0
+    k, tau0 = p.k, modulus_tau0(p.q0)
     rn = microscopic_scale(Q, Q.c, n_arr)
     pred = tau0 * (1.0 + Q.c) ** (1.0 / (2 * k)) * n_arr ** (-1.0 / (2 * k))
     en = rn / pred - 1.0

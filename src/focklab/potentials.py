@@ -2,17 +2,19 @@
 
 A macroscopic potential Q acts at the droplet scale.  Near the origin it
 splits canonically as Q = Q0 + Re H + Q1 where Q0 is positive definite and
-homogeneous of degree 2k, H is a holomorphic polynomial of degree <= 2k,
-and Q1 = O(|z|^{2k+1}).  The microscopic model is V0 = Q0 - 2c log|z|.
-Each rule on a weight has one check, which every type and routine applies:
-a coefficient map {(i, j): a_ij} is finite, Hermitian and has integer
-indices >= 0 (_check_coeff_map); a homogeneous part is positive definite
-when its minimum on |z| = 1 is above 1e-10 times its largest coefficient
-(_positive_definite); k is an integer >= 1 and -1 < c < inf
-(_check_exponents); so has each input of a density (_check_points,
-_check_grid, _check_overflow).  The evaluators of a weight, value, q_of_r
-and evaluate, give +inf wherever it passes the largest double, for any
-input type (_top_value).  All types are immutable values; all operations are pure.
+homogeneous of degree 2k, k read off Q by detect_k, H is a holomorphic
+polynomial of degree <= 2k, and Q1 = O(|z|^{2k+1}).  The microscopic model
+is V0 = Q0 - 2c log|z|.  Each rule on a weight has one check, which every
+type and routine applies: a coefficient map {(i, j): a_ij} is finite,
+Hermitian and has integer indices >= 0 (_check_coeff_map), and is kept with
+Python complex values; a homogeneous part is positive definite when its
+minimum on |z| = 1 is above 1e-10 times its largest coefficient
+(_positive_definite); Q's lower terms stay below the largest double until
+its top part outweighs them (MacroscopicPotential); k is an integer >= 1
+and -1 < c < inf (_check_exponents); so has each input of a density
+(_check_points, _check_grid, _check_overflow).  The evaluators of a weight,
+value, q_of_r and evaluate, give +inf wherever it passes the largest double,
+for any input type (_top_value).  All types are immutable values; all operations are pure.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
 
 _PD_THRESHOLD = 1e-10  # see _positive_definite
 _ANGULAR_SCAN = 512  # least scan of the circle; see _angular_minimum
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _angular_values(coeffs: dict[tuple[int, int], complex], theta: np.ndarray, order: int = 0) -> np.ndarray:
@@ -148,8 +151,9 @@ def _top_value(f, z, kind: type):
     z is taken as a Python scalar of kind (float or complex) or as an array
     of that dtype.  There a Python power raises OverflowError, and numpy
     terms give inf, or inf - inf = NaN where their signs differ; the
-    top-degree part wins, so each counts as +inf, with no warning.  A NaN
-    point, outside every weight's domain, gives +inf as well.
+    top-degree part wins there, as MacroscopicPotential requires, so each
+    counts as +inf, with no warning.  A NaN point, outside every weight's
+    domain, gives +inf as well.
     """
     if np.ndim(z) == 0:
         try:
@@ -161,11 +165,11 @@ def _top_value(f, z, kind: type):
         return np.fmin(f(np.asarray(z, dtype=kind)), np.inf)  # fmin returns the other operand of a NaN
 
 
-def _positive_definite(part: dict[tuple[int, int], complex]) -> bool:
-    """Whether the minimum on |z| = 1 of a homogeneous part is above _PD_THRESHOLD times its largest coefficient."""
+def _positive_definite(part: dict[tuple[int, int], complex]) -> float:
+    """The minimum on |z| = 1 of a homogeneous part if above _PD_THRESHOLD times its largest coefficient, else 0.0."""
     # a diagonal part is the one term a_mm |z|^{2m}, whose minimum is Re a_mm
     q_min = sum(part.values()).real if all(i == j for i, j in part) else _angular_minimum(part)[1]
-    return q_min > _PD_THRESHOLD * max(map(abs, part.values()), default=0.0)
+    return q_min if q_min > _PD_THRESHOLD * max(map(abs, part.values()), default=0.0) else 0.0
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,7 @@ class HomogeneousHermitianPoly:
         for i, j in self.coeffs:
             if i + j != self.degree:
                 raise ConfigError(f"coefficient ({i},{j}) has total degree != {self.degree}")
+        object.__setattr__(self, "coeffs", {ij: complex(a) for ij, a in self.coeffs.items()})
 
     def evaluate(self, z):
         """Value at z: float for a scalar, elementwise on an array; +inf past the largest double.
@@ -252,14 +257,21 @@ class MacroscopicPotential:
         if not spelled or self.radial_coeffs and self.hermitian_coeffs:
             raise ConfigError(f"a {self.kind} potential needs {self.kind}_coeffs and no other coefficients")
         if self.kind == "radial":
-            spelled = {(m, m): complex(q) for m, q in spelled.items()}
+            spelled = {(m, m): q for m, q in spelled.items()}
         taylor = {ij: a for ij, a in spelled.items() if a != 0}  # a NaN term stays and is refused
         _check_coeff_map(taylor)
+        taylor = {ij: complex(a) for ij, a in taylor.items()}
         if not taylor or (0, 0) in taylor:
             raise ConfigError("potential needs a nonzero term and must vanish at 0 (no constant term)")
         top_deg = max(i + j for i, j in taylor)
-        if not _positive_definite({(i, j): a for (i, j), a in taylor.items() if i + j == top_deg}):
+        q_min = _positive_definite({(i, j): a for (i, j), a in taylor.items() if i + j == top_deg})
+        if not q_min:
             raise ConfigError("leading homogeneous part must be positive definite (growth)")
+        # with D = top_deg, m = q_min, and L and S the sums of |a| over the lower and all terms: past rho = max(1, L/m)
+        # Q >= m|z|^D - L|z|^(D-1) > 0, so an overflow there is +inf; within it |Q| <= max(1, S) rho^D must not overflow
+        rho = max(1.0, sum(abs(a) for (i, j), a in taylor.items() if i + j < top_deg) / q_min)
+        if math.log(max(1.0, sum(map(abs, taylor.values())))) + top_deg * math.log(rho) >= _LOG_MAX:
+            raise ConfigError(f"Q's lower terms outweigh its top part up to |z| = {rho:.3g}, past the largest double")
         radial = all(i == j for i, j in taylor)
         object.__setattr__(self, "kind", "radial" if radial else "hermitian")
         object.__setattr__(self, "radial_coeffs", {i: a.real for (i, _), a in taylor.items()} if radial else None)
@@ -321,30 +333,22 @@ def detect_k(Q: MacroscopicPotential) -> int:
     return d // 2 + 1
 
 
-def canonical_decompose(Q: MacroscopicPotential, k: int) -> CanonicalDecomposition:
-    """Split Q into Q0 (homogeneous 2k, mixed terms), Re H (pure terms), and Q1."""
-    taylor = Q.hermitian_coeffs
-    max_deg = max(i + j for i, j in taylor)
-    if max_deg < 2 * k:
-        raise ConfigError(f"potential has degree {max_deg} < 2k = {2 * k}")
-    scale = max(abs(a) for a in taylor.values())
+def canonical_decompose(Q: MacroscopicPotential) -> CanonicalDecomposition:
+    """Split Q at its k = detect_k(Q) into Q0 (homogeneous 2k, mixed terms), Re H (pure terms), and Q1."""
+    k = detect_k(Q)
     h_coeffs: dict[int, complex] = {}
     q0_coeffs: dict[tuple[int, int], complex] = {}
     q1_coeffs: dict[tuple[int, int], complex] = {}
-    for (i, j), a in taylor.items():
+    for (i, j), a in Q.hermitian_coeffs.items():
         deg = i + j
         if deg <= 2 * k and j == 0:
-            h_coeffs[i] = 2.0 * complex(a)
+            h_coeffs[i] = 2.0 * a
         elif deg <= 2 * k and i == 0:
             continue  # conjugate partner of a pure term, carried by Re H
         elif deg == 2 * k:
-            q0_coeffs[(i, j)] = complex(a)
-        elif deg > 2 * k:
-            q1_coeffs[(i, j)] = complex(a)
-        elif abs(a) > 1e-12 * max(1.0, scale):
-            raise ConfigError(
-                f"mixed term ({i},{j}) of degree {deg} < 2k violates Q1 = O(|z|^(2k+1))"
-            )
+            q0_coeffs[(i, j)] = a
+        else:  # degree > 2k: detect_k reads k off the lowest-degree mixed terms
+            q1_coeffs[(i, j)] = a
     q0 = MicroscopicPotential(k=k, c=Q.c, q0=HomogeneousHermitianPoly(2 * k, q0_coeffs))
     return CanonicalDecomposition(q0=q0, h_coeffs=h_coeffs, q1_coeffs=q1_coeffs)
 
@@ -357,11 +361,14 @@ def normalize_potential(
     Returns (lam * Q, lam) with lam = (1+c) k ((k-1)!)^2 / Delta^k Q0(0),
     which reduces to (1+c)/(k a_kk) for the mixed-diagonal coefficient a_kk,
     the circle mean of the positive definite Q0 and so > 0.  After scaling
-    the micro-amplitude a_kk becomes (1+c)/k.
+    the micro-amplitude a_kk becomes (1+c)/k.  Like c, k may only repeat Q's own.
     """
     if c is not None:
         Q._check_charge(c)
-    lam = (1.0 + Q.c) / (k * canonical_decompose(Q, k).q0.amplitude)
+    p = canonical_decompose(Q).q0
+    if k != p.k:
+        raise ConfigError(f"k argument k={k!r} differs from the potential's k={p.k} (detect_k)")
+    lam = (1.0 + Q.c) / (k * p.amplitude)
     return Q.scaled(lam), lam
 
 

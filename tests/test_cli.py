@@ -41,6 +41,14 @@ class TestParseGrid:
         with pytest.raises(ConfigError):
             parse_grid(spec)
 
+    @pytest.mark.parametrize("spec", ["-1:1:3", "2:1:5", "1:1:3", "-1e308:1e308:3", "1e308:-1e308:3", "1:-1:3:log"])
+    def test_order_and_sign_are_the_grid_rule(self, spec):
+        # a grid is checked as every radial grid is, with no warning where rmax - rmin passes the largest double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="grid must be one axis of at least 2 finite radii >= 0"):
+                parse_grid(spec)
+
 
 class TestCsvRoundTrip:
     def test_exact_value_and_blank_round_trip(self, tmp_path):
@@ -371,7 +379,7 @@ class TestGram:
         out = tmp_path / "out"
         out.mkdir()
         assert run([cmd, "--coeffs-file", cfgp, "--grid=-1:1:3", "--out", out / "t"]) == 2
-        assert "r must be >= 0" in capsys.readouterr().err
+        assert "grid must be one axis of at least 2 finite radii >= 0" in capsys.readouterr().err
         assert not list(out.iterdir())
 
     @pytest.mark.parametrize("cmd", ["r0", "rescale", "gram"])

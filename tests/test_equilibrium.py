@@ -14,7 +14,6 @@ from focklab import (
     MacroscopicPotential,
     MicroscopicPotential,
     canonical_decompose,
-    detect_k,
     droplet_radius,
     microscale_asymptotic_check,
     microscopic_scale,
@@ -85,9 +84,9 @@ class TestModulusTau0:
 
     def test_leading_block_of_perturbed_potential(self):
         Q = radial({1: 1.0, 2: 1.0})
-        k = detect_k(Q)
-        assert k == 1
-        assert modulus_tau0(canonical_decompose(Q, k).q0.q0) == pytest.approx(1.0, rel=1e-12)
+        p = canonical_decompose(Q).q0
+        assert p.k == 1
+        assert modulus_tau0(p.q0) == pytest.approx(1.0, rel=1e-12)
         assert droplet_radius(Q) == pytest.approx(2.0 ** -0.5, rel=1e-13)
         # the equilibrium density Delta Q inside the droplet
         assert Q.laplacian_radial(0.5) == pytest.approx(1.0 + 4 * 0.25, rel=1e-14)

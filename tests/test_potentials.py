@@ -225,7 +225,15 @@ class TestMacroscopicPotential:
         assert droplet_radius(Q) == pytest.approx(1e6, rel=1e-12)
         scaled, lam = normalize_potential(Q, 1)
         assert lam == pytest.approx(1e12, rel=1e-12) and scaled.radial_coeffs == {1: pytest.approx(1.0)}
-        assert canonical_decompose(Q, 1).q0.amplitude == 1e-12
+        assert canonical_decompose(Q).q0.amplitude == 1e-12
+
+    def test_lower_terms_may_not_pass_the_largest_double_first(self):
+        # past rho = max(1, L/m) the top part wins; within it max(1, S) rho^D must stay below the largest double
+        with pytest.raises(ConfigError, match="lower terms outweigh its top part"):
+            MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: -1e300, 3: 1e-300})
+        for coeffs in ({1: 1.0, 2: 1e-12}, {1: 1.0, 2: -1e-4, 3: 1.0}):
+            Q = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs=coeffs)
+            assert Q.q_of_r(1e200) == math.inf and Q.q_of_r(2.0) > 0
 
     def test_no_constant_term(self):
         with pytest.raises(ConfigError):
@@ -244,7 +252,7 @@ R2_R4 = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: 1.0
 R2_R4_R6 = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: -1e-4, 3: 1.0})
 TWISTED = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs=TWIST)
 MIXED_Q0 = canonical_decompose(MacroscopicPotential(kind="hermitian", c=0.5, hermitian_coeffs={
-    (2, 2): 1.0, (3, 1): 0.3, (1, 3): 0.3}), 2).q0.q0
+    (2, 2): 1.0, (3, 1): 0.3, (1, 3): 0.3})).q0.q0
 # the evaluators of a weight: value and evaluate take points, q_of_r takes their radii
 WEIGHT_EVALUATORS = {
     "r2+r4-value": (R2_R4.value, False),
@@ -272,6 +280,27 @@ def test_weight_past_the_largest_double_is_inf(f, radii, point):
             assert isinstance(got, np.ndarray) and got.shape == z.shape and (got == math.inf).all()
         else:
             assert type(got) is float and got == math.inf
+
+
+def test_numpy_scalar_coefficients_evaluate_as_python_numbers():
+    # the maps keep Python complex values, so a point runs in Python arithmetic: +inf with no warning past
+    # the largest double, a float at a finite point, and the bits of the map spelled in Python numbers
+    f8, c16 = np.float64, np.complex128
+    pairs = [
+        (MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={(1, 1): f8(1.0), (2, 0): c16(0.3),
+                                                                         (0, 2): c16(0.3)}).value, TWISTED.value),
+        (MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: f8(1.0), 2: f8(1.0)}).value, R2_R4.value),
+        (HomogeneousHermitianPoly(4, {(2, 2): f8(1.0), (3, 1): c16(0.3), (1, 3): c16(0.3)}).evaluate,
+         MIXED_Q0.evaluate),
+    ]
+    for f, twin in pairs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far, near = f(complex(1e200, 1e200)), f(0.5 + 0.1j)
+        assert type(far) is float and far == math.inf
+        assert type(near) is float and near == twin(0.5 + 0.1j)
+        z = np.array([0.5 + 0.1j, 1.5 - 2j])
+        assert f(z).tobytes() == twin(z).tobytes()
 
 
 # (k, homogeneous part of degree 2k, whether it is positive definite)
@@ -330,7 +359,7 @@ class TestDetectK:
 class TestCanonicalDecompose:
     def test_harmonic_term_goes_to_h(self):
         Q = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs=dict(TWIST))
-        dec = canonical_decompose(Q, 1)
+        dec = canonical_decompose(Q)
         assert dec.q0.q0.coeffs == {(1, 1): 1.0}
         assert dec.h_coeffs == {2: pytest.approx(0.6)}
         assert not dec.q1_coeffs
@@ -338,7 +367,7 @@ class TestCanonicalDecompose:
     def test_higher_terms_go_to_q1(self):
         coeffs = {(1, 1): 1.0, (3, 0): 0.25, (0, 3): 0.25, (2, 2): 0.05}
         Q = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs=coeffs)
-        dec = canonical_decompose(Q, 1)
+        dec = canonical_decompose(Q)
         assert dec.q1_coeffs[(3, 0)] == pytest.approx(0.25)
         assert dec.q1_coeffs[(2, 2)] == pytest.approx(0.05)
 
@@ -346,22 +375,35 @@ class TestCanonicalDecompose:
     def test_reconstruction(self, x, y):
         coeffs = {(1, 1): 1.0, (2, 0): 0.2, (0, 2): 0.2, (3, 0): 0.1, (0, 3): 0.1, (2, 2): 0.05}
         Q = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs=coeffs)
-        dec = canonical_decompose(Q, 1)
+        dec = canonical_decompose(Q)
         z = complex(x, y)
         re_h = sum(h * z**m for m, h in dec.h_coeffs.items()).real
         q1 = sum(a * z**i * z.conjugate() ** j for (i, j), a in dec.q1_coeffs.items()).real
         assert dec.q0.q0.evaluate(z) + re_h + q1 == pytest.approx(Q.value(z), rel=1e-12, abs=1e-12)
 
     def test_degree_below_2k_rejected(self):
+        # r^2 has k = 1, so the split has no degree-4 part, and normalize_potential takes no k = 2
         Q = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0})
-        with pytest.raises(ConfigError, match="potential has degree 2 < 2k = 4"):
-            canonical_decompose(Q, 2)
+        assert canonical_decompose(Q).q0.k == 1
+        with pytest.raises(ConfigError, match="k argument k=2 differs from the potential's k=1"):
+            normalize_potential(Q, 2)
 
     def test_low_degree_mixed_term_rejected(self):
+        # |z|^2 + |z|^4: the mixed term |z|^2 sets k = 1, so no split at k = 2 leaves it out
         Q = MacroscopicPotential(kind="hermitian", c=0.0,
                                  hermitian_coeffs={(1, 1): 1.0, (2, 2): 1.0})
-        with pytest.raises(ConfigError):
-            canonical_decompose(Q, 2)
+        assert canonical_decompose(Q).q1_coeffs == {(2, 2): 1.0}
+        with pytest.raises(ConfigError, match="k argument k=2 differs from the potential's k=1"):
+            normalize_potential(Q, 2)
+
+    def test_k_is_read_off_q(self):
+        # a tiny r^2 term still sets k = 1: the split keeps it as Q0 and the normalization scales by it
+        Q = MacroscopicPotential(kind="radial", c=0.5, radial_coeffs={1: 1e-13, 2: 1.0})
+        dec = canonical_decompose(Q)
+        assert dec.q0.k == 1 and dec.q0.q0.coeffs == {(1, 1): 1e-13} and dec.q1_coeffs == {(2, 2): 1.0}
+        with pytest.raises(ConfigError, match="k argument k=2 differs from the potential's k=1"):
+            normalize_potential(Q, 2)
+        assert normalize_potential(Q, 1)[1] == 1.5 / 1e-13
 
 
 class TestNormalizePotential:
