@@ -59,9 +59,9 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"grid spec {spec!r}: rmin and rmax must be finite")
     if len(parts) == 4 and parts[3] != "log":
         raise ConfigError(f"grid spacing must be 'log', got {parts[3]!r}")
-    if len(parts) == 4 and lo <= 0:
-        raise ConfigError("log-spaced grid needs rmin > 0")
-    # rmax - rmin may pass the largest double, and a log grid may change sign: _check_grid refuses what results
+    if len(parts) == 4 and not (lo > 0 and hi > 0):
+        raise ConfigError("log-spaced grid needs rmin > 0 and rmax > 0")
+    # rmax - rmin may pass the largest double: _check_grid refuses what results
     with np.errstate(over="ignore", invalid="ignore"):
         grid = np.geomspace(lo, hi, npts) if len(parts) == 4 else np.linspace(lo, hi, npts)
     return _check_grid(grid, "grid")

@@ -258,7 +258,7 @@ def convergence_report(Q: MacroscopicPotential, n_list, z_grid) -> ConvergenceRe
     c = Q.c
     z = np.asarray(z_grid, dtype=float)
     k = detect_k(Q)
-    Qn, lam = normalize_potential(Q, k)  # splits Q at k, which validates the decomposition hypotheses
+    Qn, lam = normalize_potential(Q, k)  # which checks k against its own split's, a second detect_k (ROADMAP item 1)
     r0 = bergman_function_r0(k, c, (1.0 + c) / k, z)
     n_arr = np.asarray(sorted(int(n) for n in n_list), dtype=int)
     rn = microscopic_scale(Qn, c, n_arr)

@@ -1,20 +1,19 @@
 """Potential data types and the canonical splitting used everywhere else.
 
-A macroscopic potential Q acts at the droplet scale.  Near the origin it
-splits canonically as Q = Q0 + Re H + Q1 where Q0 is positive definite and
-homogeneous of degree 2k, k read off Q by detect_k, H is a holomorphic
-polynomial of degree <= 2k, and Q1 = O(|z|^{2k+1}).  The microscopic model
-is V0 = Q0 - 2c log|z|.  Each rule on a weight has one check, which every
-type and routine applies: a coefficient map {(i, j): a_ij} is finite,
-Hermitian and has integer indices >= 0 (_check_coeff_map), and is kept with
-Python complex values; a homogeneous part is positive definite when its
-minimum on |z| = 1 is above 1e-10 times its largest coefficient
-(_positive_definite); Q's lower terms stay below the largest double until
-its top part outweighs them (MacroscopicPotential); k is an integer >= 1
-and -1 < c < inf (_check_exponents); so has each input of a density
-(_check_points, _check_grid, _check_overflow).  The evaluators of a weight,
-value, q_of_r and evaluate, give +inf wherever it passes the largest double,
-for any input type (_top_value).  All types are immutable values; all operations are pure.
+A macroscopic potential Q acts at the droplet scale.  Near the origin it splits
+canonically as Q = Q0 + Re H + Q1 where Q0 is positive definite and homogeneous of
+degree 2k, k read off Q by detect_k, H is a holomorphic polynomial of degree <= 2k,
+and Q1 = O(|z|^{2k+1}).  The microscopic model is V0 = Q0 - 2c log|z|.  Each rule
+on a weight has one check, which every type and routine applies: a coefficient map
+{(i, j): a_ij} is finite, Hermitian and has integer indices >= 0 (_check_coeff_map),
+and is kept with Python complex values; a homogeneous part is positive definite when
+its minimum on |z| = 1 is above 1e-10 times its largest coefficient
+(_positive_definite); Q's lower terms that can be negative stay below the largest
+double until its top part outweighs them (MacroscopicPotential); k is an integer >= 1
+and -1 < c < inf (_check_exponents); so has each input of a density (_check_points,
+_check_grid, _check_overflow).  The evaluators of a weight, value, q_of_r and
+evaluate, give +inf wherever it passes the largest double, for any input type
+(_top_value).  All types are immutable values; all operations are pure.
 """
 
 from __future__ import annotations
@@ -267,10 +266,11 @@ class MacroscopicPotential:
         q_min = _positive_definite({(i, j): a for (i, j), a in taylor.items() if i + j == top_deg})
         if not q_min:
             raise ConfigError("leading homogeneous part must be positive definite (growth)")
-        # with D = top_deg, m = q_min, and L and S the sums of |a| over the lower and all terms: past rho = max(1, L/m)
-        # Q >= m|z|^D - L|z|^(D-1) > 0, so an overflow there is +inf; within it |Q| <= max(1, S) rho^D must not overflow
-        rho = max(1.0, sum(abs(a) for (i, j), a in taylor.items() if i + j < top_deg) / q_min)
-        if math.log(max(1.0, sum(map(abs, taylor.values())))) + top_deg * math.log(rho) >= _LOG_MAX:
+        # D = top_deg, m = q_min, L and S the sums of |a| over the lower terms other than a_mm > 0 and over all terms:
+        # Q > 0 past rho = max(1, L/m), so overflow there is +inf; inside, each |z|^deg and sum <= max(1, S) rho^D < inf
+        signed = [abs(a) for (i, j), a in taylor.items() if i + j < top_deg and not (i == j and a.real > 0)]
+        rho = max(1.0, sum(signed) / q_min)
+        if signed and math.log(max(1.0, sum(map(abs, taylor.values())))) + top_deg * math.log(rho) >= _LOG_MAX:
             raise ConfigError(f"Q's lower terms outweigh its top part up to |z| = {rho:.3g}, past the largest double")
         radial = all(i == j for i, j in taylor)
         object.__setattr__(self, "kind", "radial" if radial else "hermitian")

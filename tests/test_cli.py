@@ -41,7 +41,14 @@ class TestParseGrid:
         with pytest.raises(ConfigError):
             parse_grid(spec)
 
-    @pytest.mark.parametrize("spec", ["-1:1:3", "2:1:5", "1:1:3", "-1e308:1e308:3", "1e308:-1e308:3", "1:-1:3:log"])
+    @pytest.mark.parametrize("spec", ["0:2:5:log", "1:0:3:log", "2:0:5:log", "1:-0:3:log", "1:-1:3:log"])
+    def test_log_grid_needs_positive_ends(self, spec):
+        # np.geomspace raises a bare ValueError at a zero end and gives NaN across a change of sign
+        with pytest.raises(ConfigError, match="log-spaced grid needs rmin > 0 and rmax > 0"):
+            parse_grid(spec)
+        assert run(["r0", "--grid", spec]) == 2
+
+    @pytest.mark.parametrize("spec", ["-1:1:3", "2:1:5", "1:1:3", "-1e308:1e308:3", "1e308:-1e308:3", "2:1:3:log"])
     def test_order_and_sign_are_the_grid_rule(self, spec):
         # a grid is checked as every radial grid is, with no warning where rmax - rmin passes the largest double
         with warnings.catch_warnings():

@@ -231,7 +231,12 @@ class TestMacroscopicPotential:
         # past rho = max(1, L/m) the top part wins; within it max(1, S) rho^D must stay below the largest double
         with pytest.raises(ConfigError, match="lower terms outweigh its top part"):
             MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: -1e300, 3: 1e-300})
-        for coeffs in ({1: 1.0, 2: 1e-12}, {1: 1.0, 2: -1e-4, 3: 1.0}):
+        # a bound term by term, max |a| rho^deg, would take this Q, whose value at 1e79 (about -1.9e237) needs z^4
+        with pytest.raises(ConfigError, match="lower terms outweigh its top part"):
+            MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={
+                (2, 2): 1e-80, (4, 0): 5e-82, (0, 4): 5e-82, (2, 1): -1.0, (1, 2): -1.0})
+        # lower terms a_mm |z|^{2m} with a_mm > 0 cannot turn Q's sign, so they bound nothing
+        for coeffs in ({1: 1.0, 2: 1e-12}, {1: 1.0, 2: -1e-4, 3: 1.0}, {1: 1.0, 2: 1e-80}):
             Q = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs=coeffs)
             assert Q.q_of_r(1e200) == math.inf and Q.q_of_r(2.0) > 0
 
