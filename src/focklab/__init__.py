@@ -20,8 +20,7 @@ from .potentials import *
 _LAZY = {
     name: module
     for module, names in {
-        "radial_bergman": ("DecayReport", "bergman_function_r0", "decay_report", "delta_q0", "disk_mass",
-                           "moments", "origin_coefficient"),
+        "radial_bergman": ("DecayReport", "bergman_function_r0", "decay_report", "delta_q0", "disk_mass", "moments"),
         "general_bergman": ("MomentMatrix", "TruncatedKernel", "bergman_density", "moment_matrix",
                             "truncated_kernel"),
         "equilibrium": ("AsymptoticReport", "droplet_radius", "microscale_asymptotic_check",
@@ -29,8 +28,7 @@ _LAZY = {
         "finite_kernel": ("ConvergenceReport", "FiniteKernel", "bin_averaged_intensity", "convergence_report",
                           "finite_moments", "intensity", "mass_integral", "rescaled_intensity",
                           "truncated_series_r0"),
-        "coulomb_mc": ("EnsembleConfig", "IntensityHistogram", "McmcResult", "delta_energy", "energy",
-                       "run_mcmc", "sample_radial_exact"),
+        "coulomb_mc": ("EnsembleConfig", "IntensityHistogram", "McmcResult", "run_mcmc", "sample_radial_exact"),
     }.items()
     for name in names
 }

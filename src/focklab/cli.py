@@ -38,7 +38,7 @@ from .potentials import (
 )
 # each cmd_* imports the layers it runs, so a command loads those and no others
 
-__all__ = ["main", "build_parser", "parse_grid", "write_csv", "read_table"]
+__all__ = ["main", "build_parser", "parse_grid", "write_csv"]
 
 
 # --- small shared helpers ------------------------------------------------
@@ -92,16 +92,6 @@ def write_csv(path: str | Path | None, header: list[str], rows) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
-
-
-def read_table(path: str | Path) -> tuple[list[str], list[list[float]]]:
-    """Read back a CLI-written CSV; blank cells become NaN."""
-    raw = Path(path).read_text(encoding="utf-8").strip().split("\n")
-    header = raw[0].split(",")
-    rows = []
-    for line in raw[1:]:
-        rows.append([math.nan if cell == "" else float(cell) for cell in line.split(",")])
-    return header, rows
 
 
 def _jsonable(obj):

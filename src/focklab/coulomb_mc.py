@@ -26,8 +26,6 @@ __all__ = [
     "EnsembleConfig",
     "IntensityHistogram",
     "McmcResult",
-    "energy",
-    "delta_energy",
     "run_mcmc",
     "sample_radial_exact",
 ]
@@ -46,47 +44,13 @@ def _check_count(value, what: str) -> None:
 def _site_energy(potential: MacroscopicPotential, n: int, z: np.ndarray) -> np.ndarray:
     """n V_n(z) elementwise over an array of particles; +-inf at the origin for c != 0.
 
-    Where Q passes the largest double, n V_n is +inf (MacroscopicPotential.value).
+    Where Q passes the largest double, n V_n is +-inf with Q's sign (MacroscopicPotential.value).
     Call under np.errstate(divide="ignore", over="ignore", invalid="ignore").
     """
     val = n * potential.value(z)
     if potential.c != 0.0:
         val = val - 2.0 * potential.c * np.log(np.abs(z))
     return val
-
-
-def energy(points, potential: MacroscopicPotential, n: int | None = None) -> float:
-    """Total configuration energy H; +inf on coincident points or zero weight."""
-    z = np.asarray(points, dtype=complex)
-    if n is None:
-        n = z.size
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d = np.abs(z[:, None] - z[None, :])
-        iu = np.triu_indices(z.size, k=1)
-        if z.size > 1 and np.any(d[iu] == 0.0):
-            return math.inf
-        pair = -2.0 * float(np.sum(np.log(d[iu]))) if z.size > 1 else 0.0
-        site = _site_energy(potential, n, z)
-    singular = np.isinf(site)
-    if singular.any():
-        return float(site[np.argmax(singular)])  # the first singular particle decides
-    return pair + float(np.sum(site))
-
-
-def delta_energy(points, i: int, znew: complex, potential: MacroscopicPotential, n: int | None = None) -> float:
-    """Energy change from moving particle i to znew (incremental form)."""
-    z = np.asarray(points, dtype=complex)
-    if n is None:
-        n = z.size
-    others = np.delete(z, i)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d_old = np.abs(others - z[i])
-        d_new = np.abs(others - znew)
-        if np.any(d_new == 0.0):
-            return math.inf
-        pair = 2.0 * (float(np.sum(np.log(d_old))) - float(np.sum(np.log(d_new))))
-        new, old = _site_energy(potential, n, np.array([znew, z[i]])).tolist()
-    return pair + new - old
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,11 @@ on a weight has one check, which every type and routine applies: a coefficient m
 {(i, j): a_ij} is finite, Hermitian and has integer indices >= 0 (_check_coeff_map),
 and is kept with Python complex values; a homogeneous part is positive definite when
 its minimum on |z| = 1 is above 1e-10 times its largest coefficient
-(_positive_definite); Q's lower terms that can be negative stay below the largest
-double until its top part outweighs them (MacroscopicPotential); k is an integer >= 1
-and -1 < c < inf (_check_exponents); so has each input of a density (_check_points,
-_check_grid, _check_overflow).  The evaluators of a weight, value, q_of_r and
-evaluate, give +inf wherever it passes the largest double, for any input type
-(_top_value).  All types are immutable values; all operations are pure.
+(_positive_definite); k is an integer >= 1 and -1 < c < inf (_check_exponents); so
+has each input of a density (_check_points, _check_grid, _check_overflow).  The
+evaluators of a weight, value, q_of_r and evaluate, give its value for any input
+type, +inf or -inf past the largest double with the weight's own sign there
+(_weight_value).  All types are immutable values; all operations are pure.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
 
 _PD_THRESHOLD = 1e-10  # see _positive_definite
 _ANGULAR_SCAN = 512  # least scan of the circle; see _angular_minimum
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _angular_values(coeffs: dict[tuple[int, int], complex], theta: np.ndarray, order: int = 0) -> np.ndarray:
@@ -76,8 +74,9 @@ def _angular_minimum(coeffs: dict[tuple[int, int], complex]) -> tuple[float, flo
 
 
 def _hermitian_value(coeffs: dict[tuple[int, int], complex], z):
-    """Re sum a_ij z^i conj(z)^j: float for a scalar z, elementwise on an array; +inf past the largest double."""
-    return _top_value(lambda z: sum(a * z**i * z.conjugate() ** j for (i, j), a in coeffs.items()).real, z, complex)
+    """Re sum a_ij z^i conj(z)^j: float for a scalar z, elementwise on an array; see _weight_value."""
+    return _weight_value(coeffs, z, complex,
+                         lambda z: sum(a * z**i * z.conjugate() ** j for (i, j), a in coeffs.items()).real)
 
 
 def _laplacian_coeffs(coeffs: dict[tuple[int, int], complex]) -> dict[tuple[int, int], complex]:
@@ -144,31 +143,59 @@ def _log_power(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.multiply(p, ln_x, out=np.zeros(np.broadcast(p, ln_x).shape, ln_x.dtype), where=p != 0)
 
 
-def _top_value(f, z, kind: type):
-    """f(z) for a weight f whose top-degree part is positive definite, +inf wherever f passes the largest double.
+def _weight_value(coeffs: dict[tuple[int, int], complex], z, kind: type, direct):
+    """The weight Re sum a_ij z^i conj(z)^j of coeffs at z: the direct sum direct(z) where that is finite.
 
     z is taken as a Python scalar of kind (float or complex) or as an array
-    of that dtype.  There a Python power raises OverflowError, and numpy
-    terms give inf, or inf - inf = NaN where their signs differ; the
-    top-degree part wins there, as MacroscopicPotential requires, so each
-    counts as +inf, with no warning.  A NaN point, outside every weight's
-    domain, gives +inf as well.
+    of that dtype.  Past the largest double a Python power raises
+    OverflowError, and numpy terms give inf, or inf - inf = NaN where their
+    signs differ; only those entries are recomputed (_far_value), with no
+    warning, so finite ones keep the direct sum's bits.
     """
     if np.ndim(z) == 0:
         try:
-            v = f(kind(z))
+            v = direct(kind(z))
         except OverflowError:
-            return math.inf
-        return math.inf if v != v else v
+            v = math.nan
+        return v if math.isfinite(v) else float(_far_value(coeffs, np.array([kind(z)]))[0])
+    z = np.asarray(z, dtype=kind)
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.fmin(f(np.asarray(z, dtype=kind)), np.inf)  # fmin returns the other operand of a NaN
+        v = direct(z)
+    # v.v is finite only if every entry is; a finite v past 1e154 only costs the scan
+    if not math.isfinite(np.vdot(v, v)):
+        far = ~np.isfinite(v)
+        v[far] = _far_value(coeffs, z[far])
+    return v
 
 
-def _positive_definite(part: dict[tuple[int, int], complex]) -> float:
-    """The minimum on |z| = 1 of a homogeneous part if above _PD_THRESHOLD times its largest coefficient, else 0.0."""
+def _far_value(coeffs: dict[tuple[int, int], complex], z: np.ndarray) -> np.ndarray:
+    """Re sum a_ij z^i conj(z)^j on a 1-d array, as a signed sum over degrees in base-2 log space.
+
+    With A_d(theta) = Re sum_{i+j=d} a_ij e^{i(i-j)theta} and |z| = mu 2^e
+    (np.frexp), the weight is sum_d A_d mu^d 2^{de}.  Each A_d mu^d is
+    phi_d 2^{x_d}, so it is 2^E sum_d phi_d 2^{x_d+de-E} with E the largest
+    exponent of a nonzero term.  Every scale is an exact power of two, and
+    only terms below 2^{E-1074} underflow; np.ldexp gives +-inf with the
+    sum's sign past the largest double.  A NaN point, or an infinite one
+    where terms of both signs meet, gives +inf.
+    """
+    mu, e = np.frexp(np.abs(z))
+    degrees = sorted({i + j for i, j in coeffs})
+    amp, xa = np.frexp([_angular_values({ij: a for ij, a in coeffs.items() if sum(ij) == d}, np.angle(z))
+                        for d in degrees])
+    deg = np.array(degrees)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, xm = np.frexp(amp * mu**deg)  # A_d split first, so no product A_d mu^d underflows
+        x = np.where(phi != 0, xa + xm + deg * e, np.iinfo(np.int32).min)
+        top = x.max(axis=0)
+        return np.fmin(np.ldexp(np.ldexp(phi, x - top).sum(axis=0), top), np.inf)
+
+
+def _positive_definite(part: dict[tuple[int, int], complex]) -> bool:
+    """Whether a homogeneous part's minimum on |z| = 1 is above _PD_THRESHOLD times its largest coefficient."""
     # a diagonal part is the one term a_mm |z|^{2m}, whose minimum is Re a_mm
     q_min = sum(part.values()).real if all(i == j for i, j in part) else _angular_minimum(part)[1]
-    return q_min if q_min > _PD_THRESHOLD * max(map(abs, part.values()), default=0.0) else 0.0
+    return q_min > _PD_THRESHOLD * max(map(abs, part.values()), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -188,10 +215,7 @@ class HomogeneousHermitianPoly:
         object.__setattr__(self, "coeffs", {ij: complex(a) for ij, a in self.coeffs.items()})
 
     def evaluate(self, z):
-        """Value at z: float for a scalar, elementwise on an array; +inf past the largest double.
-
-        That rule holds when the polynomial is positive definite, as every weight Q0 and every Delta Q0 is.
-        """
+        """Value at z: float for a scalar, elementwise on an array; +-inf past the largest double."""
         return _hermitian_value(self.coeffs, z)
 
     def angular_profile(self, theta: np.ndarray) -> np.ndarray:
@@ -263,15 +287,8 @@ class MacroscopicPotential:
         if not taylor or (0, 0) in taylor:
             raise ConfigError("potential needs a nonzero term and must vanish at 0 (no constant term)")
         top_deg = max(i + j for i, j in taylor)
-        q_min = _positive_definite({(i, j): a for (i, j), a in taylor.items() if i + j == top_deg})
-        if not q_min:
+        if not _positive_definite({(i, j): a for (i, j), a in taylor.items() if i + j == top_deg}):
             raise ConfigError("leading homogeneous part must be positive definite (growth)")
-        # D = top_deg, m = q_min, L and S the sums of |a| over the lower terms other than a_mm > 0 and over all terms:
-        # Q > 0 past rho = max(1, L/m), so overflow there is +inf; inside, each |z|^deg and sum <= max(1, S) rho^D < inf
-        signed = [abs(a) for (i, j), a in taylor.items() if i + j < top_deg and not (i == j and a.real > 0)]
-        rho = max(1.0, sum(signed) / q_min)
-        if signed and math.log(max(1.0, sum(map(abs, taylor.values())))) + top_deg * math.log(rho) >= _LOG_MAX:
-            raise ConfigError(f"Q's lower terms outweigh its top part up to |z| = {rho:.3g}, past the largest double")
         radial = all(i == j for i, j in taylor)
         object.__setattr__(self, "kind", "radial" if radial else "hermitian")
         object.__setattr__(self, "radial_coeffs", {i: a.real for (i, _), a in taylor.items()} if radial else None)
@@ -280,13 +297,14 @@ class MacroscopicPotential:
     # --- evaluation ---------------------------------------------------
 
     def value(self, zeta: complex | np.ndarray) -> float | np.ndarray:
-        """Q(zeta) without the charge; float in, float out, arrays elementwise, +inf past the largest double."""
+        """Q(zeta) without the charge; float in, float out, arrays elementwise, +-inf past the largest double."""
         return self.q_of_r(np.abs(zeta)) if self.kind == "radial" else _hermitian_value(self.hermitian_coeffs, zeta)
 
     def q_of_r(self, r: float | np.ndarray) -> float | np.ndarray:
-        """Q(r) = sum q_m r^{2m}; like the two below, float in, float out, arrays elementwise; +inf as in value."""
+        """Q(r) = sum q_m r^{2m}; like the two below, float in, float out, arrays elementwise; +-inf as in value."""
         self._require_radial()
-        return _top_value(lambda r: sum(q * r ** (2 * m) for m, q in self.radial_coeffs.items()), r, float)
+        return _weight_value(self.hermitian_coeffs, r, float,
+                             lambda r: sum(q * r ** (2 * m) for m, q in self.radial_coeffs.items()))
 
     def dq_dr(self, r: float | np.ndarray) -> float | np.ndarray:
         self._require_radial()

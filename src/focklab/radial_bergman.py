@@ -25,7 +25,6 @@ __all__ = [
     "moments",
     "bergman_function_r0",
     "delta_q0",
-    "origin_coefficient",
     "disk_mass",
     "DecayReport",
     "decay_report",
@@ -190,12 +189,6 @@ def delta_q0(k: int, c: float, a: float, r):
     with np.errstate(over="ignore"):  # a value past the largest double is refused
         out = _check_overflow(a * k * k * rr ** (2 * k - 2), "deltaQ0")
     return float(out) if np.ndim(r) == 0 else out
-
-
-def origin_coefficient(k: int, c: float, a: float = 1.0) -> float:
-    """lim_{r->0} R0(r)/r^{2c} = 1/m_0 = a^{(c+1)/k} k / Gamma((c+1)/k)."""
-    _validate(k, c, a)
-    return float(np.exp(-moments(k, c, a, 0)[0]))
 
 
 def disk_mass(k: int, c: float, a: float, radius: float = 1.0) -> float:

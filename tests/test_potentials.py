@@ -1,7 +1,9 @@
+import cmath
 import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -227,15 +229,15 @@ class TestMacroscopicPotential:
         assert lam == pytest.approx(1e12, rel=1e-12) and scaled.radial_coeffs == {1: pytest.approx(1.0)}
         assert canonical_decompose(Q).q0.amplitude == 1e-12
 
-    def test_lower_terms_may_not_pass_the_largest_double_first(self):
-        # past rho = max(1, L/m) the top part wins; within it max(1, S) rho^D must stay below the largest double
-        with pytest.raises(ConfigError, match="lower terms outweigh its top part"):
-            MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: -1e300, 3: 1e-300})
-        # a bound term by term, max |a| rho^deg, would take this Q, whose value at 1e79 (about -1.9e237) needs z^4
-        with pytest.raises(ConfigError, match="lower terms outweigh its top part"):
-            MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={
-                (2, 2): 1e-80, (4, 0): 5e-82, (0, 4): 5e-82, (2, 1): -1.0, (1, 2): -1.0})
-        # lower terms a_mm |z|^{2m} with a_mm > 0 cannot turn Q's sign, so they bound nothing
+    def test_lower_terms_past_the_largest_double_keep_sign(self):
+        # both weights are taken although their lower terms pass the largest double before the top part wins;
+        # a value has the sign of 40-digit mpmath's sum: -inf where the lower terms win, +inf where the top does
+        far = {"signed-value": (1e102, 1e250, 1e250j, 1e305), "signed-q_of_r": (1e102, 1e250, 1e305),
+               "hermitian-far-value": (1e79, 1e79j, complex(1e79, 1e79), 1e100)}
+        for name, points in far.items():
+            for z in points:
+                check_weight(*WEIGHT_EVALUATORS[name], z)
+        # lower terms a_mm |z|^{2m} with a_mm > 0 cannot turn Q's sign
         for coeffs in ({1: 1.0, 2: 1e-12}, {1: 1.0, 2: -1e-4, 3: 1.0}, {1: 1.0, 2: 1e-80}):
             Q = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs=coeffs)
             assert Q.q_of_r(1e200) == math.inf and Q.q_of_r(2.0) > 0
@@ -258,23 +260,50 @@ R2_R4_R6 = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: 
 TWISTED = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs=TWIST)
 MIXED_Q0 = canonical_decompose(MacroscopicPotential(kind="hermitian", c=0.5, hermitian_coeffs={
     (2, 2): 1.0, (3, 1): 0.3, (1, 3): 0.3})).q0.q0
-# the evaluators of a weight: value and evaluate take points, q_of_r takes their radii
+# r^4 alone passes the largest double at r = 1.2e77, but Q = r^2 + 1e-80 r^4 only at 1.2e97
+R2_TINY_R4 = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: 1e-80})
+# Q passes the largest double negative near r = 116, and its r^6 term wins only past r = 1e300
+SIGNED = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: -1e300, 3: 1e-300})
+# 1e-80 |z|^4 + 1e-81 Re z^4 - 2 Re(z^2 conj z): the cubic term wins out to |z| of about 2e80
+HERMITIAN_FAR = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={
+    (2, 2): 1e-80, (4, 0): 5e-82, (0, 4): 5e-82, (2, 1): -1.0, (1, 2): -1.0})
+# 1e-300 r^400 is about 1e187 at r = 16.5, where r^400 passes the largest double and 1e-300 (16.5/32)^400 underflows
+TINY_HIGH = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 200: 1e-300})
+# the evaluators of a weight and its coefficient map: value and evaluate take points, q_of_r takes their radii
 WEIGHT_EVALUATORS = {
-    "r2+r4-value": (R2_R4.value, False),
-    "r2+r4-q_of_r": (R2_R4.q_of_r, True),
-    "r2-1e-4r4+r6-value": (R2_R4_R6.value, False),
-    "r2-1e-4r4+r6-q_of_r": (R2_R4_R6.q_of_r, True),
-    "twist-value": (TWISTED.value, False),
-    "k2-mixed-q0-evaluate": (MIXED_Q0.evaluate, False),
+    "r2+r4-value": (R2_R4.value, False, R2_R4.hermitian_coeffs),
+    "r2+r4-q_of_r": (R2_R4.q_of_r, True, R2_R4.hermitian_coeffs),
+    "r2-1e-4r4+r6-value": (R2_R4_R6.value, False, R2_R4_R6.hermitian_coeffs),
+    "r2-1e-4r4+r6-q_of_r": (R2_R4_R6.q_of_r, True, R2_R4_R6.hermitian_coeffs),
+    "twist-value": (TWISTED.value, False, TWISTED.hermitian_coeffs),
+    "k2-mixed-q0-evaluate": (MIXED_Q0.evaluate, False, MIXED_Q0.coeffs),
+    "r2+1e-80r4-value": (R2_TINY_R4.value, False, R2_TINY_R4.hermitian_coeffs),
+    "r2+1e-80r4-q_of_r": (R2_TINY_R4.q_of_r, True, R2_TINY_R4.hermitian_coeffs),
+    "signed-value": (SIGNED.value, False, SIGNED.hermitian_coeffs),
+    "signed-q_of_r": (SIGNED.q_of_r, True, SIGNED.hermitian_coeffs),
+    "hermitian-far-value": (HERMITIAN_FAR.value, False, HERMITIAN_FAR.hermitian_coeffs),
+    "r2+1e-300r400-value": (TINY_HIGH.value, False, TINY_HIGH.hermitian_coeffs),
+    "r2+1e-300r400-q_of_r": (TINY_HIGH.q_of_r, True, TINY_HIGH.hermitian_coeffs),
 }
+LARGEST = mpmath.mpf(np.finfo(float).max)
 
 
-@pytest.mark.parametrize("point", [1e200, 1e200j, complex(1e200, 1e200), 1e160], ids=str)
-@pytest.mark.parametrize("f,radii", WEIGHT_EVALUATORS.values(), ids=list(WEIGHT_EVALUATORS))
-def test_weight_past_the_largest_double_is_inf(f, radii, point):
-    # every input type gets +inf, with no OverflowError, no NaN and no warning: a Python float for a
-    # scalar or a 0-d array, an array of the input's shape otherwise
+def weight_oracle(coeffs, z):
+    """Re sum a_ij z^i conj(z)^j at the double z, in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(complex(z))
+        return sum(mpmath.mpc(a) * z**i * mpmath.conj(z) ** j for (i, j), a in coeffs.items()).real
+
+
+def check_weight(f, radii, coeffs, point):
+    """The weight's mpmath value at point, after checking f there for every input type.
+
+    f gives a Python float for a scalar or a 0-d array and an array of the input's shape otherwise, with
+    no OverflowError and no warning; each entry is within 1e-13 of mpmath where that is a double, and
+    exactly +-inf with mpmath's sign past the largest double (float(want) is that infinity).
+    """
     x = abs(point) if radii else point
+    want = weight_oracle(coeffs, x)
     scalars = [float(x), np.float64(x)] if x.imag == 0 else []
     scalars += [] if radii else [complex(x), np.complex128(x)]
     for z in scalars + [np.array(x), np.array([x, x])]:
@@ -282,9 +311,32 @@ def test_weight_past_the_largest_double_is_inf(f, radii, point):
             warnings.simplefilter("error")
             got = f(z)
         if np.ndim(z):
-            assert isinstance(got, np.ndarray) and got.shape == z.shape and (got == math.inf).all()
+            assert isinstance(got, np.ndarray) and got.shape == z.shape
         else:
-            assert type(got) is float and got == math.inf
+            assert type(got) is float
+        assert list(np.ravel(got)) == pytest.approx([float(want)] * np.size(z), rel=1e-13), (z, want)
+    return want
+
+
+@pytest.mark.parametrize("point", [1e200, 1e200j, complex(1e200, 1e200), 1e160], ids=str)
+@pytest.mark.parametrize("f,radii,coeffs", WEIGHT_EVALUATORS.values(), ids=list(WEIGHT_EVALUATORS))
+def test_weight_past_the_largest_double_is_inf(f, radii, coeffs, point):
+    # +inf, or -inf where the lower terms win, with no NaN: a sum of terms of both signs is not inf - inf
+    assert abs(check_weight(f, radii, coeffs, point)) > LARGEST
+
+
+# finite values whose bare power r^4 or r^400 passes the largest double
+NEAR_POINTS = [
+    *[("r2+1e-80r4-value", z) for z in (1e78, 1e78j, 1e78 * cmath.exp(0.25j * math.pi))],
+    *[("r2+1e-80r4-q_of_r", z) for z in (1e78, 1e78 * cmath.exp(0.25j * math.pi))],
+    ("r2+1e-300r400-value", 16.5j),
+    ("r2+1e-300r400-q_of_r", 16.5),
+]
+
+
+@pytest.mark.parametrize("name,point", NEAR_POINTS, ids=[f"{name}-{z}" for name, z in NEAR_POINTS])
+def test_weight_near_the_largest_double_matches_mpmath(name, point):
+    check_weight(*WEIGHT_EVALUATORS[name], point)
 
 
 def test_numpy_scalar_coefficients_evaluate_as_python_numbers():

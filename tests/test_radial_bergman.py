@@ -17,7 +17,6 @@ from focklab import (
     delta_q0,
     disk_mass,
     moments,
-    origin_coefficient,
 )
 from focklab import fixtures
 from focklab.fixtures import load_bergman_r0
@@ -169,7 +168,7 @@ class TestBergmanFunctionR0:
 
     def test_origin_branches(self):
         assert bergman_function_r0(2, 0.0, 0.5, 0.0) == pytest.approx(
-            origin_coefficient(2, 0.0, 0.5), rel=1e-14
+            math.exp(-moments(2, 0.0, 0.5, 0)[0]), rel=1e-14
         )
         assert bergman_function_r0(1, 1.0, 2.0, 0.0) == 0.0
         with pytest.raises(DivergenceError):
@@ -290,18 +289,19 @@ class TestDeltaQ0:
 
 
 class TestOriginCoefficient:
+    # lim_{r->0} R0(r)/r^{2c} = 1/m_0, the first of the log-moments
     def test_closed_form(self):
-        assert origin_coefficient(1, 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-        assert origin_coefficient(2, 0.0, 1.0) == pytest.approx(2 / math.sqrt(math.pi), rel=1e-13)
+        assert math.exp(-moments(1, 0.0, 1.0, 0)[0]) == pytest.approx(1.0, rel=1e-14)
+        assert math.exp(-moments(2, 0.0, 1.0, 0)[0]) == pytest.approx(2 / math.sqrt(math.pi), rel=1e-13)
         k, c, a = 2, 1.0, 1.5
         want = k * a ** ((c + 1) / k) / math.exp(gammaln((c + 1) / k))
-        assert origin_coefficient(k, c, a) == pytest.approx(want, rel=1e-13)
+        assert math.exp(-moments(k, c, a, 0)[0]) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("k,c,a", [(1, -0.5, 1.0), (1, 1.0, 2.0), (2, 0.0, 0.5), (2, 1.0, 1.0)])
     def test_inverse_weight_mass(self, k, c, a):
         # 1/m_0 equals the reciprocal total mass of the bare weight
         total, _ = quad(lambda r: 2.0 * r ** (2 * c + 1) * math.exp(-a * r ** (2 * k)), 0.0, np.inf)
-        assert origin_coefficient(k, c, a) == pytest.approx(1.0 / total, rel=1e-10)
+        assert math.exp(-moments(k, c, a, 0)[0]) == pytest.approx(1.0 / total, rel=1e-10)
 
 
 class TestDiskMass:
@@ -352,7 +352,7 @@ class TestSmallRadiusLimit:
     )
     def test_leading_power_at_small_r(self, k, c):
         r = 1e-3
-        ratio = bergman_function_r0(k, c, 1.0, r) / (r ** (2 * c) * origin_coefficient(k, c, 1.0))
+        ratio = bergman_function_r0(k, c, 1.0, r) / (r ** (2 * c) * math.exp(-moments(k, c, 1.0, 0)[0]))
         assert abs(ratio - 1.0) <= 1e-6
 
 
