@@ -73,12 +73,6 @@ def _angular_minimum(coeffs: dict[tuple[int, int], complex]) -> tuple[float, flo
     return float(theta[i0]), float(q[i0])
 
 
-def _hermitian_value(coeffs: dict[tuple[int, int], complex], z):
-    """Re sum a_ij z^i conj(z)^j: float for a scalar z, elementwise on an array; see _weight_value."""
-    return _weight_value(coeffs, z, complex,
-                         lambda z: sum(a * z**i * z.conjugate() ** j for (i, j), a in coeffs.items()).real)
-
-
 def _laplacian_coeffs(coeffs: dict[tuple[int, int], complex]) -> dict[tuple[int, int], complex]:
     """Coefficients of d/dz d/dzbar of sum a_ij z^i conj(z)^j."""
     out: dict[tuple[int, int], complex] = {}
@@ -143,15 +137,23 @@ def _log_power(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.multiply(p, ln_x, out=np.zeros(np.broadcast(p, ln_x).shape, ln_x.dtype), where=p != 0)
 
 
-def _weight_value(coeffs: dict[tuple[int, int], complex], z, kind: type, direct):
-    """The weight Re sum a_ij z^i conj(z)^j of coeffs at z: the direct sum direct(z) where that is finite.
+def _weight_value(coeffs: dict[tuple[int, int], complex], z, radial: bool = False):
+    """The weight Re sum a_ij z^i conj(z)^j of coeffs at a point z, or of a radial map at a radius z, sum a_mm z^{2m}.
 
-    z is taken as a Python scalar of kind (float or complex) or as an array
-    of that dtype.  Past the largest double a Python power raises
-    OverflowError, and numpy terms give inf, or inf - inf = NaN where their
-    signs differ; only those entries are recomputed (_far_value), with no
-    warning, so finite ones keep the direct sum's bits.
+    z is a Python or numpy scalar, a float for a radius and complex for a
+    point, or an array of that dtype: a float for a scalar, elementwise on
+    an array.  The direct sum is kept where it is finite.  Past the largest
+    double a Python power raises OverflowError, and numpy terms give inf, or
+    inf - inf = NaN where their signs differ; only those entries are
+    recomputed (_far_value), with no warning, so finite ones keep the direct
+    sum's bits.
     """
+    def direct(z):
+        if radial:
+            return sum(a.real * z ** (i + j) for (i, j), a in coeffs.items())
+        return sum(a * z**i * z.conjugate() ** j for (i, j), a in coeffs.items()).real
+
+    kind = float if radial else complex
     if np.ndim(z) == 0:
         try:
             v = direct(kind(z))
@@ -173,22 +175,40 @@ def _far_value(coeffs: dict[tuple[int, int], complex], z: np.ndarray) -> np.ndar
 
     With A_d(theta) = Re sum_{i+j=d} a_ij e^{i(i-j)theta} and |z| = mu 2^e
     (np.frexp), the weight is sum_d A_d mu^d 2^{de}.  Each A_d mu^d is
-    phi_d 2^{x_d}, so it is 2^E sum_d phi_d 2^{x_d+de-E} with E the largest
+    phi_d 2^{x_d} (A_d split by np.frexp and mu^d by _frexp_power, so no
+    product underflows), so it is 2^E sum_d phi_d 2^{x_d+de-E} with E the largest
     exponent of a nonzero term.  Every scale is an exact power of two, and
     only terms below 2^{E-1074} underflow; np.ldexp gives +-inf with the
     sum's sign past the largest double.  A NaN point, or an infinite one
     where terms of both signs meet, gives +inf.
     """
-    mu, e = np.frexp(np.abs(z))
     degrees = sorted({i + j for i, j in coeffs})
-    amp, xa = np.frexp([_angular_values({ij: a for ij, a in coeffs.items() if sum(ij) == d}, np.angle(z))
-                        for d in degrees])
-    deg = np.array(degrees)[:, None]
+    deg = np.array(degrees, dtype=np.int64)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        phi, xm = np.frexp(amp * mu**deg)  # A_d split first, so no product A_d mu^d underflows
-        x = np.where(phi != 0, xa + xm + deg * e, np.iinfo(np.int32).min)
+        mu, e = np.frexp(np.abs(z))
+        amp, xa = np.frexp([_angular_values({ij: a for ij, a in coeffs.items() if sum(ij) == d}, np.angle(z))
+                            for d in degrees])
+        mu_d, xm = _frexp_power(mu, deg)
+        phi, xp = np.frexp(amp * mu_d)
+        x = np.where(phi != 0, xa + xm + xp + deg * e, np.iinfo(np.int64).min // 2)
         top = x.max(axis=0)
         return np.fmin(np.ldexp(np.ldexp(phi, x - top).sum(axis=0), top), np.inf)
+
+
+def _frexp_power(mu: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mu**deg for mu in [0.5, 1) and integers deg >= 0, broadcast, as np.frexp's (mantissa, exponent).
+
+    mu**deg = mu**(deg % 1000) (mu**1000)**(deg // 1000): a power of mu up
+    to 1000 is at least 2^-1000, so none underflows, and the mantissa of
+    mu**1000 is raised to deg // 1000 the same way.
+    """
+    m, x = np.frexp(mu ** (deg % 1000))
+    if np.any(deg >= 1000):
+        m_k, x_k = np.frexp(mu ** 1000)
+        m_q, x_q = _frexp_power(m_k, deg // 1000)
+        m, x_m = np.frexp(m * m_q)
+        x = x + x_m + x_q + x_k * (deg // 1000)
+    return m, x
 
 
 def _positive_definite(part: dict[tuple[int, int], complex]) -> bool:
@@ -216,7 +236,7 @@ class HomogeneousHermitianPoly:
 
     def evaluate(self, z):
         """Value at z: float for a scalar, elementwise on an array; +-inf past the largest double."""
-        return _hermitian_value(self.coeffs, z)
+        return _weight_value(self.coeffs, z)
 
     def angular_profile(self, theta: np.ndarray) -> np.ndarray:
         """Values on the unit circle, q(theta) = value at e^{i theta}."""
@@ -298,13 +318,12 @@ class MacroscopicPotential:
 
     def value(self, zeta: complex | np.ndarray) -> float | np.ndarray:
         """Q(zeta) without the charge; float in, float out, arrays elementwise, +-inf past the largest double."""
-        return self.q_of_r(np.abs(zeta)) if self.kind == "radial" else _hermitian_value(self.hermitian_coeffs, zeta)
+        return self.q_of_r(np.abs(zeta)) if self.kind == "radial" else _weight_value(self.hermitian_coeffs, zeta)
 
     def q_of_r(self, r: float | np.ndarray) -> float | np.ndarray:
         """Q(r) = sum q_m r^{2m}; like the two below, float in, float out, arrays elementwise; +-inf as in value."""
         self._require_radial()
-        return _weight_value(self.hermitian_coeffs, r, float,
-                             lambda r: sum(q * r ** (2 * m) for m, q in self.radial_coeffs.items()))
+        return _weight_value(self.hermitian_coeffs, r, radial=True)
 
     def dq_dr(self, r: float | np.ndarray) -> float | np.ndarray:
         self._require_radial()

@@ -269,6 +269,9 @@ HERMITIAN_FAR = MacroscopicPotential(kind="hermitian", c=0.0, hermitian_coeffs={
     (2, 2): 1e-80, (4, 0): 5e-82, (0, 4): 5e-82, (2, 1): -1.0, (1, 2): -1.0})
 # 1e-300 r^400 is about 1e187 at r = 16.5, where r^400 passes the largest double and 1e-300 (16.5/32)^400 underflows
 TINY_HIGH = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 200: 1e-300})
+# past degree 1074 a power of a mantissa in [0.5, 1) underflows: 2^1100 and 1e-300 2^1100 = 1.4e31 at r = 2
+R2_R1100 = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 550: 1.0})
+R2_TINY_R1100 = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 550: 1e-300})
 # the evaluators of a weight and its coefficient map: value and evaluate take points, q_of_r takes their radii
 WEIGHT_EVALUATORS = {
     "r2+r4-value": (R2_R4.value, False, R2_R4.hermitian_coeffs),
@@ -284,6 +287,10 @@ WEIGHT_EVALUATORS = {
     "hermitian-far-value": (HERMITIAN_FAR.value, False, HERMITIAN_FAR.hermitian_coeffs),
     "r2+1e-300r400-value": (TINY_HIGH.value, False, TINY_HIGH.hermitian_coeffs),
     "r2+1e-300r400-q_of_r": (TINY_HIGH.q_of_r, True, TINY_HIGH.hermitian_coeffs),
+    "r2+r1100-value": (R2_R1100.value, False, R2_R1100.hermitian_coeffs),
+    "r2+r1100-q_of_r": (R2_R1100.q_of_r, True, R2_R1100.hermitian_coeffs),
+    "r2+1e-300r1100-value": (R2_TINY_R1100.value, False, R2_TINY_R1100.hermitian_coeffs),
+    "r2+1e-300r1100-q_of_r": (R2_TINY_R1100.q_of_r, True, R2_TINY_R1100.hermitian_coeffs),
 }
 LARGEST = mpmath.mpf(np.finfo(float).max)
 
@@ -318,19 +325,26 @@ def check_weight(f, radii, coeffs, point):
     return want
 
 
-@pytest.mark.parametrize("point", [1e200, 1e200j, complex(1e200, 1e200), 1e160], ids=str)
-@pytest.mark.parametrize("f,radii,coeffs", WEIGHT_EVALUATORS.values(), ids=list(WEIGHT_EVALUATORS))
-def test_weight_past_the_largest_double_is_inf(f, radii, coeffs, point):
+# the evaluators that take points also get one whose parts are doubles but whose modulus is not
+PAST_POINTS = [(name, z) for name, (_, radii, _) in WEIGHT_EVALUATORS.items()
+               for z in (1e200, 1e200j, complex(1e200, 1e200), 1e160, *([] if radii else [complex(1.5e308, 1.5e308)]))]
+
+
+@pytest.mark.parametrize("name,point", PAST_POINTS, ids=[f"{name}-{z}" for name, z in PAST_POINTS])
+def test_weight_past_the_largest_double_is_inf(name, point):
     # +inf, or -inf where the lower terms win, with no NaN: a sum of terms of both signs is not inf - inf
-    assert abs(check_weight(f, radii, coeffs, point)) > LARGEST
+    assert abs(check_weight(*WEIGHT_EVALUATORS[name], point)) > LARGEST
 
 
-# finite values whose bare power r^4 or r^400 passes the largest double
+# values whose bare power r^4, r^400 or r^1100 passes the largest double (r^2 + r^1100 passes it too)
 NEAR_POINTS = [
     *[("r2+1e-80r4-value", z) for z in (1e78, 1e78j, 1e78 * cmath.exp(0.25j * math.pi))],
     *[("r2+1e-80r4-q_of_r", z) for z in (1e78, 1e78 * cmath.exp(0.25j * math.pi))],
     ("r2+1e-300r400-value", 16.5j),
     ("r2+1e-300r400-q_of_r", 16.5),
+    *[(name, z) for name in ("r2+r1100-value", "r2+1e-300r1100-value") for z in (2.0, 2j)],
+    ("r2+r1100-q_of_r", 2.0),
+    ("r2+1e-300r1100-q_of_r", 2.0),
 ]
 
 
