@@ -31,6 +31,7 @@ from .potentials import (
     CanonicalDecomposition,
     MacroscopicPotential,
     _check_grid,
+    _check_int,
     _check_overflow,
     _check_points,
     canonical_decompose,
@@ -299,9 +300,7 @@ def cmd_sample(args) -> int:
     rmax = args.rmax if args.rmax is not None else 1.25 * droplet_radius(Q)
     if not math.isfinite(rmax):
         raise ConfigError(f"--rmax must be finite, got {rmax}")
-    if args.bins < 1:
-        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
-    edges = np.linspace(0.0, rmax, args.bins + 1)
+    edges = np.linspace(0.0, rmax, _check_int(args.bins, "--bins", 1) + 1)
     cfg = EnsembleConfig(
         n=args.n,
         potential=Q,

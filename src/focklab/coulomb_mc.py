@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .potentials import MacroscopicPotential, _check_grid
+from .potentials import MacroscopicPotential, _check_grid, _check_int
 from .equilibrium import droplet_radius
 
 __all__ = [
@@ -33,12 +33,6 @@ __all__ = [
 _TUNE_TARGET = 0.35  # burn-in acceptance the proposal scale is tuned toward
 _TUNE_INTERVAL = 25  # burn-in sweeps between two tuning steps
 _BATCHES = 32        # batch means behind each error bar
-
-
-def _check_count(value, what: str) -> None:
-    """A seed or a number of draws: an integer >= 0."""
-    if not (isinstance(value, (int, np.integer)) and value >= 0):
-        raise ConfigError(f"{what} must be an integer >= 0, got {value!r}")
 
 
 def _site_energy(potential: MacroscopicPotential, n: int, z: np.ndarray) -> np.ndarray:
@@ -76,20 +70,15 @@ class EnsembleConfig:
     collect_moduli: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.sweeps < 2 or self.burn_in < 0 or self.thin < 1:
-            raise ConfigError("sweeps >= 2, burn_in >= 0, thin >= 1 required")
+        for name, least in ("n", 1), ("sweeps", 2), ("burn_in", 0), ("thin", 1), ("seed", 0):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, least))
         if not self.delta0 > 0:
             raise ConfigError("delta0 must be positive")
-        _check_count(self.seed, "seed")
         object.__setattr__(self, "bin_edges", _check_grid(self.bin_edges, "bin_edges"))
         if self.potential.kind == "radial":
             R = droplet_radius(self.potential)
             if self.bin_edges[-1] < R:
-                raise ConfigError(
-                    f"bins must cover the droplet with margin (outer edge {self.bin_edges[-1]} < R = {R:.4g})"
-                )
+                raise ConfigError(f"bins must reach the droplet: outer edge {self.bin_edges[-1]} < R = {R:.4g}")
 
 
 @dataclass(frozen=True)
@@ -211,11 +200,8 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
 
     rate = rec_acc / (cfg.sweeps * cfg.thin * n)
     if not 0.2 <= rate <= 0.6:
-        warnings.warn(
-            f"acceptance rate {rate:.3f} outside [0.2, 0.6]; check delta0/burn_in",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"acceptance rate {rate:.3f} outside [0.2, 0.6]; check delta0/burn_in", RuntimeWarning,
+                      stacklevel=2)
     hist = IntensityHistogram(
         edges=edges,
         counts=batch_counts.sum(axis=0),
@@ -223,6 +209,10 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
         batch_counts=batch_counts,
         batch_recorded=np.bincount(batch, minlength=_BATCHES),
     )
+    # a Q that is not radial has no droplet check in EnsembleConfig: its mass may lie past the bins
+    if hist.mass() < n / 2:
+        warnings.warn(f"mean in-range particles per sweep {hist.mass():.3g} below n/2 = {n / 2:g}; the bins miss "
+                      "the ensemble", RuntimeWarning, stacklevel=2)
     return McmcResult(
         histogram=hist,
         acceptance_rate=float(rate),
@@ -241,8 +231,7 @@ def sample_radial_exact(Q: MacroscopicPotential, c: float, n: int, seed: int, dr
     from .finite_kernel import _modulus_tables
 
     Q._check_charge(c)
-    _check_count(seed, "seed")
-    _check_count(draws, "draws")
+    n, seed, draws = _check_int(n, "n", 1), _check_int(seed, "seed"), _check_int(draws, "draws")
     rng = np.random.default_rng(seed)
     out = np.empty((draws, n))
     for j, (t, cdf) in enumerate(_modulus_tables(Q, n)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .potentials import HomogeneousHermitianPoly, MacroscopicPotential, canonical_decompose
+from .potentials import HomogeneousHermitianPoly, MacroscopicPotential, _check_int, canonical_decompose
 
 __all__ = [
     "droplet_radius",
@@ -106,16 +106,14 @@ def modulus_tau0(q0: HomogeneousHermitianPoly) -> float:
 def microscopic_scale(Q: MacroscopicPotential, c: float, n):
     """r_n solving n r Q'(r)/2 = 1 + c, c = Q.c, inside the droplet; n an integer, or an array of them elementwise."""
     Q._check_charge(c)
-    n_arr = np.asarray(n)
-    if np.any(n_arr < 1):
-        raise ConfigError(f"n must be >= 1, got {n}")
+    n_arr = _check_int(n, "n", 1)
     mass = (1.0 + Q.c) / n_arr
     if np.any(mass > 1.0):
         raise ConfigError(f"n={n} too small: microscopic scale would leave the droplet")
     # the droplet, mass 1, rides along for the monotone-mass check
     r = np.exp(_ln_mass_roots(Q, np.append(1.0, mass)))
     _check_monotone_mass(Q, r[0])
-    return float(r[1]) if n_arr.ndim == 0 else r[1:].reshape(n_arr.shape)
+    return float(r[1]) if np.ndim(n_arr) == 0 else r[1:].reshape(n_arr.shape)
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ class AsymptoticReport:
 def microscale_asymptotic_check(Q: MacroscopicPotential, c: float, n_list) -> AsymptoticReport:
     """Check r_n = tau0 (1+c)^{1/2k} n^{-1/2k} (1 + O(n^{-1/2k})) on n_list, at the charge c = Q.c."""
     Q._check_charge(c)
-    n_arr = np.asarray(sorted(int(n) for n in n_list), dtype=int)
+    n_arr = np.sort(_check_int(n_list, "each n in n_list", 1), axis=None)
     if n_arr.size == 0:
         raise ConfigError("n_list must be nonempty")
     p = canonical_decompose(Q).q0

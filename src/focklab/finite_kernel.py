@@ -24,8 +24,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .potentials import (MacroscopicPotential, _check_grid, _check_overflow, _check_points, _log_power, detect_k,
-                         normalize_potential)
+from .potentials import (MacroscopicPotential, _check_grid, _check_int, _check_overflow, _check_points, _log_power,
+                         detect_k, normalize_potential)
 from .radial_bergman import bergman_function_r0, moments
 from .equilibrium import _ln_mass_roots, microscopic_scale
 
@@ -59,8 +59,6 @@ def _rows(Q: MacroscopicPotential, n: int, j=None):
     S_j = asinh((46 + nQ(r*_j)) / (beta_j sigma_j)) + 1/2.  Each row is
     solved on its own, so a subset of rows gives the bits of the full set.
     """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
     beta = 2.0 * (np.arange(n) if j is None else np.asarray(j)) + 2.0 * Q.c + 2.0
     t_star = _ln_mass_roots(Q, beta / (2.0 * n))
     r_star = np.exp(t_star)
@@ -138,6 +136,7 @@ class FiniteKernel:
 def finite_moments(Q: MacroscopicPotential, c: float, n: int) -> FiniteKernel:
     """Weighted monomial norms m_j^(n), j = 0..n-1, to 1e-12 relative, at the charge c = Q.c."""
     Q._check_charge(c)
+    n = _check_int(n, "n", 1)
     return FiniteKernel(n, Q, *_log_norms(Q, n))
 
 
@@ -172,7 +171,7 @@ def rescaled_intensity(fk: FiniteKernel, z, rn: float):
 
 def truncated_series_r0(k: int, c: float, a: float, n: int, r):
     """First n terms of the closed-form R0 series (the n-term exhaustion); arrays elementwise."""
-    return _series(r, c, moments(k, c, a, n - 1), lambda x: a * x ** (2 * k))
+    return _series(r, c, moments(k, c, a, _check_int(n, "n", 1) - 1), lambda x: a * x ** (2 * k))
 
 
 def _bin_integrals(fk: FiniteKernel, lo, hi, tol: float, pooled: bool = False) -> np.ndarray:
@@ -260,9 +259,9 @@ def convergence_report(Q: MacroscopicPotential, n_list, z_grid) -> ConvergenceRe
     k = detect_k(Q)
     Qn, lam = normalize_potential(Q, k)  # which checks k against its own split's, a second detect_k (ROADMAP item 1)
     r0 = bergman_function_r0(k, c, (1.0 + c) / k, z)
-    n_arr = np.asarray(sorted(int(n) for n in n_list), dtype=int)
+    n_arr = np.sort(_check_int(n_list, "each n in n_list", 1), axis=None)
     rn = microscopic_scale(Qn, c, n_arr)
     values = np.empty((n_arr.size, z.size))
     for i, n in enumerate(n_arr):
-        values[i] = rescaled_intensity(finite_moments(Qn, c, int(n)), z, rn[i])
+        values[i] = rescaled_intensity(finite_moments(Qn, c, n), z, rn[i])
     return ConvergenceReport(k, c, lam, z, r0, n_arr, rn, values, np.max(np.abs(values - r0), axis=1))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IllConditionedError, NotPositiveDefiniteError, NumericalError
-from .potentials import MicroscopicPotential, _check_overflow, _check_points, _log_power
+from .potentials import MicroscopicPotential, _check_int, _check_overflow, _check_points, _log_power
 
 __all__ = ["MomentMatrix", "TruncatedKernel", "moment_matrix", "truncated_kernel", "bergman_density"]
 
@@ -52,8 +52,7 @@ def moment_matrix(p: MicroscopicPotential, N: int) -> "MomentMatrix":
     up to rounding for trigonometric-polynomial q), Hermitian by construction,
     and its change on a halved grid is held to 1e-12.  An N whose moments pass the largest double is refused first.
     """
-    if not (isinstance(N, int) and N >= 1):
-        raise ConfigError(f"N must be an integer >= 1, got {N}")
+    N = _check_int(N, "N", 1)
     q = p.q0.angular_profile(np.pi * np.arange(2 * _ANGULAR_POINTS) / _ANGULAR_POINTS)
     if not q.min() > 0:
         raise NumericalError("angular profile not positive on the quadrature grid")

@@ -4,12 +4,15 @@ A macroscopic potential Q acts at the droplet scale.  Near the origin it splits
 canonically as Q = Q0 + Re H + Q1 where Q0 is positive definite and homogeneous of
 degree 2k, k read off Q by detect_k, H is a holomorphic polynomial of degree <= 2k,
 and Q1 = O(|z|^{2k+1}).  The microscopic model is V0 = Q0 - 2c log|z|.  Each rule
-on a weight has one check, which every type and routine applies: a coefficient map
-{(i, j): a_ij} is finite, Hermitian and has integer indices >= 0 (_check_coeff_map),
-and is kept with Python complex values; a homogeneous part is positive definite when
-its minimum on |z| = 1 is above 1e-10 times its largest coefficient
-(_positive_definite); k is an integer >= 1 and -1 < c < inf (_check_exponents); so
-has each input of a density (_check_points, _check_grid, _check_overflow).  The
+on a weight has one check, which every type and routine applies: an integer argument
+(k, a coefficient index, a degree, J, n, N, sweeps, burn_in, thin, seed, draws,
+--bins) is a Python or numpy integer, not a bool, at least its least value, and is
+kept as a Python int (_check_int); a coefficient map {(i, j): a_ij} is finite,
+Hermitian and has integer indices >= 0 (_check_coeff_map), and is kept with Python
+complex values; a homogeneous part is positive definite when its minimum on |z| = 1
+is above 1e-10 times its largest coefficient (_positive_definite); k >= 1 and
+-1 < c < inf (_check_exponents); so has each input of a density (_check_points,
+_check_grid, _check_overflow).  The
 evaluators of a weight, value, q_of_r and evaluate, give its value for any input
 type, +inf or -inf past the largest double with the weight's own sign there
 (_weight_value).  All types are immutable values; all operations are pure.
@@ -82,25 +85,43 @@ def _laplacian_coeffs(coeffs: dict[tuple[int, int], complex]) -> dict[tuple[int,
     return out
 
 
-def _check_exponents(c: float, k: int = 1) -> None:
-    """k an integer >= 1 and -1 < c < inf: the ranges of V0 = Q0 - 2c log|z| with Q0 of degree 2k."""
-    if not (isinstance(k, int) and k >= 1):
-        raise ConfigError(f"k must be an integer >= 1, got {k}")
+def _check_int(value, what: str, least: int = 0):
+    """An integer argument: a Python or numpy integer, not a bool, and >= least, returned as a Python int; an
+    array or a list is checked element by element and returned as a numpy array (of ints if it is empty)."""
+    if type(value) is int and value >= least:
+        return value
+    a = np.asarray(value, dtype=object)  # each element keeps its type: np.asarray([True, 2]) would make True 1
+    if a.ndim:
+        for v in a.flat:
+            _check_int(v, what, least)
+        return np.asarray(value, dtype=None if a.size else int)
+    v = a.item()
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least:
+        return int(v)
+    raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+def _check_exponents(c: float, k: int = 1) -> int:
+    """k as an int >= 1, and -1 < c < inf: the ranges of V0 = Q0 - 2c log|z| with Q0 of degree 2k."""
+    k = _check_int(k, "k", 1)
     if not -1 < c < math.inf:
         raise ConfigError(f"c must be finite and > -1, got {c}")
+    return k
 
 
-def _check_coeff_map(coeffs: dict[tuple[int, int], complex]) -> None:
-    """A map {(i, j): a_ij} is finite, has integer indices >= 0 and is Hermitian, a_ji = conj(a_ij)."""
+def _check_coeff_map(coeffs: dict[tuple[int, int], complex]) -> dict[tuple[int, int], complex]:
+    """A map {(i, j): a_ij} that is finite, has integer indices >= 0 and is Hermitian, a_ji = conj(a_ij), as
+    {(int, int): complex}."""
     if not all(map(cmath.isfinite, coeffs.values())):
         raise ConfigError(f"coefficients must be finite, got {coeffs}")
-    if any(not isinstance(i, int) or i < 0 for ij in coeffs for i in ij):
-        raise ConfigError(f"coefficient indices must be integers >= 0, got {list(coeffs)}")
-    scale = max((abs(a) for a in coeffs.values()), default=0.0)
+    coeffs = {(_check_int(i, "coefficient index"), _check_int(j, "coefficient index")): a
+              for (i, j), a in coeffs.items()}
+    scale = max(map(abs, coeffs.values()), default=0.0)
     for (i, j), a in coeffs.items():
         b = coeffs.get((j, i), 0.0)
         if abs(a - b.conjugate()) > 1e-12 * max(1.0, scale):
             raise ConfigError(f"coefficients not Hermitian: a[{i},{j}]={a} vs conj(a[{j},{i}])={b}")
+    return {ij: complex(a) for ij, a in coeffs.items()}
 
 
 def _check_points(c: float, z) -> np.ndarray:
@@ -226,13 +247,13 @@ class HomogeneousHermitianPoly:
     coeffs: dict[tuple[int, int], complex]
 
     def __post_init__(self) -> None:
-        if self.degree < 0 or self.degree % 2 != 0:
+        object.__setattr__(self, "degree", _check_int(self.degree, "degree"))
+        if self.degree % 2 != 0:
             raise ConfigError(f"degree must be a nonnegative even integer, got {self.degree}")
-        _check_coeff_map(self.coeffs)
+        object.__setattr__(self, "coeffs", _check_coeff_map(self.coeffs))
         for i, j in self.coeffs:
             if i + j != self.degree:
                 raise ConfigError(f"coefficient ({i},{j}) has total degree != {self.degree}")
-        object.__setattr__(self, "coeffs", {ij: complex(a) for ij, a in self.coeffs.items()})
 
     def evaluate(self, z):
         """Value at z: float for a scalar, elementwise on an array; +-inf past the largest double."""
@@ -259,7 +280,7 @@ class MicroscopicPotential:
     q0: HomogeneousHermitianPoly
 
     def __post_init__(self) -> None:
-        _check_exponents(self.c, self.k)
+        object.__setattr__(self, "k", _check_exponents(self.c, self.k))
         if self.q0.degree != 2 * self.k:
             raise ConfigError(f"q0 degree {self.q0.degree} != 2k = {2 * self.k}")
         if not _positive_definite(self.q0.coeffs):
@@ -302,8 +323,7 @@ class MacroscopicPotential:
         if self.kind == "radial":
             spelled = {(m, m): q for m, q in spelled.items()}
         taylor = {ij: a for ij, a in spelled.items() if a != 0}  # a NaN term stays and is refused
-        _check_coeff_map(taylor)
-        taylor = {ij: complex(a) for ij, a in taylor.items()}
+        taylor = _check_coeff_map(taylor)
         if not taylor or (0, 0) in taylor:
             raise ConfigError("potential needs a nonzero term and must vanish at 0 (no constant term)")
         top_deg = max(i + j for i, j in taylor)
@@ -402,7 +422,7 @@ def normalize_potential(
     """
     if c is not None:
         Q._check_charge(c)
-    p = canonical_decompose(Q).q0
+    k, p = _check_int(k, "k", 1), canonical_decompose(Q).q0
     if k != p.k:
         raise ConfigError(f"k argument k={k!r} differs from the potential's k={p.k} (detect_k)")
     lam = (1.0 + Q.c) / (k * p.amplitude)

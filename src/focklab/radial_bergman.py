@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FitError
-from .potentials import _check_exponents, _check_grid, _check_overflow, _check_points, _log_power
+from .potentials import _check_exponents, _check_grid, _check_int, _check_overflow, _check_points, _log_power
 
 __all__ = [
     "moments",
@@ -28,7 +28,6 @@ __all__ = [
     "disk_mass",
     "DecayReport",
     "decay_report",
-    "fit_error_model",
 ]
 
 # below this magnitude the relative error is rounding noise, not signal
@@ -39,10 +38,11 @@ _BLOCK = 4096  # series elements summed at once: a block's term table stays with
 _HUGE = np.finfo(float).max
 
 
-def _validate(k: int, c: float, a: float) -> None:
-    _check_exponents(c, k)
+def _validate(k: int, c: float, a: float) -> int:
+    k = _check_exponents(c, k)
     if not 0 < a < math.inf:
         raise ConfigError(f"amplitude must be finite and positive, got {a}")
+    return k
 
 
 def _lgamma(a: np.ndarray) -> np.ndarray:
@@ -147,9 +147,7 @@ def _log_moments(k: int, a: float, p: np.ndarray) -> np.ndarray:
 
 def moments(k: int, c: float, a: float, J: int) -> np.ndarray:
     """Log-moments ln m_j of the weight |z|^{2c} e^{-a|z|^{2k}}, j = 0..J, from the closed gamma form."""
-    _validate(k, c, a)
-    if J < 0:
-        raise ConfigError(f"J must be >= 0, got {J}")
+    k, J = _validate(k, c, a), _check_int(J, "J")
     return _log_moments(k, a, (np.arange(J + 1) + c + 1.0) / k)
 
 
@@ -162,7 +160,7 @@ def bergman_function_r0(k: int, c: float, a: float, r):
     the first k terms of the series plus the rest of each class.  Every
     summand is positive, so nothing cancels, and r = 0 needs no branch.
     """
-    _validate(k, c, a)
+    k = _validate(k, c, a)
     # points on axis 0 and the k classes on axis 1: every point's sum then
     # runs in the same order whatever the array size, so a scalar call gives
     # the same bits as its element of an array call
@@ -184,7 +182,7 @@ def bergman_function_r0(k: int, c: float, a: float, r):
 
 def delta_q0(k: int, c: float, a: float, r):
     """Flat-density limit Delta Q0 = a k^2 r^{2k-2} (c does not enter)."""
-    _validate(k, c, a)
+    k = _validate(k, c, a)
     rr = np.asarray(r, dtype=float)
     with np.errstate(over="ignore"):  # a value past the largest double is refused
         out = _check_overflow(a * k * k * rr ** (2 * k - 2), "deltaQ0")
@@ -198,7 +196,7 @@ def disk_mass(k: int, c: float, a: float, radius: float = 1.0) -> float:
     j = s + k m sums to (1+x) P(beta_s, x) - beta_s P(beta_s+1, x), the
     integral over [0, x] of P(beta_s, t) + t^{beta_s-1} e^{-t} / Gamma(beta_s).
     """
-    _validate(k, c, a)
+    k = _validate(k, c, a)
     if not radius >= 0:
         raise ConfigError(f"radius must be >= 0, got {radius}")
     x = a * radius ** (2 * k)
@@ -233,7 +231,7 @@ class DecayReport:
     alpha: float | None = None
 
 
-def fit_error_model(u, y):
+def _fit_error_model(u, y):
     """LSQ fit of y ~ C + s*u + p*ln(u); returns (C, s, p)."""
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -251,13 +249,11 @@ def decay_report(k: int, c: float, a: float, r_grid) -> DecayReport:
     from the fit; if fewer than 3 points survive the report carries
     fit_ok=False (and identically_zero when nothing survives at all).
     """
-    _validate(k, c, a)
+    k = _validate(k, c, a)
     r = _check_grid(r_grid, "r_grid", least=3)  # the fit has 3 parameters
     u = a * r ** (2 * k)
     if u[0] < 0.5 * (1.0 - 1e-9) or u[-1] > 40.0 * (1.0 + 1e-9):
-        raise ConfigError(
-            "grid leaves the reliable double-precision window (need a r^{2k} roughly in [1, 30])"
-        )
+        raise ConfigError("grid leaves the reliable double-precision window (need a r^{2k} in [0.5, 40])")
     r0 = bergman_function_r0(k, c, a, r)
     rel = r0 / delta_q0(k, c, a, r) - 1.0
     usable = np.abs(rel) >= _REL_ERR_FLOOR
@@ -269,7 +265,7 @@ def decay_report(k: int, c: float, a: float, r_grid) -> DecayReport:
     )
     if n_used < 3:
         return DecayReport(**base, identically_zero=(n_used == 0), fit_ok=False)
-    C, s, p = fit_error_model(u[usable], np.log(np.abs(rel[usable])))
+    C, s, p = _fit_error_model(u[usable], np.log(np.abs(rel[usable])))
     return DecayReport(
         **base,
         identically_zero=False,

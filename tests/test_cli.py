@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -237,7 +238,7 @@ class TestSample:
 
     def test_single_recorded_sweep_refused(self, capsys):
         assert run(["sample", "--n", "4", "--sweeps", "1", "--burn-in", "50", "--seed", "1"]) == 2
-        assert "sweeps >= 2" in capsys.readouterr().err
+        assert "sweeps must be an integer >= 2, got 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rmax", ["inf", "nan"])
     def test_non_finite_rmax_refused(self, rmax, tmp_path, capsys):
@@ -695,6 +696,12 @@ class TestImport:
         )
         assert _child_stdout(code).splitlines() == [
             "['focklab.errors', 'focklab.potentials']", "module 'focklab' has no attribute 'nonexistent'"]
+
+    def test_each_lazy_module_exports_the_names_the_lazy_map_gives_it(self):
+        # a name in a layer's __all__ that the map misses is no attribute of focklab
+        for module in set(focklab._LAZY.values()):
+            names = {name for name, home in focklab._LAZY.items() if home == module}
+            assert set(import_module(f"focklab.{module}").__all__) == names, module
 
     @pytest.mark.parametrize("line", TestReadmeExamples.LINES, ids=lambda line: line[1])
     def test_each_command_loads_only_its_layers(self, line, tmp_path):

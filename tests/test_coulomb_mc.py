@@ -295,6 +295,16 @@ class TestEnsembleConfig:
         with pytest.raises(ConfigError):
             EnsembleConfig(n=2, potential=GINIBRE, bin_edges=np.linspace(0.0, 0.5, 5))
 
+    def test_bins_that_miss_the_ensemble_warn(self):
+        # a Q that is not radial has no droplet check: this one is negative out to |z| of about 2e80, where
+        # its top part takes over, so no particle stays in [0, 3] although the acceptance is in band
+        Q = MacroscopicPotential(kind="hermitian", hermitian_coeffs={
+            (2, 2): 1e-80, (4, 0): 5e-82, (0, 4): 5e-82, (2, 1): -1.0, (1, 2): -1.0})
+        cfg = EnsembleConfig(n=8, potential=Q, bin_edges=np.linspace(0.0, 3.0, 13), sweeps=400, seed=1)
+        with pytest.warns(RuntimeWarning, match="per sweep 0 below n/2 = 4; the bins miss the ensemble"):
+            res = run_mcmc(cfg)
+        assert 0.2 <= res.acceptance_rate <= 0.6 and res.histogram.mass() == 0.0
+
 
 class TestRunMcmc:
     def test_deterministic_given_seed(self):

@@ -1,7 +1,11 @@
 import cmath
+import dataclasses
 import json
 import math
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,17 +18,23 @@ from focklab import (
     HomogeneousHermitianPoly,
     MacroscopicPotential,
     MicroscopicPotential,
+    bergman_function_r0,
     canonical_decompose,
+    convergence_report,
     detect_k,
     droplet_radius,
     finite_moments,
     load_potential_config,
     microscale_asymptotic_check,
     microscopic_scale,
+    moment_matrix,
+    moments,
     normalize_potential,
     run_mcmc,
     sample_radial_exact,
+    truncated_series_r0,
 )
+from focklab.cli import build_parser, cmd_sample
 
 TWIST = {(1, 1): 1.0, (2, 0): 0.3, (0, 2): 0.3}
 
@@ -56,7 +66,7 @@ class TestHomogeneousHermitianPoly:
     def test_rejects_half_integer_indices(self):
         # (0.5, 1.5) has total degree 2, but z^0.5 conj(z)^1.5 is no monomial: the map
         # MacroscopicPotential refuses is refused here with the same message
-        with pytest.raises(ConfigError, match="coefficient indices must be integers >= 0"):
+        with pytest.raises(ConfigError, match="coefficient index must be an integer >= 0, got 0.5"):
             HomogeneousHermitianPoly(2, {(0.5, 1.5): 0.2, (1.5, 0.5): 0.2, (1, 1): 1.0})
 
     def test_angular_minimum_of_twist(self):
@@ -185,7 +195,7 @@ class TestMacroscopicPotential:
     ], ids=["radial-half-power", "hermitian-half-index", "hermitian-negative-index"])
     def test_rejects_non_integer_or_negative_indices(self, kw):
         # |z| + |z|^2 spelled {(0.5, 0.5): 1, (1, 1): 1} is no Taylor model; detect_k would read k = 1
-        with pytest.raises(ConfigError, match="indices must be integers >= 0"):
+        with pytest.raises(ConfigError, match="coefficient index must be an integer >= 0"):
             MacroscopicPotential(**kw)
 
     def test_both_spellings_are_one_potential(self):
@@ -519,6 +529,82 @@ class TestChargeLivesOnQ:
         np.testing.assert_allclose(call(1.0), want, rtol=1e-14, atol=0.0)
         with pytest.raises(ConfigError, match=r"c=0\.0 differs from .* Q\.c=1\.0"):
             call(0.0)
+
+
+def _sample_files(bins: int) -> list[str]:
+    """The CSV and JSON of `focklab sample` with --bins given as any Python object."""
+    args = build_parser().parse_args(["sample", "--n", "4", "--c", "1", "--sweeps", "200", "--burn-in", "100"])
+    args.bins = bins
+    with tempfile.TemporaryDirectory() as tmp:
+        args.out = f"{tmp}/s"
+        cmd_sample(args)
+        return [Path(f"{tmp}/s.{ext}").read_text() for ext in ("csv", "json")]
+
+
+def _chain(**change):
+    return run_mcmc(EnsembleConfig(**{"n": 4, "potential": GINIBRE, "bin_edges": np.linspace(0.0, 2.0, 9),
+                                      "sweeps": 100, "burn_in": 100, "thin": 2, "seed": 3, **change}))
+
+
+GINIBRE = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0})
+QUARTIC = MacroscopicPotential(kind="radial", c=0.5, radial_coeffs={2: 1.0})
+# each integer argument: (the name its refusal gives, a call on a value v for it, a valid v)
+INTEGER_ARGUMENTS = {
+    "k of R0": ("k", lambda v: bergman_function_r0(v, 0.5, 1.0, np.array([0.0, 0.7, 2.0])), 2),
+    "k of MicroscopicPotential": ("k", lambda v: MicroscopicPotential(
+        k=v, c=0.5, q0=HomogeneousHermitianPoly(4, {(2, 2): 1.0})), 2),
+    "k of normalize_potential": ("k", lambda v: normalize_potential(QUARTIC, v), 2),
+    "radial power": ("coefficient index", lambda v: MacroscopicPotential(kind="radial", radial_coeffs={v: 1.0}), 2),
+    "Hermitian index": ("coefficient index", lambda v: MacroscopicPotential(
+        kind="hermitian", hermitian_coeffs={(1, 1): 1.0, (v, 0): 0.3, (0, v): 0.3}), 2),
+    "index of a homogeneous part": ("coefficient index", lambda v: HomogeneousHermitianPoly(
+        2, {(1, 1): 1.0, (v, 0): 0.3, (0, v): 0.3}), 2),
+    "degree": ("degree", lambda v: HomogeneousHermitianPoly(v, {(1, 1): 1.0}), 2),
+    "J of moments": ("J", lambda v: moments(1, 0.5, 1.0, v), 4),
+    "n of finite_moments": ("n", lambda v: finite_moments(GINIBRE, 0.0, v), 4),
+    "n of truncated_series_r0": ("n", lambda v: truncated_series_r0(1, 0.0, 1.0, v, np.array([0.0, 0.5, 1.5])), 4),
+    "n of microscopic_scale": ("n", lambda v: microscopic_scale(GINIBRE, 0.0, v), 4),
+    "n in an array of microscopic_scale": ("n", lambda v: microscopic_scale(GINIBRE, 0.0, [[v, 16]]), 4),
+    "n_list of microscale_asymptotic_check": ("each n in n_list", lambda v: microscale_asymptotic_check(
+        CHARGED, 1.0, [16, v]), 4),
+    "n_list of convergence_report": ("each n in n_list", lambda v: convergence_report(
+        GINIBRE, [8, v], np.linspace(0.1, 1.0, 3)), 4),
+    "N of moment_matrix": ("N", lambda v: moment_matrix(canonical_decompose(TWISTED).q0, v), 4),
+    **{f"{name} of EnsembleConfig": (name, lambda v, name=name: _chain(**{name: v}), good)
+       for name, good in [("n", 4), ("sweeps", 100), ("burn_in", 100), ("thin", 2), ("seed", 3)]},
+    "n of sample_radial_exact": ("n", lambda v: sample_radial_exact(GINIBRE, 0.0, v, 7, 5), 3),
+    "seed of sample_radial_exact": ("seed", lambda v: sample_radial_exact(GINIBRE, 0.0, 3, v, 5), 7),
+    "draws of sample_radial_exact": ("draws", lambda v: sample_radial_exact(GINIBRE, 0.0, 3, 7, v), 5),
+    "sample --bins": ("--bins", _sample_files, 8),
+}
+
+
+def assert_same_bits(got, want):
+    """got and want hold the same types and bits, through tuples, lists, dicts and dataclasses."""
+    assert type(got) is type(want)
+    if dataclasses.is_dataclass(want):
+        got, want = vars(got), vars(want)
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    elif isinstance(want, dict):
+        assert_same_bits(list(got.items()), list(want.items()))
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+    else:
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("row", INTEGER_ARGUMENTS)
+def test_every_integer_argument_is_one_rule(row):
+    # a numpy integer gives the bits of the Python int; a bool, a float or a string is refused by name
+    what, call, good = INTEGER_ARGUMENTS[row]
+    assert_same_bits(call(np.int64(good)), call(good))
+    for bad in (True, 2.0, 2.5, "2"):
+        refusal = rf"^{re.escape(what)} must be an integer >= \d+, got {re.escape(repr(bad))}$"
+        with pytest.raises(ConfigError, match=refusal):
+            call(bad)
 
 
 class TestLoadPotentialConfig:

@@ -20,7 +20,7 @@ from focklab import (
 )
 from focklab import fixtures
 from focklab.fixtures import load_bergman_r0
-from focklab.radial_bergman import _incomplete_gamma, _legendre_fraction, fit_error_model
+from focklab.radial_bergman import _fit_error_model, _incomplete_gamma, _legendre_fraction
 
 
 class TestMoments:
@@ -404,20 +404,20 @@ class TestFitErrorModel:
     def test_exact_recovery(self):
         u = np.linspace(2.0, 20.0, 12)
         y = 3.5 - 1.25 * u + 0.75 * np.log(u)
-        C, s, p = fit_error_model(u, y)
+        C, s, p = _fit_error_model(u, y)
         assert C == pytest.approx(3.5, abs=1e-9)
         assert s == pytest.approx(-1.25, abs=1e-10)
         assert p == pytest.approx(0.75, abs=1e-9)
 
     def test_too_few_points(self):
         with pytest.raises(FitError):
-            fit_error_model([1.0, 2.0], [0.0, 0.0])
+            _fit_error_model([1.0, 2.0], [0.0, 0.0])
 
     @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=-2, max_value=-0.5),
            st.floats(min_value=-2, max_value=2))
     def test_recovery_property(self, C0, s0, p0):
         u = np.linspace(1.0, 9.0, 15)
         y = C0 + s0 * u + p0 * np.log(u)
-        C, s, p = fit_error_model(u, y)
+        C, s, p = _fit_error_model(u, y)
         assert s == pytest.approx(s0, abs=1e-7)
         assert p == pytest.approx(p0, abs=1e-6)
