@@ -239,7 +239,7 @@ def cmd_rescale(args) -> int:
     keep = _kept(grid, Q.c)
     rep = convergence_report(Q, n_list, grid[keep])
     # the report's rows run over the sorted n; the table keeps the order and repeats of n_list
-    row = {int(n): i for i, n in enumerate(rep.n)}
+    row = {n: i for i, n in enumerate(rep.n.tolist())}
     Rn = {n: rep.values[row[n]] for n in n_list}
     a_micro = (1.0 + rep.c) / rep.k
     identity = None
@@ -276,7 +276,7 @@ def cmd_equilibrium(args) -> int:
     print(f"tau0 = {rep.tau0:.12g}")
     print(f"k = {rep.k}, c = {rep.c:g}, fitted C = {rep.C:.6g}")
     for n, rn, en in zip(rep.n, rep.rn, rep.en):
-        print(f"n = {int(n):d}: rn = {rn:.12g} (deviation {en:+.3e})")
+        print(f"n = {n:d}: rn = {rn:.12g} (deviation {en:+.3e})")
     if args.out:
         doc = {
             "droplet_radius": R,
