@@ -531,7 +531,11 @@ class TestChargeLivesOnQ:
             call(0.0)
 
 
-def _sample_files(bins: int) -> list[str]:
+GINIBRE = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0})
+QUARTIC = MacroscopicPotential(kind="radial", c=0.5, radial_coeffs={2: 1.0})
+
+
+def _sample_files(bins) -> list[str]:
     """The CSV and JSON of `focklab sample` with --bins given as any Python object."""
     args = build_parser().parse_args(["sample", "--n", "4", "--c", "1", "--sweeps", "200", "--burn-in", "100"])
     args.bins = bins
@@ -546,8 +550,6 @@ def _chain(**change):
                                       "sweeps": 100, "burn_in": 100, "thin": 2, "seed": 3, **change}))
 
 
-GINIBRE = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0})
-QUARTIC = MacroscopicPotential(kind="radial", c=0.5, radial_coeffs={2: 1.0})
 # each integer argument: (the name its refusal gives, a call on a value v for it, a valid v)
 INTEGER_ARGUMENTS = {
     "k of R0": ("k", lambda v: bergman_function_r0(v, 0.5, 1.0, np.array([0.0, 0.7, 2.0])), 2),
