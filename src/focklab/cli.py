@@ -144,7 +144,7 @@ def _potential(args, radial: bool = False) -> MacroscopicPotential:
         Q = load_potential_config(args.coeffs_file)
     else:
         k, c, a = (d if v is None else v for v, d in zip(inline, (1, 0.0, 1.0)))
-        Q = MacroscopicPotential(kind="radial", c=c, radial_coeffs={k: a})
+        Q = MacroscopicPotential(kind="radial", c=c, radial_coeffs={_check_int(k, "--k", 1): a})
     if radial and Q.kind != "radial":
         raise ConfigError("this subcommand requires a radial potential")
     return Q
@@ -207,7 +207,7 @@ def cmd_verify_thm1(args) -> int:
         u = np.linspace(4.0, 16.0, 25)
         grid = (u / a) ** (1.0 / (2 * k))
     rep = decay_report(k, c, a, grid)
-    doc = {key: v for key, v in vars(rep).items() if key not in ("r", "usable")}
+    doc = {key: v for key, v in rep._asdict().items() if key not in ("r", "usable")}
     if rep.identically_zero:
         doc["verdict"] = "identically zero error"
         doc["exit_status"] = 0
@@ -298,8 +298,8 @@ def cmd_sample(args) -> int:
     if args.n is None:
         raise ConfigError("sample requires --n (number of particles)")
     rmax = args.rmax if args.rmax is not None else 1.25 * droplet_radius(Q)
-    if not math.isfinite(rmax):
-        raise ConfigError(f"--rmax must be finite, got {rmax}")
+    if not 0 < rmax < math.inf:
+        raise ConfigError(f"--rmax must be finite and > 0, got {rmax}")
     edges = np.linspace(0.0, rmax, _check_int(args.bins, "--bins", 1) + 1)
     cfg = EnsembleConfig(
         n=args.n,

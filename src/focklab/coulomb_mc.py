@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .potentials import MacroscopicPotential, _check_grid, _check_int
+from .potentials import MacroscopicPotential, _check_grid, _check_int, _validated
 from .equilibrium import droplet_radius
 
 __all__ = [
@@ -47,8 +47,8 @@ def _site_energy(potential: MacroscopicPotential, n: int, z: np.ndarray) -> np.n
     return val
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
+class EnsembleConfig(_validated("EnsembleConfig",
+                                "n potential bin_edges sweeps burn_in thin delta0 seed collect_moduli")):
     """One Metropolis run: ensemble, chain lengths, proposal scale, bins.
 
     sweeps counts RECORDED sweeps, at least 2; the chain runs
@@ -59,30 +59,23 @@ class EnsembleConfig:
     the radii of every recorded sweep, which the chain keeps either way.
     """
 
-    n: int
-    potential: MacroscopicPotential
-    bin_edges: np.ndarray
-    sweeps: int = 10_000
-    burn_in: int = 1_000
-    thin: int = 1
-    delta0: float = 0.3
-    seed: int = 0
-    collect_moduli: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, least in ("n", 1), ("sweeps", 2), ("burn_in", 0), ("thin", 1), ("seed", 0):
-            object.__setattr__(self, name, _check_int(getattr(self, name), name, least))
-        if not self.delta0 > 0:
+    def __new__(cls, n: int, potential: MacroscopicPotential, bin_edges: np.ndarray, sweeps: int = 10_000,
+                burn_in: int = 1_000, thin: int = 1, delta0: float = 0.3, seed: int = 0, collect_moduli: bool = False):
+        n, sweeps, burn_in, thin, seed = (_check_int(value, name, least) for value, name, least in (
+            (n, "n", 1), (sweeps, "sweeps", 2), (burn_in, "burn_in", 0), (thin, "thin", 1), (seed, "seed", 0)))
+        if not delta0 > 0:
             raise ConfigError("delta0 must be positive")
-        object.__setattr__(self, "bin_edges", _check_grid(self.bin_edges, "bin_edges"))
-        if self.potential.kind == "radial":
-            R = droplet_radius(self.potential)
-            if self.bin_edges[-1] < R:
-                raise ConfigError(f"bins must reach the droplet: outer edge {self.bin_edges[-1]} < R = {R:.4g}")
+        bin_edges = _check_grid(bin_edges, "bin_edges")
+        if potential.kind == "radial":
+            R = droplet_radius(potential)
+            if bin_edges[-1] < R:
+                raise ConfigError(f"bins must reach the droplet: outer edge {bin_edges[-1]} < R = {R:.4g}")
+        return super().__new__(cls, n, potential, bin_edges, sweeps, burn_in, thin, delta0, seed, collect_moduli)
 
 
-@dataclass(frozen=True)
-class IntensityHistogram:
+class IntensityHistogram(NamedTuple):
     """Radial counts with batch-mean errors; intensities are per dA = dxdy/pi."""
 
     edges: np.ndarray
@@ -116,8 +109,7 @@ class IntensityHistogram:
         return float(self.counts.sum() / self.recorded)
 
 
-@dataclass(frozen=True)
-class McmcResult:
+class McmcResult(NamedTuple):
     histogram: IntensityHistogram
     acceptance_rate: float
     delta_final: float

@@ -11,7 +11,7 @@ for homogeneous potentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,8 +116,7 @@ def microscopic_scale(Q: MacroscopicPotential, c: float, n):
     return float(r[1]) if np.ndim(n_arr) == 0 else r[1:].reshape(n_arr.shape)
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     """Deviation e_n of r_n from the homogeneous prediction along ascending n, with fitted C = max |e_n| n^{1/2k}."""
 
     k: int

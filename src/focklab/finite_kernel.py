@@ -18,8 +18,8 @@ masses and bin averages use one tanh-sinh rule per bin, checked the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,8 +123,7 @@ def _modulus_tables(Q: MacroscopicPotential, n: int):
         yield from zip(t, cdf / cdf[:, -1:])
 
 
-@dataclass(frozen=True)
-class FiniteKernel:
+class FiniteKernel(NamedTuple):
     """Monomial log-norms of one n-point radial ensemble at the charge potential.c, with their worst error estimate."""
 
     n: int
@@ -233,8 +232,7 @@ def bin_averaged_intensity(fk: FiniteKernel, edges) -> np.ndarray:
     return _bin_integrals(fk, lo, hi, 1e-9) / ((hi - lo) * (hi + lo))
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """R0 and the rescaled R_n on a grid z, one row of values per n, with the sup-norm distance."""
 
     k: int

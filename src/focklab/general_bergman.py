@@ -14,7 +14,7 @@ factorization is refused when the scaled condition number exceeds 1e12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ def moment_matrix(p: MicroscopicPotential, N: int) -> "MomentMatrix":
     return MomentMatrix(weight=p, entries=A, scale=np.sqrt(np.real(np.diag(A))))
 
 
-@dataclass(frozen=True)
-class MomentMatrix:
+class MomentMatrix(NamedTuple):
     """Hermitian monomial Gram matrix of the weight |z|^{2c} e^{-Q0} with its diagonal preconditioner."""
 
     weight: MicroscopicPotential
@@ -101,8 +100,7 @@ def truncated_kernel(A: MomentMatrix) -> "TruncatedKernel":
     return TruncatedKernel(weight=A.weight, basis=np.linalg.inv(chol) / A.scale, condition=cond)
 
 
-@dataclass(frozen=True)
-class TruncatedKernel:
+class TruncatedKernel(NamedTuple):
     """L^(N)(z,w) = sum_{j<N} p_j(z) conj(p_j(w)) of the weight; row j of basis holds p_j's monomial coefficients."""
 
     weight: MicroscopicPotential

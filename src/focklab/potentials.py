@@ -23,8 +23,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,21 +240,27 @@ def _positive_definite(part: dict[tuple[int, int], complex]) -> bool:
     return q_min > _PD_THRESHOLD * max(map(abs, part.values()), default=0.0)
 
 
-@dataclass(frozen=True)
-class HomogeneousHermitianPoly:
+def _validated(typename: str, field_names: str) -> type:
+    """A named tuple for a subclass whose __new__ checks the fields; its _make, so also _replace, calls the subclass."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, fields: cls(*fields))
+    return base
+
+
+class HomogeneousHermitianPoly(_validated("HomogeneousHermitianPoly", "degree coeffs")):
     """Real-valued homogeneous polynomial sum a_ij z^i conj(z)^j, i+j = degree."""
 
-    degree: int
-    coeffs: dict[tuple[int, int], complex]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "degree", _check_int(self.degree, "degree"))
-        if self.degree % 2 != 0:
-            raise ConfigError(f"degree must be a nonnegative even integer, got {self.degree}")
-        object.__setattr__(self, "coeffs", _check_coeff_map(self.coeffs))
-        for i, j in self.coeffs:
-            if i + j != self.degree:
-                raise ConfigError(f"coefficient ({i},{j}) has total degree != {self.degree}")
+    def __new__(cls, degree: int, coeffs: dict[tuple[int, int], complex]):
+        degree = _check_int(degree, "degree")
+        if degree % 2 != 0:
+            raise ConfigError(f"degree must be a nonnegative even integer, got {degree}")
+        coeffs = _check_coeff_map(coeffs)
+        for i, j in coeffs:
+            if i + j != degree:
+                raise ConfigError(f"coefficient ({i},{j}) has total degree != {degree}")
+        return super().__new__(cls, degree, coeffs)
 
     def evaluate(self, z):
         """Value at z: float for a scalar, elementwise on an array; +-inf past the largest double."""
@@ -271,21 +278,19 @@ class HomogeneousHermitianPoly:
         return HomogeneousHermitianPoly(max(self.degree - 2, 0), _laplacian_coeffs(self.coeffs))
 
 
-@dataclass(frozen=True)
-class MicroscopicPotential:
+class MicroscopicPotential(_validated("MicroscopicPotential", "k c q0")):
     """V0 = Q0 - 2c log|z| with Q0 positive definite homogeneous of degree 2k."""
 
-    k: int
-    c: float
-    q0: HomogeneousHermitianPoly
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _check_exponents(self.c, self.k))
-        if self.q0.degree != 2 * self.k:
-            raise ConfigError(f"q0 degree {self.q0.degree} != 2k = {2 * self.k}")
-        if not _positive_definite(self.q0.coeffs):
-            theta_min, q_min = self.q0.angular_minimum()
+    def __new__(cls, k: int, c: float, q0: HomogeneousHermitianPoly):
+        k = _check_exponents(c, k)
+        if q0.degree != 2 * k:
+            raise ConfigError(f"q0 degree {q0.degree} != 2k = {2 * k}")
+        if not _positive_definite(q0.coeffs):
+            theta_min, q_min = q0.angular_minimum()
             raise ConfigError(f"q0 not positive definite: min over the circle = {q_min:.3e} at theta={theta_min:.6f}")
+        return super().__new__(cls, k, c, q0)
 
     @property
     def is_radial(self) -> bool:
@@ -297,8 +302,7 @@ class MicroscopicPotential:
         return float(np.real(self.q0.coeffs.get((self.k, self.k), 0.0)))
 
 
-@dataclass(frozen=True)
-class MacroscopicPotential:
+class MacroscopicPotential(_validated("MacroscopicPotential", "kind c radial_coeffs hermitian_coeffs")):
     """Droplet-scale potential Q = Re sum a_ij z^i conj(z)^j with origin charge c (h0 = 0 in this package).
 
     Spelled radially, radial_coeffs={m: q_m} is Q(r) = sum q_m r^{2m}, or as
@@ -308,19 +312,17 @@ class MacroscopicPotential:
     |z|^{2m}, with radial_coeffs = {m: Re a_mm}; else kind is "hermitian", radial_coeffs None.
     """
 
-    kind: str
-    c: float = 0.0
-    radial_coeffs: dict[int, float] | None = None
-    hermitian_coeffs: dict[tuple[int, int], complex] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("radial", "hermitian"):
-            raise ConfigError(f"kind must be 'radial' or 'hermitian', got {self.kind!r}")
-        _check_exponents(self.c)
-        spelled = self.radial_coeffs if self.kind == "radial" else self.hermitian_coeffs
-        if not spelled or self.radial_coeffs and self.hermitian_coeffs:
-            raise ConfigError(f"a {self.kind} potential needs {self.kind}_coeffs and no other coefficients")
-        if self.kind == "radial":
+    def __new__(cls, kind: str, c: float = 0.0, radial_coeffs: dict[int, float] | None = None,
+                hermitian_coeffs: dict[tuple[int, int], complex] | None = None):
+        if kind not in ("radial", "hermitian"):
+            raise ConfigError(f"kind must be 'radial' or 'hermitian', got {kind!r}")
+        _check_exponents(c)
+        spelled = radial_coeffs if kind == "radial" else hermitian_coeffs
+        if not spelled or radial_coeffs and hermitian_coeffs:
+            raise ConfigError(f"a {kind} potential needs {kind}_coeffs and no other coefficients")
+        if kind == "radial":
             spelled = {(m, m): q for m, q in spelled.items()}
         taylor = {ij: a for ij, a in spelled.items() if a != 0}  # a NaN term stays and is refused
         taylor = _check_coeff_map(taylor)
@@ -329,10 +331,13 @@ class MacroscopicPotential:
         top_deg = max(i + j for i, j in taylor)
         if not _positive_definite({(i, j): a for (i, j), a in taylor.items() if i + j == top_deg}):
             raise ConfigError("leading homogeneous part must be positive definite (growth)")
-        radial = all(i == j for i, j in taylor)
-        object.__setattr__(self, "kind", "radial" if radial else "hermitian")
-        object.__setattr__(self, "radial_coeffs", {i: a.real for (i, _), a in taylor.items()} if radial else None)
-        object.__setattr__(self, "hermitian_coeffs", taylor)
+        if all(i == j for i, j in taylor):
+            return super().__new__(cls, "radial", c, {i: a.real for (i, _), a in taylor.items()}, taylor)
+        return super().__new__(cls, "hermitian", c, None, taylor)
+
+    def __getnewargs__(self):
+        """A copy or an unpickled Q is built from hermitian_coeffs, which spells every Q and gives back its fields."""
+        return "hermitian", self.c, None, self.hermitian_coeffs
 
     # --- evaluation ---------------------------------------------------
 
@@ -371,8 +376,7 @@ class MacroscopicPotential:
             raise ConfigError(f"charge argument c={c!r} differs from the potential's charge Q.c={self.c!r}")
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
+class CanonicalDecomposition(NamedTuple):
     """Q = Q0 + Re H + Q1 with H holomorphic of degree <= 2k and Q1 = O(|z|^{2k+1})."""
 
     q0: MicroscopicPotential

@@ -14,7 +14,7 @@ decay_report operation measures that rate by least squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,8 +205,7 @@ def disk_mass(k: int, c: float, a: float, radius: float = 1.0) -> float:
     return float(np.sum((1.0 + x) * p[:k] - beta * p[k:]))
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     """Least-squares summary of the relative error R0/DeltaQ0 - 1 on a grid.
 
     The error model is ln|rel_err| = intercept + slope * u + ln_power * ln u

@@ -247,6 +247,13 @@ class TestSample:
         assert "finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("rmax", ["0", "-1"])
+    def test_rmax_not_above_0_refused(self, rmax, tmp_path, capsys):
+        args = ["sample", "--n", "4", "--rmax", rmax, "--sweeps", "2", "--burn-in", "0", "--out", tmp_path / "s"]
+        assert run(args) == 2
+        assert capsys.readouterr().err == f"focklab: config error: --rmax must be finite and > 0, got {float(rmax)}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_negative_seed_refused(self, tmp_path, capsys):
         # numpy's generator would end in a traceback; the configuration refuses it first
         args = ["sample", "--n", "4", "--c", "1", "--sweeps", "4", "--burn-in", "0", "--seed", "-1",
@@ -498,6 +505,12 @@ class TestWeightReader:
             doc = json.loads(from_file[4]["rep.json"])
             assert (doc["k"], doc["c"], doc["amplitude"]) == (2, 0.5, 1.3)
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("cmd", list(COMMANDS))
+    def test_k_below_1_refused_by_its_flag(self, cmd, k, tmp_path, monkeypatch, capsys):
+        code, out, err, _, files = self._run(self.COMMANDS[cmd] + ["--k", k], tmp_path / "run", monkeypatch, capsys)
+        assert (code, out, err, files) == (2, "", f"focklab: config error: --k must be an integer >= 1, got {k}\n", {})
+
     @pytest.mark.parametrize("cmd", ["equilibrium", "rescale", "sample"])
     def test_diagonal_hermitian_config_is_radial(self, cmd, tmp_path, monkeypatch, capsys):
         # rows a_ii |z|^{2i} alone spell a radial weight, which the radial commands take in either spelling
@@ -689,13 +702,14 @@ class TestImport:
             "exec('from focklab import *', star)\n"
             "assert all(star[name] is getattr(focklab, name) for name in focklab.__all__)\n"
             "assert set(focklab.__all__) <= set(dir(focklab))\n"
+            "print('dataclasses' in sys.modules)  # after every lazy module loaded\n"
             "try:\n"
             "    focklab.nonexistent\n"
             "except AttributeError as exc:\n"
             "    print(exc)\n"
         )
         assert _child_stdout(code).splitlines() == [
-            "['focklab.errors', 'focklab.potentials']", "module 'focklab' has no attribute 'nonexistent'"]
+            "['focklab.errors', 'focklab.potentials']", "False", "module 'focklab' has no attribute 'nonexistent'"]
 
     def test_each_lazy_module_exports_the_names_the_lazy_map_gives_it(self):
         # a name in a layer's __all__ that the map misses is no attribute of focklab
@@ -712,6 +726,8 @@ class TestImport:
             "from focklab.cli import main\n"
             f"assert main({line[1:]!r}) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('focklab.')))\n"
+            "print('dataclasses' in sys.modules)\n"
         )
         loaded = ["cli", "errors", "potentials", *self.LAYERS[line[1]]]
-        assert _child_stdout(code, cwd=tmp_path).splitlines()[-1] == str(sorted(f"focklab.{m}" for m in loaded))
+        assert _child_stdout(code, cwd=tmp_path).splitlines()[-2:] == [
+            str(sorted(f"focklab.{m}" for m in loaded)), "False"]

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -214,7 +213,7 @@ class TestAsymptotics:
         en = np.array([1e-3, 1e-3, 1e-3])
         rep = AsymptoticReport(k=1, c=0.0, tau0=1.0, n=n, rn=0.1 * n**-0.5, en=en, C=float(np.max(en * n**0.5)))
         assert not rep.bound_ok
-        assert replace(rep, en=en * (100 / n) ** 0.5).bound_ok
+        assert rep._replace(en=en * (100 / n) ** 0.5).bound_ok
 
     def test_empty_n_list(self):
         with pytest.raises(ConfigError):

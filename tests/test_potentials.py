@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import json
 import math
 import re
@@ -582,10 +581,8 @@ INTEGER_ARGUMENTS = {
 
 
 def assert_same_bits(got, want):
-    """got and want hold the same types and bits, through tuples, lists, dicts and dataclasses."""
+    """got and want hold the same types and bits, through tuples (so the value types), lists and dicts."""
     assert type(got) is type(want)
-    if dataclasses.is_dataclass(want):
-        got, want = vars(got), vars(want)
     if isinstance(want, np.ndarray):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     elif isinstance(want, dict):

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from focklab import (
     AsymptoticReport,
     CanonicalDecomposition,
+    ConfigError,
     ConvergenceReport,
     DecayReport,
     EnsembleConfig,
@@ -113,3 +115,29 @@ class TestValueType:
         obj = make()
         for twin in copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj)):
             assert type(twin) is cls and repr(twin) == text
+
+
+# the types whose constructor checks its fields -> a factory, a field, a value it refuses, and the refusal; a
+# radial MacroscopicPotential holds both coefficient maps, which its constructor refuses, so the twisted one here
+VALIDATED = {
+    HomogeneousHermitianPoly: (_poly, "degree", 3, "degree must be a nonnegative even integer, got 3"),
+    MicroscopicPotential: (_micro, "c", -2, "c must be finite and > -1, got -2"),
+    MacroscopicPotential: (
+        lambda: MacroscopicPotential("hermitian", 0.5, hermitian_coeffs={(1, 1): 1.0, (2, 0): 0.3, (0, 2): 0.3}),
+        "c", -2, "c must be finite and > -1, got -2"),
+    EnsembleConfig: (TYPES[EnsembleConfig][0], "sweeps", 1, "sweeps must be an integer >= 2, got 1"),
+}
+
+
+@pytest.mark.parametrize("cls", VALIDATED, ids=lambda cls: cls.__name__)
+def test_replace_runs_the_constructor_checks(cls):
+    make, field, bad, refusal = VALIDATED[cls]
+    obj = make()
+    with pytest.raises(ConfigError, match=f"^{re.escape(refusal)}$"):
+        obj._replace(**{field: bad})
+    assert obj._replace(**{field: getattr(obj, field)}) == obj
+
+
+def test_replace_normalises_as_the_constructor_does():
+    p = _poly()._replace(degree=np.int64(2), coeffs={(np.int64(1), 1): 1})
+    assert repr(p) == POLY and type(p.degree) is int and all(type(i) is int for ij in p.coeffs for i in ij)
