@@ -23,8 +23,7 @@ _LAZY = {
         "radial_bergman": ("DecayReport", "bergman_function_r0", "decay_report", "delta_q0", "disk_mass", "moments"),
         "general_bergman": ("MomentMatrix", "TruncatedKernel", "bergman_density", "moment_matrix",
                             "truncated_kernel"),
-        "equilibrium": ("AsymptoticReport", "droplet_radius", "microscale_asymptotic_check",
-                        "microscopic_scale", "modulus_tau0"),
+        "equilibrium": ("AsymptoticReport", "droplet_radius", "microscale_asymptotic_check", "microscopic_scale"),
         "finite_kernel": ("ConvergenceReport", "FiniteKernel", "bin_averaged_intensity", "convergence_report",
                           "finite_moments", "intensity", "mass_integral", "rescaled_intensity",
                           "truncated_series_r0"),

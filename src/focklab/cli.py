@@ -30,6 +30,7 @@ from .errors import ConfigError, DivergenceError, FitError, NumericalError
 from .potentials import (
     CanonicalDecomposition,
     MacroscopicPotential,
+    _check_exponents,
     _check_grid,
     _check_int,
     _check_overflow,
@@ -144,7 +145,8 @@ def _potential(args, radial: bool = False) -> MacroscopicPotential:
         Q = load_potential_config(args.coeffs_file)
     else:
         k, c, a = (d if v is None else v for v, d in zip(inline, (1, 0.0, 1.0)))
-        Q = MacroscopicPotential(kind="radial", c=c, radial_coeffs={_check_int(k, "--k", 1): a})
+        k = _check_exponents(c, _check_int(k, "--k", 1), "--c")
+        Q = MacroscopicPotential(kind="radial", c=c, radial_coeffs={k: a})
     if radial and Q.kind != "radial":
         raise ConfigError("this subcommand requires a radial potential")
     return Q
@@ -169,8 +171,9 @@ def _parse_n_list(text: str | None, default: list[int]) -> list[int]:
         out = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"bad n list {text!r}: {exc}") from exc
-    if not out or any(n < 1 for n in out):
-        raise ConfigError(f"n list must contain integers >= 1, got {text!r}")
+    if not out:
+        raise ConfigError(f"--n-list must name at least one n, got {text!r}")
+    _check_int(out, "--n-list", 1)
     return out
 
 
@@ -291,24 +294,19 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    from .coulomb_mc import EnsembleConfig, run_mcmc
+    from .coulomb_mc import _DELTA0, EnsembleConfig, run_mcmc
     from .equilibrium import droplet_radius
 
     Q = _potential(args, radial=True)
     if args.n is None:
         raise ConfigError("sample requires --n (number of particles)")
+    n, sweeps, burn_in, seed = (_check_int(value, flag, least) for value, flag, least in (
+        (args.n, "--n", 1), (args.sweeps, "--sweeps", 2), (args.burn_in, "--burn-in", 0), (args.seed, "--seed", 0)))
     rmax = args.rmax if args.rmax is not None else 1.25 * droplet_radius(Q)
     if not 0 < rmax < math.inf:
         raise ConfigError(f"--rmax must be finite and > 0, got {rmax}")
     edges = np.linspace(0.0, rmax, _check_int(args.bins, "--bins", 1) + 1)
-    cfg = EnsembleConfig(
-        n=args.n,
-        potential=Q,
-        bin_edges=edges,
-        sweeps=args.sweeps,
-        burn_in=args.burn_in,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    cfg = EnsembleConfig(n=n, potential=Q, bin_edges=edges, sweeps=sweeps, burn_in=burn_in, seed=seed)
     res = run_mcmc(cfg)
     h = res.histogram
     doc = {
@@ -319,9 +317,8 @@ def cmd_sample(args) -> int:
             "radial_coeffs": sorted(Q.radial_coeffs.items()),
             "sweeps": cfg.sweeps,
             "burn_in": cfg.burn_in,
-            "thin": cfg.thin,
             "seed": cfg.seed,
-            "delta0": cfg.delta0,
+            "delta0": _DELTA0,
             "bin_edges": edges,
         },
         "acceptance_rate": res.acceptance_rate,
@@ -330,7 +327,7 @@ def cmd_sample(args) -> int:
         "mass_in_range": h.mass(),
     }
     rows = zip(edges[:-1], edges[1:], h.counts, h.intensity(), h.stderr())
-    _write_table_and_report(args.out or "mc_run", ["bin_lo", "bin_hi", "count", "intensity", "stderr"], rows, doc)
+    _write_table_and_report(args.out, ["bin_lo", "bin_hi", "count", "intensity", "stderr"], rows, doc)
     return 0
 
 
@@ -364,9 +361,9 @@ def cmd_gram(args) -> int:
     from .general_bergman import _density_rows, moment_matrix, truncated_kernel
 
     dec = _homogeneous(_potential(args))
-    p = dec.q0
+    p, N = dec.q0, _check_int(args.n, "--n", 1)
     grid = parse_grid(args.grid or "0:2:21")
-    tk = truncated_kernel(moment_matrix(p, args.n))
+    tk = truncated_kernel(moment_matrix(p, N))
     grid = grid[_kept(grid, p.c)]
     thetas = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
     r, th = np.array([(x, t) for x in grid for t in (thetas if x > 0 else thetas[:1])]).T
@@ -378,7 +375,7 @@ def cmd_gram(args) -> int:
     # origin (c > 0: every order vanishes there) and 1 elsewhere (R^N underflowed)
     est = np.divide(rows[-8:].sum(axis=0), val, out=np.where(r == 0.0, 0.0, 1.0), where=val > 0.0)
     doc = {
-        "N": args.n,
+        "N": N,
         "k": p.k,
         "c": p.c,
         "condition_number": tk.condition,
@@ -430,10 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", dest="n_list", default=None, help="comma-separated n values (default 100)")
     p.set_defaults(func=cmd_equilibrium)
 
-    p = sub.add_parser("sample", parents=[pot, outp],
+    p = sub.add_parser("sample", parents=[pot],
                        help="Metropolis sampling run (writes CSV histogram + JSON)")
+    p.add_argument("--out", default="mc_run", help="output prefix (default mc_run)")
     p.add_argument("--n", type=int, default=None, help="number of particles")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--sweeps", type=int, default=10_000, help="recorded sweeps")
     p.add_argument("--burn-in", dest="burn_in", type=int, default=2_000)
     p.add_argument("--bins", type=int, default=36, help="number of radial bins")
@@ -457,6 +455,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"focklab: file error: cannot write {args.out!r}: {str(folder)!r} is not a writable directory",
               file=sys.stderr)
         return 2
+    # r0 and verify-thm1 write the --out path, the other commands with a weight prefix.csv and prefix.json
+    written = [args.out] if args.func in (cmd_r0, cmd_verify_thm1) else [f"{args.out}.csv", f"{args.out}.json"]
+    coeffs = getattr(args, "coeffs_file", None)  # fig1 takes no weight
+    for path in written if args.out and coeffs else []:
+        if Path(path).resolve() == Path(coeffs).resolve():
+            print(f"focklab: file error: cannot write {path!r}: it is the --coeffs-file", file=sys.stderr)
+            return 2
     try:
         return int(args.func(args) or 0)
     except ConfigError as exc:

@@ -30,6 +30,7 @@ __all__ = [
     "sample_radial_exact",
 ]
 
+_DELTA0 = 0.3        # first proposal scale, tuned during burn-in
 _TUNE_TARGET = 0.35  # burn-in acceptance the proposal scale is tuned toward
 _TUNE_INTERVAL = 25  # burn-in sweeps between two tuning steps
 _BATCHES = 32        # batch means behind each error bar
@@ -47,32 +48,29 @@ def _site_energy(potential: MacroscopicPotential, n: int, z: np.ndarray) -> np.n
     return val
 
 
-class EnsembleConfig(_validated("EnsembleConfig",
-                                "n potential bin_edges sweeps burn_in thin delta0 seed collect_moduli")):
-    """One Metropolis run: ensemble, chain lengths, proposal scale, bins.
+class EnsembleConfig(_validated("EnsembleConfig", "n potential bin_edges sweeps burn_in seed collect_moduli")):
+    """One Metropolis run: ensemble, chain lengths, bins.
 
-    sweeps counts RECORDED sweeps, at least 2; the chain runs
-    burn_in + sweeps*thin single-particle sweeps in total.  delta0 is tuned
-    during burn-in toward an acceptance of 0.35, every 25 sweeps, and then
-    frozen; recorded sweep i falls in batch i * 32 // sweeps of the 32 behind
-    the error bars, so at least two are never empty.  collect_moduli returns
-    the radii of every recorded sweep, which the chain keeps either way.
+    The chain runs burn_in sweeps, then records each of sweeps more, at
+    least 2.  The proposal scale starts at 0.3 and is tuned during
+    burn-in toward an acceptance of 0.35, every 25 sweeps, and then frozen;
+    recorded sweep i falls in batch i * 32 // sweeps of the 32 behind the
+    error bars, so at least two are never empty.  collect_moduli returns the
+    radii of every recorded sweep, which the chain keeps either way.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, potential: MacroscopicPotential, bin_edges: np.ndarray, sweeps: int = 10_000,
-                burn_in: int = 1_000, thin: int = 1, delta0: float = 0.3, seed: int = 0, collect_moduli: bool = False):
-        n, sweeps, burn_in, thin, seed = (_check_int(value, name, least) for value, name, least in (
-            (n, "n", 1), (sweeps, "sweeps", 2), (burn_in, "burn_in", 0), (thin, "thin", 1), (seed, "seed", 0)))
-        if not delta0 > 0:
-            raise ConfigError("delta0 must be positive")
+                burn_in: int = 1_000, seed: int = 0, collect_moduli: bool = False):
+        n, sweeps, burn_in, seed = (_check_int(value, name, least) for value, name, least in (
+            (n, "n", 1), (sweeps, "sweeps", 2), (burn_in, "burn_in", 0), (seed, "seed", 0)))
         bin_edges = _check_grid(bin_edges, "bin_edges")
         if potential.kind == "radial":
             R = droplet_radius(potential)
             if bin_edges[-1] < R:
                 raise ConfigError(f"bins must reach the droplet: outer edge {bin_edges[-1]} < R = {R:.4g}")
-        return super().__new__(cls, n, potential, bin_edges, sweeps, burn_in, thin, delta0, seed, collect_moduli)
+        return super().__new__(cls, n, potential, bin_edges, sweeps, burn_in, seed, collect_moduli)
 
 
 class IntensityHistogram(NamedTuple):
@@ -138,14 +136,14 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
     # start uniform on the binned disk (measure-zero chance of singular points)
     r0 = edges[-1] * 0.9
     pts = r0 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-    delta = cfg.delta0
+    delta = _DELTA0
 
     radii = np.empty((cfg.sweeps, n))  # row i: the radii of recorded sweep i
     diag = np.arange(n) * (2 * n + 1)  # flat indices of the (i, i) entries of an n x 2n block
 
     tuned_acc = 0
     rec_acc = 0
-    total = cfg.burn_in + cfg.sweeps * cfg.thin
+    total = cfg.burn_in + cfg.sweeps
     # singular and overflowing energies are infinite: those moves are rejected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         site = _site_energy(pot, n, pts).tolist()
@@ -183,16 +181,14 @@ def run_mcmc(cfg: EnsembleConfig) -> McmcResult:
                     tuned_acc = 0
                 continue
             rec_acc += len(moved)
-            post, skip = divmod(sweep - cfg.burn_in, cfg.thin)
-            if not skip:
-                np.abs(pts, out=radii[post])
+            np.abs(pts, out=radii[sweep - cfg.burn_in])
 
     batch = np.arange(cfg.sweeps) * _BATCHES // cfg.sweeps
     batch_counts = np.array([np.histogram(radii[batch == b], edges)[0] for b in range(_BATCHES)])
 
-    rate = rec_acc / (cfg.sweeps * cfg.thin * n)
+    rate = rec_acc / (cfg.sweeps * n)
     if not 0.2 <= rate <= 0.6:
-        warnings.warn(f"acceptance rate {rate:.3f} outside [0.2, 0.6]; check delta0/burn_in", RuntimeWarning,
+        warnings.warn(f"acceptance rate {rate:.3f} outside [0.2, 0.6]; check burn_in", RuntimeWarning,
                       stacklevel=2)
     hist = IntensityHistogram(
         edges=edges,

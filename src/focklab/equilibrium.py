@@ -11,16 +11,16 @@ for homogeneous potentials.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .potentials import HomogeneousHermitianPoly, MacroscopicPotential, _check_int, canonical_decompose
+from .potentials import MacroscopicPotential, _check_int, canonical_decompose
 
 __all__ = [
     "droplet_radius",
-    "modulus_tau0",
     "microscopic_scale",
     "AsymptoticReport",
     "microscale_asymptotic_check",
@@ -28,40 +28,47 @@ __all__ = [
 
 _T_REACH = 50.0  # roots are sought in e^-50 < r < e^50
 _T_TOL = 1e-9    # an element stops after a Newton step in ln r this small, which leaves an error of order its square
-_MASS_GRID = np.geomspace(1e-6, 1.0, 256)  # where the droplet's mass must increase, in units of R
+_LN_MASS_GRID = np.linspace(math.log(1e-6), 0.0, 256)  # where the droplet's mass must increase, in ln(r/R)
+
+
+def _mass_terms(Q: MacroscopicPotential) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of rates 2j and weights j q_j: the mass of a radial Q is M = r Q'(r)/2 = sum j q_j e^{2jt}, t = ln r."""
+    Q._require_radial()
+    j2 = 2.0 * np.array(list(Q.radial_coeffs), dtype=float)[:, None]
+    return j2, 0.5 * j2 * np.array(list(Q.radial_coeffs.values()), dtype=float)[:, None]
+
+
+def _mass(terms: tuple[np.ndarray, np.ndarray], t: np.ndarray, slope: bool = True):
+    """M on a 1-d array of t = ln r, and unless slope is False dM/dt = 2 r^2 Delta Q, from one exp of the block of
+    terms x t, each summed over the terms in order.  Call under np.errstate(over="ignore", invalid="ignore")."""
+    j2, w = terms
+    e = w * np.exp(j2 * t)
+    return (e.sum(axis=0), (e * j2).sum(axis=0)) if slope else e.sum(axis=0)
 
 
 def _ln_mass_roots(Q: MacroscopicPotential, m):
     """ln r solving r Q'(r)/2 = m, elementwise on an array of masses m.
 
-    In t = ln r the mass is M = sum j q_j e^{2jt}, with M' = 2 r^2 Delta Q,
-    and Newton on ln(M/m) starts from the least root of one term, an upper
-    bound from which the convex ln M converges when every q_j > 0.  Every
-    evaluation narrows a bracket from t = +-50, and a step that leaves it or
-    does not halve the last one bisects: Delta Q may vanish (r^2 - 0.6 r^4 +
-    0.16 r^6 at r^2 = 1/1.2).  Each element stops on its own step, so a
-    scalar call gives the bits of its element in an array call.
+    Newton on ln(M/m) in t = ln r (_mass) starts from the least root of one
+    term, an upper bound from which the convex ln M converges when every
+    q_j > 0.  Every evaluation narrows a bracket from t = +-50, and a step
+    that leaves it or does not halve the last one bisects: Delta Q may
+    vanish (r^2 - 0.6 r^4 + 0.16 r^6 at r^2 = 1/1.2).  Each element stops
+    on its own step, so a scalar call gives the bits of its element in an
+    array call.
     """
-    Q._require_radial()
-    j2 = 2.0 * np.array(list(Q.radial_coeffs), dtype=float)
-    w = 0.5 * j2 * np.array(list(Q.radial_coeffs.values()), dtype=float)
-    m = np.asarray(m, dtype=float)
-
-    def mass(t):
-        # one exp of the (targets x terms) block gives M and M'
-        e = w * np.exp(t[..., None] * j2)
-        return e.sum(axis=-1), (e * j2).sum(axis=-1)
-
+    j2, w = terms = _mass_terms(Q)
+    shape, m = np.shape(m), np.asarray(m, dtype=float).ravel()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ends = mass(np.array([-_T_REACH, _T_REACH]))[0]
+        ends = _mass(terms, np.array([-_T_REACH, _T_REACH]), slope=False)
         if not np.all((ends[0] < m) & (m < ends[1])):
             raise NumericalError("a root of r Q'(r)/2 = m lies outside e^-50 < r < e^50")
-        t = np.maximum(np.min(np.log(m[..., None] / w) / j2, axis=-1, where=w > 0, initial=_T_REACH), -_T_REACH)
+        t = np.maximum(np.min(np.log(m / w) / j2, axis=0, where=w > 0, initial=_T_REACH), -_T_REACH)
         lo, hi = np.full(m.shape, -_T_REACH), np.full(m.shape, _T_REACH)
         last, active = hi - lo, np.ones(m.shape, dtype=bool)
         # bisections halve the bracket and Newton steps halve each other, so the loop ends
         while active.any():
-            M, dM = mass(t)
+            M, dM = _mass(terms, t)
             below = M < m
             lo, hi = np.where(below, t, lo), np.where(below, hi, t)
             step = np.log(m / M) * M / dM
@@ -70,37 +77,21 @@ def _ln_mass_roots(Q: MacroscopicPotential, m):
             new = np.where(done | ((new > lo) & (new < hi) & (size < 0.5 * last)), new, 0.5 * (lo + hi))
             last, t = np.abs(new - t), np.where(active, new, t)
             active &= ~(done | (hi - lo <= _T_TOL))
-    return t
+    return t.reshape(shape)
 
 
-def _check_monotone_mass(Q: MacroscopicPotential, hi: float) -> None:
-    r = hi * _MASS_GRID
-    mass = r * Q.dq_dr(r)
+def _check_monotone_mass(Q: MacroscopicPotential, t_hi: float) -> None:
+    """Refuse a Q whose mass M = r Q'(r)/2 falls anywhere on the grid below r = e^t_hi."""
+    mass = _mass(_mass_terms(Q), t_hi + _LN_MASS_GRID, slope=False)
     if np.any(np.diff(mass) < -1e-12 * np.abs(mass[1:])):
         raise ConfigError("r Q'(r) is not increasing: droplet is not a disk")
 
 
 def droplet_radius(Q: MacroscopicPotential) -> float:
     """Radius R of the disk droplet: root of R Q'(R)/2 = 1."""
-    R = float(np.exp(_ln_mass_roots(Q, 1.0)))
-    _check_monotone_mass(Q, R)
-    return R
-
-
-def modulus_tau0(q0: HomogeneousHermitianPoly) -> float:
-    """tau0 = (k a_kk)^{-1/2k}.
-
-    tau0^{-2k} is (1/k) times the mean of Delta Q0 over the unit circle,
-    and that mean is k^2 a_kk: the other terms of Delta Q0 carry
-    e^{i m theta} with m != 0.
-    """
-    if q0.degree == 0:
-        raise ConfigError("cannot infer k from the polynomial degree")
-    k = q0.degree // 2
-    a_kk = float(np.real(q0.coeffs.get((k, k), 0.0)))
-    if not a_kk > 0:
-        raise ConfigError("Delta Q0 has nonpositive circle average")
-    return float((k * a_kk) ** (-1.0 / (2 * k)))
+    t = float(_ln_mass_roots(Q, 1.0))
+    _check_monotone_mass(Q, t)
+    return float(np.exp(t))
 
 
 def microscopic_scale(Q: MacroscopicPotential, c: float, n):
@@ -111,9 +102,10 @@ def microscopic_scale(Q: MacroscopicPotential, c: float, n):
     if np.any(mass > 1.0):
         raise ConfigError(f"n={n} too small: microscopic scale would leave the droplet")
     # the droplet, mass 1, rides along for the monotone-mass check
-    r = np.exp(_ln_mass_roots(Q, np.append(1.0, mass)))
-    _check_monotone_mass(Q, r[0])
-    return float(r[1]) if np.ndim(n_arr) == 0 else r[1:].reshape(n_arr.shape)
+    t = _ln_mass_roots(Q, np.append(1.0, mass))
+    _check_monotone_mass(Q, t[0])
+    r = np.exp(t[1:])
+    return float(r[0]) if np.ndim(n_arr) == 0 else r.reshape(n_arr.shape)
 
 
 class AsymptoticReport(NamedTuple):
@@ -141,7 +133,8 @@ def microscale_asymptotic_check(Q: MacroscopicPotential, c: float, n_list) -> As
     if n_arr.size == 0:
         raise ConfigError("n_list must be nonempty")
     p = canonical_decompose(Q).q0
-    k, tau0 = p.k, modulus_tau0(p.q0)
+    k = p.k
+    tau0 = (k * p.amplitude) ** (-1.0 / (2 * k))  # the circle mean of Delta Q0 is k^2 a_kk, and a_kk > 0
     rn = microscopic_scale(Q, Q.c, n_arr)
     pred = tau0 * (1.0 + Q.c) ** (1.0 / (2 * k)) * n_arr ** (-1.0 / (2 * k))
     en = rn / pred - 1.0

@@ -27,7 +27,7 @@ from .errors import ConfigError, NumericalError
 from .potentials import (MacroscopicPotential, _check_grid, _check_int, _check_overflow, _check_points, _log_power,
                          detect_k, normalize_potential)
 from .radial_bergman import bergman_function_r0, moments
-from .equilibrium import _ln_mass_roots, microscopic_scale
+from .equilibrium import _ln_mass_roots, _mass, _mass_terms, microscopic_scale
 
 __all__ = [
     "FiniteKernel",
@@ -53,7 +53,8 @@ def _rows(Q: MacroscopicPotential, n: int, j=None):
 
     Row j is exp(beta_j t - nQ(e^t)) in t = ln r, beta_j = 2j+2c+2, c = Q.c:
     twice its integral is m_j, and normalised it is the law of ln r_j.  Its
-    mode t*_j solves n r Q'(r) = beta_j, where sigma_j = (4 n r^2 Delta Q)^{-1/2}.
+    mode t*_j solves n r Q'(r) = beta_j, where sigma_j = (2n dM/dt)^{-1/2} with the
+    slope dM/dt = 2 r^2 Delta Q of the equilibrium mass M = r Q'(r)/2.
     The map t = t*_j + sigma_j sinh(s) on |s| <= S_j covers the row until its
     slow left tail e^{beta_j t} has fallen by e^-46 (about 1e-20):
     S_j = asinh((46 + nQ(r*_j)) / (beta_j sigma_j)) + 1/2.  Each row is
@@ -63,7 +64,7 @@ def _rows(Q: MacroscopicPotential, n: int, j=None):
     t_star = _ln_mass_roots(Q, beta / (2.0 * n))
     r_star = np.exp(t_star)
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = 1.0 / np.sqrt(4.0 * n * r_star * r_star * Q.laplacian_radial(r_star))
+        sigma = 1.0 / np.sqrt(2.0 * n * _mass(_mass_terms(Q), t_star)[1])
     if not np.all(np.isfinite(sigma) & (sigma > 0)):
         raise NumericalError("an integrand mode is not a strict maximum")
     reach = (46.0 + np.maximum(n * Q.q_of_r(r_star), 0.0)) / (beta * sigma)

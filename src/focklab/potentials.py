@@ -5,17 +5,19 @@ canonically as Q = Q0 + Re H + Q1 where Q0 is positive definite and homogeneous 
 degree 2k, k read off Q by detect_k, H is a holomorphic polynomial of degree <= 2k,
 and Q1 = O(|z|^{2k+1}).  The microscopic model is V0 = Q0 - 2c log|z|.  Each rule
 on a weight has one check, which every type and routine applies: an integer argument
-(k, a coefficient index, a degree, J, n, N, sweeps, burn_in, thin, seed, draws,
---bins) is a Python or numpy integer, not a bool, at least its least value, and is
-kept as a Python int (_check_int); a coefficient map {(i, j): a_ij} is finite,
-Hermitian and has integer indices >= 0 (_check_coeff_map), and is kept with Python
-complex values; a homogeneous part is positive definite when its minimum on |z| = 1
-is above 1e-10 times its largest coefficient (_positive_definite); k >= 1 and
--1 < c < inf (_check_exponents); so has each input of a density (_check_points,
-_check_grid, _check_overflow).  The
-evaluators of a weight, value, q_of_r and evaluate, give its value for any input
-type, +inf or -inf past the largest double with the weight's own sign there
-(_weight_value).  All types are immutable values; all operations are pure.
+(k, a coefficient index, a degree, J, n, N, sweeps, burn_in, seed, draws, and each
+integer flag of the commands) is a Python or numpy integer, not a bool, at least its
+least value, and is kept as a Python int (_check_int); a coefficient map
+{(i, j): a_ij} is finite, Hermitian and has integer indices >= 0 (_check_coeff_map),
+and is kept with Python complex values; a homogeneous part is positive definite
+when its minimum on |z| = 1 is above 1e-10 times its largest coefficient
+(_positive_definite); k >= 1 and -1 < c < inf (_check_exponents, which names c or
+--c); so has each input of a density (_check_points, _check_grid, _check_overflow).
+The evaluators of a weight, value, q_of_r and evaluate, give its value for any
+input type, +inf or -inf past the largest double with the weight's own sign there
+(_weight_value); the equilibrium mass r Q'(r)/2 of a radial weight and its slope
+have their one evaluator in equilibrium.  All types are immutable values; all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -102,11 +104,11 @@ def _check_int(value, what: str, least: int = 0):
     raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
-def _check_exponents(c: float, k: int = 1) -> int:
-    """k as an int >= 1, and -1 < c < inf: the ranges of V0 = Q0 - 2c log|z| with Q0 of degree 2k."""
+def _check_exponents(c: float, k: int = 1, what: str = "c") -> int:
+    """k as an int >= 1, and -1 < c < inf: the ranges of V0 = Q0 - 2c log|z| with Q0 of degree 2k; what names c."""
     k = _check_int(k, "k", 1)
     if not -1 < c < math.inf:
-        raise ConfigError(f"c must be finite and > -1, got {c}")
+        raise ConfigError(f"{what} must be finite and > -1, got {c}")
     return k
 
 
@@ -346,20 +348,9 @@ class MacroscopicPotential(_validated("MacroscopicPotential", "kind c radial_coe
         return self.q_of_r(np.abs(zeta)) if self.kind == "radial" else _weight_value(self.hermitian_coeffs, zeta)
 
     def q_of_r(self, r: float | np.ndarray) -> float | np.ndarray:
-        """Q(r) = sum q_m r^{2m}; like the two below, float in, float out, arrays elementwise; +-inf as in value."""
+        """Q(r) = sum q_m r^{2m}; float in, float out, arrays elementwise; +-inf as in value."""
         self._require_radial()
         return _weight_value(self.hermitian_coeffs, r, radial=True)
-
-    def dq_dr(self, r: float | np.ndarray) -> float | np.ndarray:
-        self._require_radial()
-        v = sum(q * 2 * m * r ** (2 * m - 1) for m, q in self.radial_coeffs.items())
-        return v if isinstance(v, np.ndarray) else float(v)
-
-    def laplacian_radial(self, r: float | np.ndarray) -> float | np.ndarray:
-        """Delta Q with Delta = d/dz d/dzbar: sum q_m m^2 r^{2m-2}."""
-        self._require_radial()
-        v = sum(q * m * m * r ** (2 * m - 2) for m, q in self.radial_coeffs.items())
-        return v if isinstance(v, np.ndarray) else float(v)
 
     def scaled(self, factor: float) -> "MacroscopicPotential":
         """factor * Q at the same charge."""

@@ -238,7 +238,7 @@ class TestSample:
 
     def test_single_recorded_sweep_refused(self, capsys):
         assert run(["sample", "--n", "4", "--sweeps", "1", "--burn-in", "50", "--seed", "1"]) == 2
-        assert "sweeps must be an integer >= 2, got 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "focklab: config error: --sweeps must be an integer >= 2, got 1\n"
 
     @pytest.mark.parametrize("rmax", ["inf", "nan"])
     def test_non_finite_rmax_refused(self, rmax, tmp_path, capsys):
@@ -259,7 +259,7 @@ class TestSample:
         args = ["sample", "--n", "4", "--c", "1", "--sweeps", "4", "--burn-in", "0", "--seed", "-1",
                 "--out", tmp_path / "s"]
         assert run(args) == 2
-        assert capsys.readouterr().err == "focklab: config error: seed must be an integer >= 0, got -1\n"
+        assert capsys.readouterr().err == "focklab: config error: --seed must be an integer >= 0, got -1\n"
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("bins", ["-3", "0"])
@@ -465,6 +465,23 @@ class TestMain:
         assert capsys.readouterr().err.startswith("focklab: file error: ")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, written", [
+        (["r0", "--out", "q.json"], "q.json"),
+        (["rescale", "--n-list", "4", "--out", "q"], "q.json"),
+        (["sample", "--n", "4", "--sweeps", "2", "--burn-in", "0", "--out", "q"], "q.json"),
+        (["sample", "--n", "4", "--sweeps", "2", "--burn-in", "0"], "mc_run.json"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_out_that_is_the_coeffs_file_refused(self, argv, written, tmp_path, monkeypatch, capsys):
+        # the config is named by its absolute path, the output by a relative one
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / written
+        config.write_text('{"kind": "radial", "c": 1.0, "radial_coeffs": [[1, 1.0]]}')
+        assert run(argv + ["--coeffs-file", config]) == 2
+        assert capsys.readouterr() == ("", f"focklab: file error: cannot write {written!r}: it is the --coeffs-file\n")
+        assert [f.name for f in tmp_path.iterdir()] == [written]
+        assert json.loads(config.read_text())["radial_coeffs"] == [[1, 1.0]]
+
+
 class TestWeightReader:
     """Every command reads its weight one way: a config file and the inline flags it spells give the same run."""
 
@@ -510,6 +527,22 @@ class TestWeightReader:
     def test_k_below_1_refused_by_its_flag(self, cmd, k, tmp_path, monkeypatch, capsys):
         code, out, err, _, files = self._run(self.COMMANDS[cmd] + ["--k", k], tmp_path / "run", monkeypatch, capsys)
         assert (code, out, err, files) == (2, "", f"focklab: config error: --k must be an integer >= 1, got {k}\n", {})
+
+    @pytest.mark.parametrize("cmd", list(COMMANDS))
+    def test_c_refused_by_its_flag(self, cmd, tmp_path, monkeypatch, capsys):
+        code, out, err, _, files = self._run(self.COMMANDS[cmd] + ["--c", "-1"], tmp_path / "run", monkeypatch, capsys)
+        assert (code, out, err, files) == (2, "", "focklab: config error: --c must be finite and > -1, got -1.0\n", {})
+
+    @pytest.mark.parametrize("cmd, flag, value, least", [
+        ("sample", "--n", "0", 1), ("sample", "--sweeps", "1", 2), ("sample", "--burn-in", "-1", 0),
+        ("sample", "--seed", "-1", 0), ("gram", "--n", "0", 1), ("rescale", "--n-list", "4,0", 1),
+        ("equilibrium", "--n-list", "0", 1),
+    ])
+    def test_integer_refused_by_its_flag(self, cmd, flag, value, least, tmp_path, monkeypatch, capsys):
+        code, out, err, _, files = self._run(self.COMMANDS[cmd] + [flag, value], tmp_path / "run", monkeypatch, capsys)
+        got = value.split(",")[-1]
+        assert (code, out, err, files) == (2, "", f"focklab: config error: {flag} must be an integer >= {least}, "
+                                                  f"got {got}\n", {})
 
     @pytest.mark.parametrize("cmd", ["equilibrium", "rescale", "sample"])
     def test_diagonal_hermitian_config_is_radial(self, cmd, tmp_path, monkeypatch, capsys):

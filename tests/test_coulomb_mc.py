@@ -17,7 +17,7 @@ from focklab import (
     run_mcmc,
     sample_radial_exact,
 )
-from focklab.coulomb_mc import _BATCHES, _TUNE_INTERVAL, _TUNE_TARGET, _site_energy
+from focklab.coulomb_mc import _BATCHES, _DELTA0, _TUNE_INTERVAL, _TUNE_TARGET, _site_energy
 from focklab.radial_bergman import _incomplete_gamma
 
 GINIBRE = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0})
@@ -161,13 +161,13 @@ def reference_chain(cfg):
     rng = np.random.default_rng(cfg.seed)
     pot, n, edges = cfg.potential, cfg.n, cfg.bin_edges
     pts = edges[-1] * 0.9 * np.sqrt(rng.random(n)) * np.exp(2j * np.pi * rng.random(n))
-    delta = cfg.delta0
+    delta = _DELTA0
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     batch_counts = np.zeros((_BATCHES, edges.size - 1), dtype=np.int64)
     batch_recorded = np.zeros(_BATCHES, dtype=np.int64)
     moduli = []
     tuned_acc = rec_acc = recorded = 0
-    for sweep in range(cfg.burn_in + cfg.sweeps * cfg.thin):
+    for sweep in range(cfg.burn_in + cfg.sweeps):
         burn = sweep < cfg.burn_in
         steps = rng.standard_normal((n, 2)) * delta
         us = rng.random(n)
@@ -187,15 +187,13 @@ def reference_chain(cfg):
                 delta = float(np.clip(delta * math.exp(1.5 * (rate - _TUNE_TARGET)), 1e-4, 50.0))
                 tuned_acc = 0
             continue
-        if (sweep - cfg.burn_in) % cfg.thin != 0:
-            continue
         cnt, _ = np.histogram(np.abs(pts), edges)
         counts += cnt
         batch_counts[recorded * _BATCHES // cfg.sweeps] += cnt
         batch_recorded[recorded * _BATCHES // cfg.sweeps] += 1
         moduli.append(np.abs(pts))
         recorded += 1
-    rate = rec_acc / (cfg.sweeps * cfg.thin * n)
+    rate = rec_acc / (cfg.sweeps * n)
     return counts, batch_counts, batch_recorded, rate, delta, np.concatenate(moduli)
 
 
@@ -210,7 +208,6 @@ class TestSweepBlockedChain:
         "radial c=1": dict(n=5, potential=radial({1: 1.0, 2: 0.3}, c=1.0)),
         "hermitian": dict(n=5, potential=MacroscopicPotential(
             kind="hermitian", c=0.3, hermitian_coeffs={(1, 1): 1.0, (2, 0): 0.2, (0, 2): 0.2})),
-        "thin=3": dict(n=4, potential=GINIBRE, thin=3),
         "n=1": dict(n=1, potential=GINIBRE),
     }
 
@@ -236,7 +233,7 @@ class TestSweepBlockedChain:
                 assert res.moduli is None
 
     def test_non_finite_change_is_rejected(self, monkeypatch):
-        # r^400 overflows past r ~ 5.9, so wide proposals have an infinite site energy
+        # r^4000 overflows past r ~ 1.19, so proposals of the default step have an infinite site energy
         infinite = []
 
         def counted(*args):
@@ -245,8 +242,8 @@ class TestSweepBlockedChain:
             return out
 
         monkeypatch.setattr("focklab.coulomb_mc._site_energy", counted)
-        cfg = EnsembleConfig(n=3, potential=radial({1: 1.0, 200: 1.0}), bin_edges=self.EDGES,
-                             sweeps=40, burn_in=0, delta0=8.0, seed=5, collect_moduli=True)
+        cfg = EnsembleConfig(n=3, potential=radial({1: 1.0, 2000: 1.0}), bin_edges=self.EDGES,
+                             sweeps=40, burn_in=0, seed=5, collect_moduli=True)
         res = run_mcmc(cfg)
         assert sum(infinite) > 10
         counts, batch_counts, batch_recorded, rate, delta, moduli = reference_chain(cfg)
@@ -265,10 +262,6 @@ class TestEnsembleConfig:
         with pytest.raises(ConfigError):
             # one recorded sweep fills one batch, which has no spread
             EnsembleConfig(n=2, potential=GINIBRE, bin_edges=edges, sweeps=1)
-        with pytest.raises(ConfigError):
-            EnsembleConfig(n=2, potential=GINIBRE, bin_edges=edges, thin=0)
-        with pytest.raises(ConfigError):
-            EnsembleConfig(n=2, potential=GINIBRE, bin_edges=edges, delta0=0.0)
 
     # one grid rule for the Monte Carlo bins and the exact bin averages: one axis of at least
     # 2 finite radii >= 0, strictly increasing
@@ -337,13 +330,6 @@ class TestRunMcmc:
         assert float(np.mean(res.moduli**2)) == pytest.approx(1.0, abs=0.1)
         assert res.histogram.mass() >= 0.99
 
-    @pytest.mark.filterwarnings("ignore:acceptance rate:RuntimeWarning")
-    def test_thinning_records_requested_sweeps(self):
-        cfg = EnsembleConfig(n=2, potential=GINIBRE, bin_edges=np.linspace(0.0, 2.0, 5),
-                             sweeps=50, burn_in=10, thin=3, seed=1)
-        res = run_mcmc(cfg)
-        assert res.histogram.recorded == 50
-
     def test_stderr_with_fewer_sweeps_than_batches(self, recwarn):
         cfg = EnsembleConfig(n=2, potential=GINIBRE, bin_edges=np.linspace(0.0, 2.0, 9),
                              sweeps=10, burn_in=50, seed=1)
@@ -354,8 +340,9 @@ class TestRunMcmc:
         assert not [w for w in recwarn if w.category is RuntimeWarning and "acceptance" not in str(w.message)]
 
     def test_warns_on_poor_acceptance(self):
+        # with no burn-in the first step, 0.3, is never tuned: too short for 3 Ginibre particles (acceptance 0.64)
         cfg = EnsembleConfig(n=3, potential=GINIBRE, bin_edges=np.linspace(0.0, 2.0, 5),
-                             sweeps=30, burn_in=0, delta0=50.0, seed=2)
+                             sweeps=30, burn_in=0, seed=2)
         with pytest.warns(RuntimeWarning, match="acceptance rate"):
             run_mcmc(cfg)
 

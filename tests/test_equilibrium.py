@@ -16,9 +16,9 @@ from focklab import (
     droplet_radius,
     microscale_asymptotic_check,
     microscopic_scale,
-    modulus_tau0,
 )
 from focklab import equilibrium
+from conftest import SOLVER_POTENTIALS
 from focklab.finite_kernel import _rows
 
 
@@ -26,8 +26,6 @@ def radial(coeffs, c=0.0):
     return MacroscopicPotential(kind="radial", c=c, radial_coeffs=coeffs)
 
 
-# r^2 - 0.6 r^4 + 0.16 r^6 has Delta Q = (1 - 1.2 r^2)^2, which vanishes at r^2 = 1/1.2
-SOLVER_POTENTIALS = [{1: 1.0}, {1: 1.0, 2: 1.0}, {2: 1.0, 3: 1.0}, {1: 1.0, 2: -0.6, 3: 0.16}]
 
 
 def mp_mass_root(coeffs, m):
@@ -49,7 +47,8 @@ class TestDropletRadius:
     def test_unit_mass_inside_droplet(self):
         Q = radial({1: 0.7, 2: 0.3, 3: 0.1})
         R = droplet_radius(Q)
-        mass, _ = quad(lambda r: 2.0 * r * Q.laplacian_radial(r), 0.0, R)
+        # Delta Q = sum m^2 q_m r^{2m-2}
+        mass, _ = quad(lambda r: 2.0 * r * (0.7 + 4 * 0.3 * r**2 + 9 * 0.1 * r**4), 0.0, R)
         assert mass == pytest.approx(1.0, abs=1e-10)
 
     def test_non_monotone_rejected(self):
@@ -68,50 +67,53 @@ class TestDropletRadius:
 
 
 class TestModulusTau0:
+    """tau0 = (k a_kk)^{-1/2k}: a_kk, the amplitude of the split's Q0, is (1/k^2) times the circle mean of Delta Q0."""
+
     def test_closed_forms(self):
-        assert modulus_tau0(HomogeneousHermitianPoly(2, {(1, 1): 1.0})) == pytest.approx(1.0, rel=1e-13)
-        assert modulus_tau0(HomogeneousHermitianPoly(4, {(2, 2): 1.0})) == pytest.approx(
+        assert microscale_asymptotic_check(radial({1: 1.0}), 0.0, [100]).tau0 == pytest.approx(1.0, rel=1e-13)
+        assert microscale_asymptotic_check(radial({2: 1.0}), 0.0, [100]).tau0 == pytest.approx(
             2.0 ** -0.25, rel=1e-13
         )
 
     def test_harmonic_twist_does_not_shift(self):
-        p = MicroscopicPotential(
-            k=1, c=0.0,
-            q0=HomogeneousHermitianPoly(2, {(1, 1): 1.0, (2, 0): 0.3, (0, 2): 0.3}),
-        )
-        assert modulus_tau0(p.q0) == pytest.approx(1.0, rel=1e-13)
+        Q = MacroscopicPotential(kind="hermitian", hermitian_coeffs={(1, 1): 1.0, (2, 0): 0.3, (0, 2): 0.3})
+        assert canonical_decompose(Q).q0.amplitude == 1.0
 
     def test_leading_block_of_perturbed_potential(self):
         Q = radial({1: 1.0, 2: 1.0})
         p = canonical_decompose(Q).q0
-        assert p.k == 1
-        assert modulus_tau0(p.q0) == pytest.approx(1.0, rel=1e-12)
+        assert (p.k, p.amplitude) == (1, 1.0)
+        assert microscale_asymptotic_check(Q, 0.0, [100]).tau0 == pytest.approx(1.0, rel=1e-12)
         assert droplet_radius(Q) == pytest.approx(2.0 ** -0.5, rel=1e-13)
-        # the equilibrium density Delta Q inside the droplet
-        assert Q.laplacian_radial(0.5) == pytest.approx(1.0 + 4 * 0.25, rel=1e-14)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_closed_form_is_the_circle_mean(self, seed):
-        # tau0^{-2k} = (1/k) * mean of Delta Q0 over the unit circle, on random twisted profiles
+        # k^2 a_kk is the mean of Delta Q0 over the unit circle, on random twisted profiles; the twist is scaled
+        # to at most a_kk/2 on the circle, so that Q0 is positive definite
         rng = np.random.default_rng(seed)
         k = 1 + seed % 3
-        coeffs = {(k, k): rng.uniform(0.5, 2.0)}
-        for i in range(k + 1, 2 * k + 1):
-            a = complex(rng.normal(0.0, 0.2), rng.normal(0.0, 0.2))
-            coeffs[(i, 2 * k - i)], coeffs[(2 * k - i, i)] = a, a.conjugate()
+        a_kk = rng.uniform(0.5, 2.0)
+        twist = [complex(rng.normal(0.0, 0.2), rng.normal(0.0, 0.2)) for _ in range(k)]
+        shrink = min(1.0, 0.25 * a_kk / sum(map(abs, twist)))
+        coeffs = {(k, k): a_kk}
+        for i, a in zip(range(k + 1, 2 * k + 1), twist):
+            coeffs[(i, 2 * k - i)], coeffs[(2 * k - i, i)] = shrink * a, shrink * a.conjugate()
         q = HomogeneousHermitianPoly(2 * k, coeffs)
         theta = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
         mean = float(np.mean(q.laplacian().angular_profile(theta)))
-        assert modulus_tau0(q) == pytest.approx((mean / k) ** (-1.0 / (2 * k)), rel=1e-15)
+        Q = MacroscopicPotential(kind="hermitian", hermitian_coeffs=coeffs)
+        assert canonical_decompose(Q).q0.amplitude == pytest.approx(mean / k**2, rel=1e-15)
 
     def test_cannot_infer_k_from_degree_zero(self):
-        with pytest.raises(ConfigError):
-            modulus_tau0(HomogeneousHermitianPoly(0, {(0, 0): 1.0}))
+        # so the split never gives tau0 a Q0 of degree 0
+        with pytest.raises(ConfigError, match="q0 degree 0 != 2k = 2"):
+            MicroscopicPotential(k=1, c=0.0, q0=HomogeneousHermitianPoly(0, {(0, 0): 1.0}))
 
     def test_refuses_a_zero_circle_mean(self):
-        # Re(z^2 + conj(z)^2) has no |z|^2 term, so Delta Q0 averages to 0 on the circle
-        with pytest.raises(ConfigError, match="nonpositive circle average"):
-            modulus_tau0(HomogeneousHermitianPoly(2, {(2, 0): 1.0, (0, 2): 1.0}))
+        # Re(z^2 + conj(z)^2) has no |z|^2 term, so Delta Q0 averages to 0 on the circle: Q0 is not positive
+        # definite, and the split never gives tau0 an a_kk <= 0
+        with pytest.raises(ConfigError, match="q0 not positive definite"):
+            MicroscopicPotential(k=1, c=0.0, q0=HomogeneousHermitianPoly(2, {(2, 0): 1.0, (0, 2): 1.0}))
 
 
 class TestMicroscopicScale:
@@ -166,7 +168,7 @@ class TestMicroscopicScale:
         c, n = 0.5, 50
         Q = radial({1: 1.0, 2: 1.0}, c)
         rn = microscopic_scale(Q, c, n)
-        mass, _ = quad(lambda r: 2.0 * r * Q.laplacian_radial(r), 0.0, rn)
+        mass, _ = quad(lambda r: 2.0 * r * (1.0 + 4 * r**2), 0.0, rn)  # Delta Q of r^2 + r^4
         assert n * mass == pytest.approx(1.0 + c, abs=1e-10)
 
     @pytest.mark.parametrize("coeffs", [{1: 1.0}, {2: 1.0}, {1: 1.0, 2: 1.0}, {2: 1.0, 3: 1.0}])

@@ -34,6 +34,8 @@ from focklab import (
     truncated_series_r0,
 )
 from focklab.cli import build_parser, cmd_sample
+from focklab.equilibrium import _mass, _mass_terms
+from conftest import SOLVER_POTENTIALS
 
 TWIST = {(1, 1): 1.0, (2, 0): 0.3, (0, 2): 0.3}
 
@@ -155,9 +157,14 @@ class TestMacroscopicPotential:
         Q = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 2: 1.0})
         r = 1.3
         assert Q.q_of_r(r) == pytest.approx(r**2 + r**4, rel=1e-14)
-        assert Q.dq_dr(r) == pytest.approx(2 * r + 4 * r**3, rel=1e-14)
-        assert Q.laplacian_radial(r) == pytest.approx(1 + 4 * r**2, rel=1e-14)
         assert Q.value(r * 1j) == pytest.approx(Q.q_of_r(r), rel=1e-14)
+        # the equilibrium mass r Q'(r)/2 and its slope in ln r, 2 r^2 Delta Q, away from the zero of Delta Q
+        r = np.array([0.5, 1.3, 2.0])
+        for coeffs in SOLVER_POTENTIALS:
+            mass, slope = _mass(_mass_terms(MacroscopicPotential(kind="radial", radial_coeffs=coeffs)), np.log(r))
+            np.testing.assert_allclose(mass, sum(m * q * r ** (2 * m) for m, q in coeffs.items()), rtol=1e-14)
+            np.testing.assert_allclose(slope, 2 * r**2 * sum(m * m * q * r ** (2 * m - 2) for m, q in coeffs.items()),
+                                       rtol=1e-14)
 
     @pytest.mark.parametrize(
         "coeffs", [{1: 1.0}, {2: 1.0}, {3: 0.7}, {1: 1.0, 2: 1.0}, {1: 1.0, 2: -0.6, 3: 0.15}]
@@ -165,12 +172,18 @@ class TestMacroscopicPotential:
     def test_array_evaluation_matches_scalar_calls(self, coeffs):
         Q = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs=coeffs)
         r = np.concatenate([[0.0], np.geomspace(1e-8, 40.0, 301)]).reshape(2, -1)
-        for f in (Q.q_of_r, Q.dq_dr, Q.laplacian_radial):
-            got = f(r)
-            assert isinstance(got, np.ndarray) and got.shape == r.shape
-            want = np.array([f(float(x)) for x in r.ravel()]).reshape(r.shape)
-            assert all(type(f(float(x))) is float for x in r.ravel()[:3])
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        got = Q.q_of_r(r)
+        assert isinstance(got, np.ndarray) and got.shape == r.shape
+        want = np.array([Q.q_of_r(float(x)) for x in r.ravel()]).reshape(r.shape)
+        assert all(type(Q.q_of_r(float(x))) is float for x in r.ravel()[:3])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        # the equilibrium mass r Q'(r)/2 and its slope 2 r^2 Delta Q, elementwise on a 1-d array of t = ln r (r > 0)
+        t = np.log(r.ravel()[1:])
+        mass, slope = _mass(_mass_terms(Q), t)
+        assert mass.shape == slope.shape == t.shape
+        np.testing.assert_allclose(mass, sum(m * q * np.exp(2 * m * t) for m, q in coeffs.items()), rtol=1e-14)
+        np.testing.assert_allclose(slope, sum(2 * m * m * q * np.exp(2 * m * t) for m, q in coeffs.items()),
+                                   rtol=1e-14)
 
     def test_growth_violation(self):
         with pytest.raises(ConfigError):
@@ -546,7 +559,7 @@ def _sample_files(bins) -> list[str]:
 
 def _chain(**change):
     return run_mcmc(EnsembleConfig(**{"n": 4, "potential": GINIBRE, "bin_edges": np.linspace(0.0, 2.0, 9),
-                                      "sweeps": 100, "burn_in": 100, "thin": 2, "seed": 3, **change}))
+                                      "sweeps": 100, "burn_in": 100, "seed": 3, **change}))
 
 
 # each integer argument: (the name its refusal gives, a call on a value v for it, a valid v)
@@ -572,7 +585,7 @@ INTEGER_ARGUMENTS = {
         GINIBRE, [8, v], np.linspace(0.1, 1.0, 3)), 4),
     "N of moment_matrix": ("N", lambda v: moment_matrix(canonical_decompose(TWISTED).q0, v), 4),
     **{f"{name} of EnsembleConfig": (name, lambda v, name=name: _chain(**{name: v}), good)
-       for name, good in [("n", 4), ("sweeps", 100), ("burn_in", 100), ("thin", 2), ("seed", 3)]},
+       for name, good in [("n", 4), ("sweeps", 100), ("burn_in", 100), ("seed", 3)]},
     "n of sample_radial_exact": ("n", lambda v: sample_radial_exact(GINIBRE, 0.0, v, 7, 5), 3),
     "seed of sample_radial_exact": ("seed", lambda v: sample_radial_exact(GINIBRE, 0.0, 3, v, 5), 7),
     "draws of sample_radial_exact": ("draws", lambda v: sample_radial_exact(GINIBRE, 0.0, 3, 7, v), 5),

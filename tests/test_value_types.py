@@ -90,7 +90,7 @@ TYPES = {
     EnsembleConfig: (
         lambda: EnsembleConfig(n=4, potential=_macro(), bin_edges=EDGES), "n",
         f"EnsembleConfig(n=4, potential={MACRO}, bin_edges=array([0., 1., 2.]), sweeps=10000, burn_in=1000, "
-        "thin=1, delta0=0.3, seed=0, collect_moduli=False)"),
+        "seed=0, collect_moduli=False)"),
 }
 
 
