@@ -11,7 +11,6 @@ for homogeneous potentials.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +27,7 @@ __all__ = [
 
 _T_REACH = 50.0  # roots are sought in e^-50 < r < e^50
 _T_TOL = 1e-9    # an element stops after a Newton step in ln r this small, which leaves an error of order its square
-_LN_MASS_GRID = np.linspace(math.log(1e-6), 0.0, 256)  # where the droplet's mass must increase, in ln(r/R)
+_LN_MASS_GRID = np.linspace(np.log(1e-6), 0.0, 256)  # where the droplet's mass must increase, in ln(r/R)
 
 
 def _mass_terms(Q: MacroscopicPotential) -> tuple[np.ndarray, np.ndarray]:
