@@ -170,7 +170,7 @@ def _parse_n_list(text: str | None, default: list[int]) -> list[int]:
     try:
         out = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigError(f"bad n list {text!r}: {exc}") from exc
+        raise ConfigError(f"bad --n-list {text!r}: {exc}") from exc
     if not out:
         raise ConfigError(f"--n-list must name at least one n, got {text!r}")
     _check_int(out, "--n-list", 1)
