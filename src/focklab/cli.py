@@ -33,8 +33,10 @@ from .potentials import (
     _check_exponents,
     _check_grid,
     _check_int,
+    _check_n_list,
     _check_overflow,
     _check_points,
+    _check_scale,
     canonical_decompose,
     load_potential_config,
 )
@@ -146,7 +148,7 @@ def _potential(args, radial: bool = False) -> MacroscopicPotential:
     else:
         k, c, a = (d if v is None else v for v, d in zip(inline, (1, 0.0, 1.0)))
         k = _check_exponents(c, _check_int(k, "--k", 1), "--c")
-        Q = MacroscopicPotential(kind="radial", c=c, radial_coeffs={k: a})
+        Q = MacroscopicPotential(kind="radial", c=c, radial_coeffs={k: _check_scale(a, "--amplitude")})
     if radial and Q.kind != "radial":
         raise ConfigError("this subcommand requires a radial potential")
     return Q
@@ -165,15 +167,14 @@ def _homogeneous(Q: MacroscopicPotential) -> CanonicalDecomposition:
 
 
 def _parse_n_list(text: str | None, default: list[int]) -> list[int]:
+    """The n of --n-list in the user's order, repeats kept, checked as every n list is (_check_n_list)."""
     if text is None:
         return list(default)
     try:
         out = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"bad --n-list {text!r}: {exc}") from exc
-    if not out:
-        raise ConfigError(f"--n-list must name at least one n, got {text!r}")
-    _check_int(out, "--n-list", 1)
+    _check_n_list(out, "--n-list", each="--n-list")  # a flag's refusal names the flag
     return out
 
 
@@ -302,9 +303,7 @@ def cmd_sample(args) -> int:
         raise ConfigError("sample requires --n (number of particles)")
     n, sweeps, burn_in, seed = (_check_int(value, flag, least) for value, flag, least in (
         (args.n, "--n", 1), (args.sweeps, "--sweeps", 2), (args.burn_in, "--burn-in", 0), (args.seed, "--seed", 0)))
-    rmax = args.rmax if args.rmax is not None else 1.25 * droplet_radius(Q)
-    if not 0 < rmax < math.inf:
-        raise ConfigError(f"--rmax must be finite and > 0, got {rmax}")
+    rmax = _check_scale(args.rmax if args.rmax is not None else 1.25 * droplet_radius(Q), "--rmax")
     edges = np.linspace(0.0, rmax, _check_int(args.bins, "--bins", 1) + 1)
     cfg = EnsembleConfig(n=n, potential=Q, bin_edges=edges, sweeps=sweeps, burn_in=burn_in, seed=seed)
     res = run_mcmc(cfg)

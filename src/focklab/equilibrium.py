@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .potentials import MacroscopicPotential, _check_int, canonical_decompose
+from .potentials import MacroscopicPotential, _check_int, _check_n_list, canonical_decompose
 
 __all__ = [
     "droplet_radius",
@@ -126,11 +126,9 @@ class AsymptoticReport(NamedTuple):
 
 
 def microscale_asymptotic_check(Q: MacroscopicPotential, c: float, n_list) -> AsymptoticReport:
-    """Check r_n = tau0 (1+c)^{1/2k} n^{-1/2k} (1 + O(n^{-1/2k})) on n_list, at the charge c = Q.c."""
+    """Check r_n = tau0 (1+c)^{1/2k} n^{-1/2k} (1 + O(n^{-1/2k})) along n_list, sorted (_check_n_list), at c = Q.c."""
     Q._check_charge(c)
-    n_arr = np.sort(_check_int(n_list, "each n in n_list", 1), axis=None)
-    if n_arr.size == 0:
-        raise ConfigError("n_list must be nonempty")
+    n_arr = np.sort(_check_n_list(n_list, "n_list"))
     p = canonical_decompose(Q).q0
     k = p.k
     tau0 = (k * p.amplitude) ** (-1.0 / (2 * k))  # the circle mean of Delta Q0 is k^2 a_kk, and a_kk > 0

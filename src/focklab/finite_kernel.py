@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .potentials import (MacroscopicPotential, _check_grid, _check_int, _check_overflow, _check_points, _log_power,
-                         detect_k, normalize_potential)
+from .potentials import (MacroscopicPotential, _check_grid, _check_int, _check_n_list, _check_overflow,
+                         _check_points, _check_scale, _log_power, detect_k, normalize_potential)
 from .radial_bergman import bergman_function_r0, moments
 from .equilibrium import _ln_mass_roots, _mass, _mass_terms, microscopic_scale
 
@@ -163,9 +163,8 @@ def intensity(fk: FiniteKernel, zeta):
 
 
 def rescaled_intensity(fk: FiniteKernel, z, rn: float):
-    """R_n(z) = r_n^2 bR_n(r_n z) at the microscopic scale r_n; arrays elementwise."""
-    if not rn > 0:
-        raise ConfigError(f"rn must be positive, got {rn}")
+    """R_n(z) = r_n^2 bR_n(r_n z) at the microscopic scale r_n, finite and > 0 (_check_scale); arrays elementwise."""
+    _check_scale(rn, "rn")
     return rn * rn * intensity(fk, rn * np.abs(z))
 
 
@@ -250,15 +249,17 @@ class ConvergenceReport(NamedTuple):
 def convergence_report(Q: MacroscopicPotential, n_list, z_grid) -> ConvergenceReport:
     """R_n(z) and sup_z |R_n(z) - R0(z)| along n_list (sorted), against the canonical micro-limit, at charge Q.c.
 
-    The potential is normalized first (the micro-amplitude becomes (1+c)/k)
-    and both sides of the comparison use the normalized potential.
+    n_list and z_grid name at least one n (_check_n_list) and one point.  The potential is normalized first (the
+    micro-amplitude becomes (1+c)/k) and both sides of the comparison use the normalized potential.
     """
     c = Q.c
+    n_arr = np.sort(_check_n_list(n_list, "n_list"))
     z = np.asarray(z_grid, dtype=float)
+    if not z.size:
+        raise ConfigError("z_grid must hold at least one point")
     k = detect_k(Q)
     Qn, lam = normalize_potential(Q, k)  # which checks k against its own split's, a second detect_k (ROADMAP item 1)
     r0 = bergman_function_r0(k, c, (1.0 + c) / k, z)
-    n_arr = np.sort(_check_int(n_list, "each n in n_list", 1), axis=None)
     rn = microscopic_scale(Qn, c, n_arr)
     values = np.empty((n_arr.size, z.size))
     for i, n in enumerate(n_arr):

@@ -11,8 +11,10 @@ least value, and is kept as a Python int (_check_int); a coefficient map
 {(i, j): a_ij} is finite, Hermitian and has integer indices >= 0 (_check_coeff_map),
 and is kept with Python complex values; a homogeneous part is positive definite
 when its minimum on |z| = 1 is above 1e-10 times its largest coefficient
-(_positive_definite); k >= 1 and -1 < c < inf (_check_exponents, which names c or
---c); so has each input of a density (_check_points, _check_grid, _check_overflow).
+(_positive_definite); k >= 1 and -1 < c < inf (_check_exponents); a scale is finite
+and > 0 (_check_scale); an n list names at least one integer n >= 1 (_check_n_list); so
+has each input of a density (_check_points, _check_grid, _check_overflow), each rule
+under the name its caller gives.
 The evaluators of a weight, value, q_of_r and evaluate, give its value for any
 input type, +inf or -inf past the largest double with the weight's own sign there
 (_weight_value); the equilibrium mass r Q'(r)/2 of a radial weight and its slope
@@ -102,6 +104,22 @@ def _check_int(value, what: str, least: int = 0):
     if isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= least:
         return int(v)
     raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+def _check_scale(value, what: str):
+    """A positive scale (an amplitude, a radius r_n, a bin edge): finite and > 0, returned as given; what names it."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{what} must be finite and > 0, got {value}")
+    return value
+
+
+def _check_n_list(n_list, what: str, each: str | None = None) -> np.ndarray:
+    """At least one integer n >= 1, as a 1-d array in the given order; what names the list, each (default
+    "each n in <what>") an n in it."""
+    n = np.ravel(_check_int(n_list, each or f"each n in {what}", 1))
+    if not n.size:
+        raise ConfigError(f"{what} must name at least one n")
+    return n
 
 
 def _check_exponents(c: float, k: int = 1, what: str = "c") -> int:
@@ -336,6 +354,16 @@ class MacroscopicPotential(_validated("MacroscopicPotential", "kind c radial_coe
         if all(i == j for i, j in taylor):
             return super().__new__(cls, "radial", c, {i: a.real for (i, _), a in taylor.items()}, taylor)
         return super().__new__(cls, "hermitian", c, None, taylor)
+
+    @classmethod
+    def _make(cls, fields):
+        """Q from its fields, as _replace gives them: a radial Q spells its terms twice, is built from radial_coeffs,
+        and is refused unless hermitian_coeffs spells the same terms."""
+        kind, c, radial_coeffs, hermitian_coeffs = fields
+        Q = cls(kind, c, radial_coeffs, None if kind == "radial" else hermitian_coeffs)
+        if kind == "radial" and hermitian_coeffs is not None and Q != cls("hermitian", c, None, hermitian_coeffs):
+            raise ConfigError("radial_coeffs and hermitian_coeffs of a radial potential spell different terms")
+        return Q
 
     def __getnewargs__(self):
         """A copy or an unpickled Q is built from hermitian_coeffs, which spells every Q and gives back its fields."""

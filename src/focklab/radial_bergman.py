@@ -19,7 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, FitError
-from .potentials import _check_exponents, _check_grid, _check_int, _check_overflow, _check_points, _log_power
+from .potentials import (_check_exponents, _check_grid, _check_int, _check_overflow, _check_points, _check_scale,
+                         _log_power)
 
 __all__ = [
     "moments",
@@ -39,9 +40,9 @@ _HUGE = np.finfo(float).max
 
 
 def _validate(k: int, c: float, a: float) -> int:
+    """k as an int >= 1, with -1 < c < inf (_check_exponents) and the amplitude a finite and > 0 (_check_scale)."""
     k = _check_exponents(c, k)
-    if not 0 < a < math.inf:
-        raise ConfigError(f"amplitude must be finite and positive, got {a}")
+    _check_scale(a, "amplitude")
     return k
 
 
@@ -181,9 +182,9 @@ def bergman_function_r0(k: int, c: float, a: float, r):
 
 
 def delta_q0(k: int, c: float, a: float, r):
-    """Flat-density limit Delta Q0 = a k^2 r^{2k-2} (c does not enter)."""
+    """Flat-density limit Delta Q0 = a k^2 r^{2k-2} at finite radii r; c does not enter, so r = 0 is taken at any c."""
     k = _validate(k, c, a)
-    rr = np.asarray(r, dtype=float)
+    rr = _check_points(0.0, np.asarray(r, dtype=float))
     with np.errstate(over="ignore"):  # a value past the largest double is refused
         out = _check_overflow(a * k * k * rr ** (2 * k - 2), "deltaQ0")
     return float(out) if np.ndim(r) == 0 else out

@@ -39,7 +39,7 @@ from focklab import (
     truncated_kernel,
 )
 from focklab.cli import main
-from focklab.fixtures import BERGMAN_R0
+from conftest import BERGMAN_R0
 
 
 def announce(capsys, line: str) -> None:

@@ -533,6 +533,14 @@ class TestWeightReader:
         code, out, err, _, files = self._run(self.COMMANDS[cmd] + ["--c", "-1"], tmp_path / "run", monkeypatch, capsys)
         assert (code, out, err, files) == (2, "", "focklab: config error: --c must be finite and > -1, got -1.0\n", {})
 
+    @pytest.mark.parametrize("amplitude", ["0", "-1", "inf", "nan"])
+    @pytest.mark.parametrize("cmd", list(COMMANDS))
+    def test_amplitude_refused_by_its_flag(self, cmd, amplitude, tmp_path, monkeypatch, capsys):
+        argv = self.COMMANDS[cmd] + ["--amplitude", amplitude]
+        code, out, err, _, files = self._run(argv, tmp_path / "run", monkeypatch, capsys)
+        assert (code, out, err, files) == (
+            2, "", f"focklab: config error: --amplitude must be finite and > 0, got {float(amplitude)}\n", {})
+
     @pytest.mark.parametrize("cmd, flag, value, least", [
         ("sample", "--n", "0", 1), ("sample", "--sweeps", "1", 2), ("sample", "--burn-in", "-1", 0),
         ("sample", "--seed", "-1", 0), ("gram", "--n", "0", 1), ("rescale", "--n-list", "4,0", 1),

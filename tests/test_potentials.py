@@ -20,7 +20,10 @@ from focklab import (
     bergman_function_r0,
     canonical_decompose,
     convergence_report,
+    decay_report,
+    delta_q0,
     detect_k,
+    disk_mass,
     droplet_radius,
     finite_moments,
     load_potential_config,
@@ -29,6 +32,7 @@ from focklab import (
     moment_matrix,
     moments,
     normalize_potential,
+    rescaled_intensity,
     run_mcmc,
     sample_radial_exact,
     truncated_series_r0,
@@ -617,6 +621,55 @@ def test_every_integer_argument_is_one_rule(row):
         refusal = rf"^{re.escape(what)} must be an integer >= \d+, got {re.escape(repr(bad))}$"
         with pytest.raises(ConfigError, match=refusal):
             call(bad)
+
+
+def _command(argv):
+    """Run one command line's handler, so that a refusal is raised rather than printed."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+SCALE = " must be finite and > 0, got {v}"
+SCALES = (0.0, -1.0, math.inf, math.nan)
+# the weight commands, each with valid flags, so that the flag a row adds is the only fault
+WEIGHT_COMMANDS = [["r0"], ["verify-thm1"], ["rescale", "--n-list", "4"], ["equilibrium"],
+                   ["sample", "--n", "4", "--sweeps", "2", "--burn-in", "0"], ["gram", "--n", "4"]]
+
+# each input rule but the integer one, by caller: (the name its refusal gives, a call on a value v, the values it
+# refuses, the exception, and the refusal after the name, with {v} for the value)
+INPUT_RULES = {
+    **{f"amplitude of {name}": ("amplitude", call, SCALES, ConfigError, SCALE) for name, call in [
+        ("bergman_function_r0", lambda v: bergman_function_r0(1, 0.5, v, 0.7)),
+        ("decay_report", lambda v: decay_report(1, 0.5, v, np.linspace(1.0, 2.0, 5))),
+        ("disk_mass", lambda v: disk_mass(1, 0.5, v))]},
+    "rn of rescaled_intensity": (
+        "rn", lambda v: rescaled_intensity(finite_moments(GINIBRE, 0.0, 4), 0.5, v), SCALES, ConfigError, SCALE),
+    "n_list of microscale_asymptotic_check": (
+        "n_list", lambda v: microscale_asymptotic_check(CHARGED, 1.0, v), ([],), ConfigError,
+        " must name at least one n"),
+    "n_list of convergence_report": (
+        "n_list", lambda v: convergence_report(GINIBRE, v, np.linspace(0.1, 1.0, 3)), ([],), ConfigError,
+        " must name at least one n"),
+    "z_grid of convergence_report": (
+        "z_grid", lambda v: convergence_report(GINIBRE, [4], v), ([],), ConfigError, " must hold at least one point"),
+    "points of delta_q0": (
+        "points", lambda v: delta_q0(2, 0.0, 1.0, v), (math.nan, math.inf, -math.inf), ConfigError, " must be finite"),
+    **{f"{argv[0]} --amplitude": ("--amplitude", lambda v, argv=argv: _command(argv + ["--amplitude", str(v)]),
+                                  SCALES, ConfigError, SCALE) for argv in WEIGHT_COMMANDS},
+    "sample --rmax": ("--rmax", lambda v: _command(WEIGHT_COMMANDS[4] + ["--rmax", str(v)]),
+                      (0.0, math.inf, math.nan), ConfigError, SCALE),
+}
+
+
+@pytest.mark.parametrize("row, bad", [(row, bad) for row, (*_, values, _, _) in INPUT_RULES.items() for bad in values],
+                         ids=lambda v: repr(v) if isinstance(v, (float, list)) else v)
+def test_every_other_input_is_one_rule(row, bad, tmp_path, monkeypatch):
+    # each refusal is its rule's, under the name the caller gave
+    what, call, _, error, text = INPUT_RULES[row]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error, match=f"^{re.escape(what + text.format(v=bad))}$"):
+        call(bad)
+    assert not list(tmp_path.iterdir())
 
 
 class TestLoadPotentialConfig:

@@ -18,9 +18,10 @@ from focklab import (
     disk_mass,
     moments,
 )
-from focklab import fixtures
-from focklab.fixtures import load_bergman_r0
 from focklab.radial_bergman import _fit_error_model, _incomplete_gamma, _legendre_fraction
+
+import conftest
+from conftest import load_bergman_r0
 
 
 class TestMoments:
@@ -140,7 +141,7 @@ class TestBergmanFunctionR0:
     def test_reference_table_row_width_checked(self, tmp_path, monkeypatch):
         table = tmp_path / "bergman_r0.txt"
         table.write_text("# k c a r R0\n1 0 1 0.5 1.0\n1 0 1 0.5\n", encoding="utf-8")
-        monkeypatch.setattr(fixtures, "BERGMAN_R0", table)
+        monkeypatch.setattr(conftest, "BERGMAN_R0", table)
         with pytest.raises(ValueError, match="bergman_r0.txt:3: expected 5 columns, got 4"):
             load_bergman_r0()
 

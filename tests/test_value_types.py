@@ -118,24 +118,39 @@ class TestValueType:
 
 
 # the types whose constructor checks its fields -> a factory, a field, a value it refuses, and the refusal; a
-# radial MacroscopicPotential holds both coefficient maps, which its constructor refuses, so the twisted one here
+# radial MacroscopicPotential spells its terms in both coefficient maps and is rebuilt from radial_coeffs
 VALIDATED = {
-    HomogeneousHermitianPoly: (_poly, "degree", 3, "degree must be a nonnegative even integer, got 3"),
-    MicroscopicPotential: (_micro, "c", -2, "c must be finite and > -1, got -2"),
-    MacroscopicPotential: (
+    "HomogeneousHermitianPoly": (_poly, "degree", 3, "degree must be a nonnegative even integer, got 3"),
+    "MicroscopicPotential": (_micro, "c", -2, "c must be finite and > -1, got -2"),
+    "MacroscopicPotential": (
         lambda: MacroscopicPotential("hermitian", 0.5, hermitian_coeffs={(1, 1): 1.0, (2, 0): 0.3, (0, 2): 0.3}),
         "c", -2, "c must be finite and > -1, got -2"),
-    EnsembleConfig: (TYPES[EnsembleConfig][0], "sweeps", 1, "sweeps must be an integer >= 2, got 1"),
+    "radial MacroscopicPotential": (_macro, "c", -2, "c must be finite and > -1, got -2"),
+    "EnsembleConfig": (TYPES[EnsembleConfig][0], "sweeps", 1, "sweeps must be an integer >= 2, got 1"),
 }
 
 
-@pytest.mark.parametrize("cls", VALIDATED, ids=lambda cls: cls.__name__)
-def test_replace_runs_the_constructor_checks(cls):
-    make, field, bad, refusal = VALIDATED[cls]
+@pytest.mark.parametrize("name", VALIDATED)
+def test_replace_runs_the_constructor_checks(name):
+    make, field, bad, refusal = VALIDATED[name]
     obj = make()
     with pytest.raises(ConfigError, match=f"^{re.escape(refusal)}$"):
         obj._replace(**{field: bad})
     assert obj._replace(**{field: getattr(obj, field)}) == obj
+
+
+def test_replace_of_a_radial_potential_keeps_one_spelling():
+    # a change to either map of a radial Q gives the Q that map spells, if the other spells the same terms
+    Q = _macro()
+    assert Q._replace(c=0.75) == MacroscopicPotential("radial", 0.75, {1: 1.0})
+    assert Q._replace(radial_coeffs={1: 2.0}, hermitian_coeffs={(1, 1): 2.0}) == MacroscopicPotential(
+        "radial", 0.5, {1: 2.0})
+    for change in {"radial_coeffs": {2: 1.0}}, {"hermitian_coeffs": {(2, 2): 1.0}}:
+        with pytest.raises(ConfigError, match="^radial_coeffs and hermitian_coeffs of a radial potential spell "
+                                              "different terms$"):
+            Q._replace(**change)
+    with pytest.raises(ConfigError, match="^a radial potential needs radial_coeffs and no other coefficients$"):
+        Q._replace(radial_coeffs=None)
 
 
 def test_replace_normalises_as_the_constructor_does():
