@@ -11,15 +11,16 @@ least value, and is kept as a Python int (_check_int); a coefficient map
 {(i, j): a_ij} is finite, Hermitian and has integer indices >= 0 (_check_coeff_map),
 and is kept with Python complex values; a homogeneous part is positive definite
 when its minimum on |z| = 1 is above 1e-10 times its largest coefficient
-(_positive_definite); k >= 1 and -1 < c < inf (_check_exponents); a scale is finite
-and > 0 (_check_scale); an n list names at least one integer n >= 1 (_check_n_list); so
-has each input of a density (_check_points, _check_grid, _check_overflow), each rule
-under the name its caller gives.
+(_positive_definite); k >= 1 and -1 < c < inf (_check_exponents); a scale is one
+real number, finite and > 0 (_check_scale); an n list names at least one integer
+n >= 1 (_check_n_list); so has each input of a density (_check_points,
+_check_grid, _check_overflow), each rule under the name its caller gives.
 The evaluators of a weight, value, q_of_r and evaluate, give its value for any
-input type, +inf or -inf past the largest double with the weight's own sign there
-(_weight_value); the equilibrium mass r Q'(r)/2 of a radial weight and its slope
-have their one evaluator in equilibrium.  All types are immutable values; all
-operations are pure.
+input type (_weight_value): the direct sum where that is finite, else a 40-digit
+sum in the standard library's decimal, +inf or -inf past the largest double with
+the weight's own sign there (_far_value).  The equilibrium mass r Q'(r)/2 of a
+radial weight and its slope have their one evaluator in equilibrium.  All types
+are immutable values; all operations are pure.
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ def _check_int(value, what: str, least: int = 0):
 
 
 def _check_scale(value, what: str):
-    """A positive scale (an amplitude, a radius r_n, a bin edge): finite and > 0, returned as given; what names it."""
-    if not 0 < value < math.inf:
+    """A scale (an amplitude, a radius r_n, a bin edge): one real number, finite and > 0, returned as given."""
+    a = np.asarray(value)
+    if a.ndim or a.dtype.kind not in "iuf" or not 0 < value < math.inf:
         raise ConfigError(f"{what} must be finite and > 0, got {value}")
     return value
 
@@ -187,8 +189,8 @@ def _weight_value(coeffs: dict[tuple[int, int], complex], z, radial: bool = Fals
     an array.  The direct sum is kept where it is finite.  Past the largest
     double a Python power raises OverflowError, and numpy terms give inf, or
     inf - inf = NaN where their signs differ; only those entries are
-    recomputed (_far_value), with no warning, so finite ones keep the direct
-    sum's bits.
+    recomputed, with no warning, as a 40-digit sum in decimal (_far_value),
+    so finite ones keep the direct sum's bits.
     """
     def direct(z):
         if radial:
@@ -213,44 +215,27 @@ def _weight_value(coeffs: dict[tuple[int, int], complex], z, radial: bool = Fals
 
 
 def _far_value(coeffs: dict[tuple[int, int], complex], z: np.ndarray) -> np.ndarray:
-    """Re sum a_ij z^i conj(z)^j on a 1-d array, as a signed sum over degrees in base-2 log space.
+    """Re sum a_ij z^i conj(z)^j on a 1-d array, as sum_d A_d |z|^d in the standard library's decimal.
 
-    With A_d(theta) = Re sum_{i+j=d} a_ij e^{i(i-j)theta} and |z| = mu 2^e
-    (np.frexp), the weight is sum_d A_d mu^d 2^{de}.  Each A_d mu^d is
-    phi_d 2^{x_d} (A_d split by np.frexp and mu^d by _frexp_power, so no
-    product underflows), so it is 2^E sum_d phi_d 2^{x_d+de-E} with E the largest
-    exponent of a nonzero term.  Every scale is an exact power of two, and
-    only terms below 2^{E-1074} underflow; np.ldexp gives +-inf with the
-    sum's sign past the largest double.  A NaN point, or an infinite one
-    where terms of both signs meet, gives +inf.
+    A_d(theta) = Re sum_{i+j=d} a_ij e^{i(i-j)theta} is a double
+    (_angular_values).  Each entry's sum runs at 40 digits with the exponent
+    range opened to MAX_EMAX, where no power of a double over- or
+    underflows, so the only rounding to a double is the last float(): +-inf
+    with the sum's sign past the largest double.  At an infinite modulus
+    each term is +-inf, so the sum is -inf where every A_d < 0; a NaN point,
+    inf - inf and 0 inf give NaN, returned as +inf.
     """
+    if not z.size:  # the scan's v.v passed the largest double at finite entries
+        return np.empty(0)
+    # imported here, so that only a weight past the largest double loads decimal
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+
     degrees = sorted({i + j for i, j in coeffs})
-    deg = np.array(degrees, dtype=np.int64)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu, e = np.frexp(np.abs(z))
-        amp, xa = np.frexp([_angular_values({ij: a for ij, a in coeffs.items() if sum(ij) == d}, np.angle(z))
-                            for d in degrees])
-        mu_d, xm = _frexp_power(mu, deg)
-        phi, xp = np.frexp(amp * mu_d)
-        x = np.where(phi != 0, xa + xm + xp + deg * e, np.iinfo(np.int64).min // 2)
-        top = x.max(axis=0)
-        return np.fmin(np.ldexp(np.ldexp(phi, x - top).sum(axis=0), top), np.inf)
-
-
-def _frexp_power(mu: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """mu**deg for mu in [0.5, 1) and integers deg >= 0, broadcast, as np.frexp's (mantissa, exponent).
-
-    mu**deg = mu**(deg % 1000) (mu**1000)**(deg // 1000): a power of mu up
-    to 1000 is at least 2^-1000, so none underflows, and the mantissa of
-    mu**1000 is raised to deg // 1000 the same way.
-    """
-    m, x = np.frexp(mu ** (deg % 1000))
-    if np.any(deg >= 1000):
-        m_k, x_k = np.frexp(mu ** 1000)
-        m_q, x_q = _frexp_power(m_k, deg // 1000)
-        m, x_m = np.frexp(m * m_q)
-        x = x + x_m + x_q + x_k * (deg // 1000)
-    return m, x
+    amp = [_angular_values({ij: a for ij, a in coeffs.items() if sum(ij) == d}, np.angle(z)) for d in degrees]
+    with localcontext(Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])):
+        v = [float(sum(Decimal(a[n]) * Decimal(r) ** d for a, d in zip(amp, degrees)))
+             for n, r in enumerate(np.abs(z))]
+    return np.fmin(v, np.inf)
 
 
 def _positive_definite(part: dict[tuple[int, int], complex]) -> bool:

@@ -46,6 +46,14 @@ def _validate(k: int, c: float, a: float) -> int:
     return k
 
 
+def _radii(c: float, r) -> np.ndarray:
+    """Radii r as floats, of r's shape: finite, not 0 when c < 0 (_check_points), and >= 0."""
+    rr = _check_points(c, np.asarray(r, dtype=float))
+    if rr.min(initial=0.0) < 0:
+        raise ConfigError("r must be >= 0")
+    return rr
+
+
 def _lgamma(a: np.ndarray) -> np.ndarray:
     """ln Gamma of each entry, by math.lgamma."""
     return np.array([math.lgamma(v) for v in a.ravel().tolist()]).reshape(a.shape)
@@ -165,9 +173,7 @@ def bergman_function_r0(k: int, c: float, a: float, r):
     # points on axis 0 and the k classes on axis 1: every point's sum then
     # runs in the same order whatever the array size, so a scalar call gives
     # the same bits as its element of an array call
-    rr = _check_points(c, np.asarray(r, dtype=float).reshape(-1, 1))
-    if rr.min(initial=0.0) < 0:
-        raise ConfigError("r must be >= 0")
+    rr = _radii(c, r).reshape(-1, 1)
     j = np.arange(k)
     beta = (j + c + 1.0) / k
     log_m = _log_moments(k, a, beta)
@@ -182,9 +188,9 @@ def bergman_function_r0(k: int, c: float, a: float, r):
 
 
 def delta_q0(k: int, c: float, a: float, r):
-    """Flat-density limit Delta Q0 = a k^2 r^{2k-2} at finite radii r; c does not enter, so r = 0 is taken at any c."""
+    """Flat-density limit Delta Q0 = a k^2 r^{2k-2} at radii r (_radii); c does not enter, so r = 0 is taken always."""
     k = _validate(k, c, a)
-    rr = _check_points(0.0, np.asarray(r, dtype=float))
+    rr = _radii(0.0, r)
     with np.errstate(over="ignore"):  # a value past the largest double is refused
         out = _check_overflow(a * k * k * rr ** (2 * k - 2), "deltaQ0")
     return float(out) if np.ndim(r) == 0 else out

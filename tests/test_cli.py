@@ -743,14 +743,16 @@ class TestImport:
             "exec('from focklab import *', star)\n"
             "assert all(star[name] is getattr(focklab, name) for name in focklab.__all__)\n"
             "assert set(focklab.__all__) <= set(dir(focklab))\n"
-            "print('dataclasses' in sys.modules)  # after every lazy module loaded\n"
+            "# 1e200 is a double, but its square is not: the far path runs with no entry\n"
+            "assert focklab.MacroscopicPotential('radial', radial_coeffs={1: 1.0}).q_of_r([1e100]) == 1e200\n"
+            "print('dataclasses' in sys.modules, 'decimal' in sys.modules)  # after every lazy module loaded\n"
             "try:\n"
             "    focklab.nonexistent\n"
             "except AttributeError as exc:\n"
             "    print(exc)\n"
         )
-        assert _child_stdout(code).splitlines() == [
-            "['focklab.errors', 'focklab.potentials']", "False", "module 'focklab' has no attribute 'nonexistent'"]
+        assert _child_stdout(code).splitlines() == ["['focklab.errors', 'focklab.potentials']", "False False",
+                                                    "module 'focklab' has no attribute 'nonexistent'"]
 
     def test_each_lazy_module_exports_the_names_the_lazy_map_gives_it(self):
         # a name in a layer's __all__ that the map misses is no attribute of focklab
@@ -767,8 +769,8 @@ class TestImport:
             "from focklab.cli import main\n"
             f"assert main({line[1:]!r}) == 0\n"
             "print(sorted(m for m in sys.modules if m.startswith('focklab.')))\n"
-            "print('dataclasses' in sys.modules)\n"
+            "print('dataclasses' in sys.modules, 'decimal' in sys.modules)\n"
         )
         loaded = ["cli", "errors", "potentials", *self.LAYERS[line[1]]]
         assert _child_stdout(code, cwd=tmp_path).splitlines()[-2:] == [
-            str(sorted(f"focklab.{m}" for m in loaded)), "False"]
+            str(sorted(f"focklab.{m}" for m in loaded)), "False False"]

@@ -298,6 +298,8 @@ TINY_HIGH = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 20
 # past degree 1074 a power of a mantissa in [0.5, 1) underflows: 2^1100 and 1e-300 2^1100 = 1.4e31 at r = 2
 R2_R1100 = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 550: 1.0})
 R2_TINY_R1100 = MacroscopicPotential(kind="radial", c=0.0, radial_coeffs={1: 1.0, 550: 1e-300})
+# a homogeneous part need not be positive definite: |z|^4 (1 - 2 cos 4 theta) is negative at theta = 0 and pi/2
+INDEFINITE_TOP = HomogeneousHermitianPoly(4, {(2, 2): 1.0, (4, 0): -1.0, (0, 4): -1.0})
 # the evaluators of a weight and its coefficient map: value and evaluate take points, q_of_r takes their radii
 WEIGHT_EVALUATORS = {
     "r2+r4-value": (R2_R4.value, False, R2_R4.hermitian_coeffs),
@@ -317,6 +319,7 @@ WEIGHT_EVALUATORS = {
     "r2+r1100-q_of_r": (R2_R1100.q_of_r, True, R2_R1100.hermitian_coeffs),
     "r2+1e-300r1100-value": (R2_TINY_R1100.value, False, R2_TINY_R1100.hermitian_coeffs),
     "r2+1e-300r1100-q_of_r": (R2_TINY_R1100.q_of_r, True, R2_TINY_R1100.hermitian_coeffs),
+    "indefinite-top-evaluate": (INDEFINITE_TOP.evaluate, False, INDEFINITE_TOP.coeffs),
 }
 LARGEST = mpmath.mpf(np.finfo(float).max)
 
@@ -328,16 +331,16 @@ def weight_oracle(coeffs, z):
         return sum(mpmath.mpc(a) * z**i * mpmath.conj(z) ** j for (i, j), a in coeffs.items()).real
 
 
-def check_weight(f, radii, coeffs, point):
-    """The weight's mpmath value at point, after checking f there for every input type.
+def check_weight(f, radii, coeffs, point, want=None):
+    """The weight's mpmath value at point, or the value want given for it, after checking f there for every input type.
 
     f gives a Python float for a scalar or a 0-d array and an array of the input's shape otherwise, with
     no OverflowError and no warning; each entry is within 1e-13 of mpmath where that is a double, and
     exactly +-inf with mpmath's sign past the largest double (float(want) is that infinity).
     """
     x = abs(point) if radii else point
-    want = weight_oracle(coeffs, x)
-    scalars = [float(x), np.float64(x)] if x.imag == 0 else []
+    want = weight_oracle(coeffs, x) if want is None else want
+    scalars = [float(x.real), np.float64(x.real)] if x.imag == 0 else []
     scalars += [] if radii else [complex(x), np.complex128(x)]
     for z in scalars + [np.array(x), np.array([x, x])]:
         with warnings.catch_warnings():
@@ -354,12 +357,55 @@ def check_weight(f, radii, coeffs, point):
 # the evaluators that take points also get one whose parts are doubles but whose modulus is not
 PAST_POINTS = [(name, z) for name, (_, radii, _) in WEIGHT_EVALUATORS.items()
                for z in (1e200, 1e200j, complex(1e200, 1e200), 1e160, *([] if radii else [complex(1.5e308, 1.5e308)]))]
+# points that are not finite, and their moduli as radii, with the value each gives, where mpmath gives NaN: -inf where
+# A_d(arg z) < 0 for every degree d of the map, else +inf, also for a NaN and where an A_d is 0 or two differ in sign
+NONFINITE = (math.inf, -math.inf, complex(math.inf, 1.0), complex(math.inf, math.inf), math.nan)
+NEGATIVE_AT_INF = {("indefinite-top-evaluate", z) for z in (math.inf, -math.inf, complex(math.inf, 1.0))}
+NONFINITE_POINTS = [(name, z, -math.inf if (name, z) in NEGATIVE_AT_INF else math.inf)
+                    for name in WEIGHT_EVALUATORS for z in NONFINITE]
 
 
-@pytest.mark.parametrize("name,point", PAST_POINTS, ids=[f"{name}-{z}" for name, z in PAST_POINTS])
-def test_weight_past_the_largest_double_is_inf(name, point):
-    # +inf, or -inf where the lower terms win, with no NaN: a sum of terms of both signs is not inf - inf
-    assert abs(check_weight(*WEIGHT_EVALUATORS[name], point)) > LARGEST
+@pytest.mark.parametrize("name,point,want", [(*row, None) for row in PAST_POINTS] + NONFINITE_POINTS,
+                         ids=[f"{name}-{z}" for name, z, *_ in PAST_POINTS + NONFINITE_POINTS])
+def test_weight_past_the_largest_double_is_inf(name, point, want):
+    # +inf, or -inf where the lower terms or a part that is not positive definite win, with no NaN: a sum of
+    # terms of both signs is not inf - inf
+    assert abs(check_weight(*WEIGHT_EVALUATORS[name], point, want)) > LARGEST
+
+
+@st.composite
+def far_weights(draw):
+    """A Hermitian map of degree 2m <= 1100 with a positive definite top part, as {(i, j): a_ij} and the top part.
+
+    The part of degree 2l is b |z|^{2l} + 2 Re(w z^{l+s} conj(z)^{l-s}) with |w| <= |b| / 4, so its A_d is at least
+    |b| / 2 in modulus and keeps its double's accuracy at any angle.  b > 0 is 1e-300 to 1e-199 on top, and below
+    of either sign and 1e-100 to 1e300 in modulus, mostly 2 to 6 degrees below the top, where it can win past
+    |z| = 1e60.  A top degree of 10 or less can give a finite value there.
+    """
+    m = draw(st.integers(1, 5) | st.integers(1, 550))
+    lower = st.sets(st.integers(max(1, m - 3), m - 1) | st.integers(1, m - 1), min_size=1, max_size=3)
+    coeffs = {}
+    for l in sorted(draw(lower) if m > 1 else []) + [m]:
+        b = draw(st.floats(1.0, 9.99)) * 10.0 ** draw(st.integers(-300, -200) if l == m else st.integers(-100, 299))
+        b = b if l == m or draw(st.booleans()) else -b
+        coeffs[(l, l)] = b
+        s = draw(st.integers(0, l))
+        if s:
+            w = b * draw(st.floats(0.0, 0.25)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+            coeffs[(l + s, l - s)], coeffs[(l - s, l + s)] = w, w.conjugate()
+    return coeffs, {ij: a for ij, a in coeffs.items() if sum(ij) == 2 * m}
+
+
+@given(far_weights(), st.floats(60.0, 308.176).map(lambda e: 10.0**e), st.floats(0.0, 2 * math.pi))
+def test_far_weights_match_mpmath(weights, modulus, angle):
+    # every evaluator, for every input type, is within 1e-13 of mpmath or +-inf with its sign, at any degree and
+    # at |z| from 1e60 to 1.5e308, spread evenly in log |z|
+    coeffs, top = weights
+    point = cmath.rect(modulus, angle)
+    Q = MacroscopicPotential(kind="hermitian", hermitian_coeffs=coeffs)
+    evaluators = [(Q.value, False, coeffs), (HomogeneousHermitianPoly(max(map(sum, top)), top).evaluate, False, top)]
+    for f, radii, weight in evaluators + ([(Q.q_of_r, True, coeffs)] if Q.kind == "radial" else []):
+        check_weight(f, radii, weight, point)
 
 
 # values whose bare power r^4, r^400 or r^1100 passes the largest double (r^2 + r^1100 passes it too)
@@ -631,6 +677,7 @@ def _command(argv):
 
 SCALE = " must be finite and > 0, got {v}"
 SCALES = (0.0, -1.0, math.inf, math.nan)
+SCALES_AND_ARRAY = (*SCALES, np.array([0.5, 0.6]))  # a scale is one number
 # the weight commands, each with valid flags, so that the flag a row adds is the only fault
 WEIGHT_COMMANDS = [["r0"], ["verify-thm1"], ["rescale", "--n-list", "4"], ["equilibrium"],
                    ["sample", "--n", "4", "--sweeps", "2", "--burn-in", "0"], ["gram", "--n", "4"]]
@@ -638,12 +685,13 @@ WEIGHT_COMMANDS = [["r0"], ["verify-thm1"], ["rescale", "--n-list", "4"], ["equi
 # each input rule but the integer one, by caller: (the name its refusal gives, a call on a value v, the values it
 # refuses, the exception, and the refusal after the name, with {v} for the value)
 INPUT_RULES = {
-    **{f"amplitude of {name}": ("amplitude", call, SCALES, ConfigError, SCALE) for name, call in [
+    **{f"amplitude of {name}": ("amplitude", call, SCALES_AND_ARRAY, ConfigError, SCALE) for name, call in [
         ("bergman_function_r0", lambda v: bergman_function_r0(1, 0.5, v, 0.7)),
         ("decay_report", lambda v: decay_report(1, 0.5, v, np.linspace(1.0, 2.0, 5))),
         ("disk_mass", lambda v: disk_mass(1, 0.5, v))]},
     "rn of rescaled_intensity": (
-        "rn", lambda v: rescaled_intensity(finite_moments(GINIBRE, 0.0, 4), 0.5, v), SCALES, ConfigError, SCALE),
+        "rn", lambda v: rescaled_intensity(finite_moments(GINIBRE, 0.0, 4), 0.5, v), SCALES_AND_ARRAY, ConfigError,
+        SCALE),
     "n_list of microscale_asymptotic_check": (
         "n_list", lambda v: microscale_asymptotic_check(CHARGED, 1.0, v), ([],), ConfigError,
         " must name at least one n"),
@@ -654,6 +702,7 @@ INPUT_RULES = {
         "z_grid", lambda v: convergence_report(GINIBRE, [4], v), ([],), ConfigError, " must hold at least one point"),
     "points of delta_q0": (
         "points", lambda v: delta_q0(2, 0.0, 1.0, v), (math.nan, math.inf, -math.inf), ConfigError, " must be finite"),
+    "r of delta_q0": ("r", lambda v: delta_q0(1, 0.0, 1.0, v), (-1.0,), ConfigError, " must be >= 0"),
     **{f"{argv[0]} --amplitude": ("--amplitude", lambda v, argv=argv: _command(argv + ["--amplitude", str(v)]),
                                   SCALES, ConfigError, SCALE) for argv in WEIGHT_COMMANDS},
     "sample --rmax": ("--rmax", lambda v: _command(WEIGHT_COMMANDS[4] + ["--rmax", str(v)]),
@@ -662,7 +711,7 @@ INPUT_RULES = {
 
 
 @pytest.mark.parametrize("row, bad", [(row, bad) for row, (*_, values, _, _) in INPUT_RULES.items() for bad in values],
-                         ids=lambda v: repr(v) if isinstance(v, (float, list)) else v)
+                         ids=lambda v: repr(v) if isinstance(v, (float, list, np.ndarray)) else v)
 def test_every_other_input_is_one_rule(row, bad, tmp_path, monkeypatch):
     # each refusal is its rule's, under the name the caller gave
     what, call, _, error, text = INPUT_RULES[row]
