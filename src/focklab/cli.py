@@ -147,7 +147,7 @@ def _potential(args, radial: bool = False) -> MacroscopicPotential:
         Q = load_potential_config(args.coeffs_file)
     else:
         k, c, a = (d if v is None else v for v, d in zip(inline, (1, 0.0, 1.0)))
-        k = _check_exponents(c, _check_int(k, "--k", 1), "--c")
+        k, c = _check_exponents(c, _check_int(k, "--k", 1), "--c")
         Q = MacroscopicPotential(kind="radial", c=c, radial_coeffs={k: _check_scale(a, "--amplitude")})
     if radial and Q.kind != "radial":
         raise ConfigError("this subcommand requires a radial potential")
@@ -213,25 +213,21 @@ def cmd_verify_thm1(args) -> int:
     rep = decay_report(k, c, a, grid)
     doc = {key: v for key, v in rep._asdict().items() if key not in ("r", "usable")}
     if rep.identically_zero:
-        doc["verdict"] = "identically zero error"
-        doc["exit_status"] = 0
-        _write_json(args.out, doc)
-        return 0
-    if not rep.fit_ok:
+        doc.update(verdict="identically zero error", exit_status=0)
+    elif not rep.fit_ok:
         raise FitError(
             f"decay fit degenerate: only {rep.n_used} usable points "
             f"(|rel_err| above rounding floor) on the grid"
         )
-    mags = np.abs(rep.rel_err[rep.usable])
-    in_band = -1.05 <= rep.slope <= -0.95
-    decaying = bool(mags[0] > mags[-1]) and bool(np.max(mags) < 1.0)
-    doc["slope_in_band"] = in_band
-    doc["errors_decaying"] = decaying
-    doc["verdict"] = "in band" if (in_band and decaying) else "out of band"
-    code = 0 if (in_band and decaying) else 1
-    doc["exit_status"] = code
+    else:
+        mags = np.abs(rep.rel_err[rep.usable])
+        in_band = -1.05 <= rep.slope <= -0.95
+        decaying = bool(mags[0] > mags[-1]) and bool(np.max(mags) < 1.0)
+        ok = in_band and decaying
+        doc.update(slope_in_band=in_band, errors_decaying=decaying, verdict="in band" if ok else "out of band",
+                   exit_status=0 if ok else 1)
     _write_json(args.out, doc)
-    return code
+    return doc["exit_status"]
 
 
 def cmd_rescale(args) -> int:

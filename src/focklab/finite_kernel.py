@@ -164,7 +164,7 @@ def intensity(fk: FiniteKernel, zeta):
 
 def rescaled_intensity(fk: FiniteKernel, z, rn: float):
     """R_n(z) = r_n^2 bR_n(r_n z) at the microscopic scale r_n, finite and > 0 (_check_scale); arrays elementwise."""
-    _check_scale(rn, "rn")
+    rn = _check_scale(rn, "rn")
     return rn * rn * intensity(fk, rn * np.abs(z))
 
 
@@ -174,22 +174,25 @@ def truncated_series_r0(k: int, c: float, a: float, n: int, r):
 
 
 def _bin_integrals(fk: FiniteKernel, lo, hi, tol: float, pooled: bool = False) -> np.ndarray:
-    """2 int r bR_n(r) dr over each bin [lo_i, hi_i] by a tanh-sinh rule (Takahasi and Mori 1974).
+    """2 int r bR_n(r) dr over each bin [lo_i, hi_i] by a tanh-sinh rule (Takahasi and Mori 1974) in x = r^p.
 
-    The node at u is x = lo + (hi-lo) P = hi - (hi-lo) (1-P), with the end
+    With p = min(1, 2c+2), 2 r bR_n dr = (2/p) sum_j r^{2j+2c+2-p} e^{-nQ} / m_j dx:
+    the series at charge c + 1 - p/2 >= 0 over the norms m_j p / 2, all in
+    the log domain, and bounded at r = 0, where r^{2c+1} diverges for c < -1/2.
+    The node at u is x = xlo + (xhi-xlo) P = xhi - (xhi-xlo) (1-P), with the end
     shares P = 1/(1+e^{-v}) and 1-P of v = pi sinh(u), and weight
-    dx/du = (hi-lo) P (1-P) pi cosh(u).  Both shares come from e^{-|v|}, so
-    no node rounds onto a bin end and no weight overflows.  The reach
-    |v| <= max(40, 20/(c+1)), at most 300, leaves e^-40 of an r^{2c+1} end
-    uncovered.  Bins whose every-other-node estimate exceeds tol relative to
-    their value (pooled: to the mean bin, so the estimates sum to at most
-    tol of the total) halve the step, up to 4 times.  The integrand 2 r bR_n
-    is the series at charge c + 1/2 over the norms m_j / 2, all in the log
-    domain: near r = 0 the factor r^{2c} alone overflows for c < 0.
+    dx/du = (xhi-xlo) P (1-P) pi cosh(u).  Both shares come from e^{-|v|}, so
+    no node rounds onto a bin end and no weight overflows; the reach
+    |v| <= 40 leaves e^-40 of a bin uncovered.  Bins whose every-other-node
+    estimate exceeds tol relative to their value (pooled: to the mean bin, so
+    the estimates sum to at most tol of the total) halve the step, up to 4 times.
     """
     c = fk.potential.c
-    reach = math.asinh(min(max(40.0, 20.0 / (c + 1.0)), 300.0) / math.pi)
-    log_half_norms = fk.log_norms - math.log(2.0)
+    p = min(1.0, 2.0 * c + 2.0)
+    cx = max(c + 0.5, 0.0)  # c + 1 - p/2, with the bits of c + 1/2 at p = 1
+    reach = math.asinh(40.0 / math.pi)
+    log_half_norms = fk.log_norms - math.log(2.0 / p)
+    xlo, xhi = lo ** p, hi ** p
     step = max(1, _BLOCK // fk.n)
     val, est = np.empty(lo.size), np.empty(lo.size)
     todo = np.arange(lo.size)
@@ -197,11 +200,11 @@ def _bin_integrals(fk: FiniteKernel, lo, hi, tol: float, pooled: bool = False) -
         u = _grid(h, reach)
         e = np.exp(-np.pi * np.abs(np.sinh(u)))
         near = e / (1.0 + e)  # the share of the bin between the node and its nearer end
-        width = (hi - lo)[todo, None]
-        x = np.where(u < 0.0, lo[todo, None] + width * near, hi[todo, None] - width * near).ravel()
+        width = (xhi - xlo)[todo, None]
+        x = np.where(u < 0.0, xlo[todo, None] + width * near, xhi[todo, None] - width * near).ravel()
         f = np.empty(x.size)
         for b in range(0, x.size, step):
-            f[b:b + step] = _series(x[b:b + step], c + 0.5, log_half_norms, partial(_nq, fk.potential, fk.n))
+            f[b:b + step] = _series(x[b:b + step] ** (1.0 / p), cx, log_half_norms, partial(_nq, fk.potential, fk.n))
         terms = f.reshape(width.shape[0], u.size) * width * (h * np.pi * np.cosh(u) * near / (1.0 + e))
         val[todo] = terms.sum(axis=1)
         # |T_h - T_2h|, plus what the ends of the rule still carry
@@ -217,11 +220,14 @@ def mass_integral(fk: FiniteKernel) -> float:
     """Area integral of bR_n over the plane (dA = dxdy/pi); equals n exactly.
 
     The bins' rule runs over [0, r(-S)] and the last row's map
-    r(s) = exp(t* + sigma sinh s) at steps of at most 1 across its reach |s| <= S.
+    r(s) = exp(t* + sigma sinh s) at steps of at most 1 across its reach |s| <= S,
+    up to the last edge below the largest double.
     """
     _, (t_star,), (sigma,), (S,) = _rows(fk.potential, fk.n, [fk.n - 1])
     s = np.linspace(-S, S, 2 * math.ceil(S) + 1)
-    edges = np.concatenate(([0.0], np.exp(t_star + sigma * np.sinh(s))))
+    with np.errstate(over="ignore"):  # past the largest double nQ = inf, so no edge is needed there
+        edges = np.concatenate(([0.0], np.exp(t_star + sigma * np.sinh(s))))
+    edges = edges[np.isfinite(edges)]
     return float(np.sum(_bin_integrals(fk, edges[:-1], edges[1:], 1e-8, pooled=True)))
 
 

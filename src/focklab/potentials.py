@@ -11,8 +11,9 @@ least value, and is kept as a Python int (_check_int); a coefficient map
 {(i, j): a_ij} is finite, Hermitian and has integer indices >= 0 (_check_coeff_map),
 and is kept with Python complex values; a homogeneous part is positive definite
 when its minimum on |z| = 1 is above 1e-10 times its largest coefficient
-(_positive_definite); k >= 1 and -1 < c < inf (_check_exponents); a scale is one
-real number, finite and > 0 (_check_scale); an n list names at least one integer
+(_positive_definite); a real argument is one real number, 0-d and not a bool, and is
+kept as a Python float (_real); k >= 1 and -1 < c < inf (_check_exponents); a scale is
+finite and > 0 (_check_scale); an n list names at least one integer
 n >= 1 (_check_n_list); so has each input of a density (_check_points,
 _check_grid, _check_overflow), each rule under the name its caller gives.
 The evaluators of a weight, value, q_of_r and evaluate, give its value for any
@@ -107,12 +108,19 @@ def _check_int(value, what: str, least: int = 0):
     raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
-def _check_scale(value, what: str):
-    """A scale (an amplitude, a radius r_n, a bin edge): one real number, finite and > 0, returned as given."""
+def _real(value) -> float:
+    """value as a Python float if it is one real number (0-d, of an integer or float dtype, not a bool), else NaN,
+    which every range rule refuses."""
     a = np.asarray(value)
-    if a.ndim or a.dtype.kind not in "iuf" or not 0 < value < math.inf:
+    return float(a) if a.ndim == 0 and a.dtype.kind in "iuf" else math.nan
+
+
+def _check_scale(value, what: str) -> float:
+    """A scale (an amplitude, a radius r_n, a bin edge): one real number (_real), finite and > 0, as a float."""
+    v = _real(value)
+    if not 0 < v < math.inf:
         raise ConfigError(f"{what} must be finite and > 0, got {value}")
-    return value
+    return v
 
 
 def _check_n_list(n_list, what: str, each: str | None = None) -> np.ndarray:
@@ -124,12 +132,13 @@ def _check_n_list(n_list, what: str, each: str | None = None) -> np.ndarray:
     return n
 
 
-def _check_exponents(c: float, k: int = 1, what: str = "c") -> int:
-    """k as an int >= 1, and -1 < c < inf: the ranges of V0 = Q0 - 2c log|z| with Q0 of degree 2k; what names c."""
-    k = _check_int(k, "k", 1)
-    if not -1 < c < math.inf:
+def _check_exponents(c: float, k: int = 1, what: str = "c") -> tuple[int, float]:
+    """k as an int >= 1, and c one real number (_real) with -1 < c < inf, as a float: the ranges of
+    V0 = Q0 - 2c log|z| with Q0 of degree 2k; what names c."""
+    k, v = _check_int(k, "k", 1), _real(c)
+    if not -1 < v < math.inf:
         raise ConfigError(f"{what} must be finite and > -1, got {c}")
-    return k
+    return k, v
 
 
 def _check_coeff_map(coeffs: dict[tuple[int, int], complex]) -> dict[tuple[int, int], complex]:
@@ -192,21 +201,22 @@ def _weight_value(coeffs: dict[tuple[int, int], complex], z, radial: bool = Fals
     recomputed, with no warning, as a 40-digit sum in decimal (_far_value),
     so finite ones keep the direct sum's bits.
     """
-    def direct(z):
+    def direct(z, zero):
+        # an empty map, such as the Laplacian of a harmonic part, sums to zero
         if radial:
-            return sum(a.real * z ** (i + j) for (i, j), a in coeffs.items())
-        return sum(a * z**i * z.conjugate() ** j for (i, j), a in coeffs.items()).real
+            return sum((a.real * z ** (i + j) for (i, j), a in coeffs.items()), zero)
+        return sum((a * z**i * z.conjugate() ** j for (i, j), a in coeffs.items()), zero).real
 
     kind = float if radial else complex
     if np.ndim(z) == 0:
         try:
-            v = direct(kind(z))
+            v = direct(kind(z), 0.0)
         except OverflowError:
             v = math.nan
         return v if math.isfinite(v) else float(_far_value(coeffs, np.array([kind(z)]))[0])
     z = np.asarray(z, dtype=kind)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = direct(z)
+        v = direct(z, np.zeros(z.shape))
     # v.v is finite only if every entry is; a finite v past 1e154 only costs the scan
     if not math.isfinite(np.vdot(v, v)):
         far = ~np.isfinite(v)
@@ -289,7 +299,7 @@ class MicroscopicPotential(_validated("MicroscopicPotential", "k c q0")):
     __slots__ = ()
 
     def __new__(cls, k: int, c: float, q0: HomogeneousHermitianPoly):
-        k = _check_exponents(c, k)
+        k, c = _check_exponents(c, k)
         if q0.degree != 2 * k:
             raise ConfigError(f"q0 degree {q0.degree} != 2k = {2 * k}")
         if not _positive_definite(q0.coeffs):
@@ -323,7 +333,7 @@ class MacroscopicPotential(_validated("MacroscopicPotential", "kind c radial_coe
                 hermitian_coeffs: dict[tuple[int, int], complex] | None = None):
         if kind not in ("radial", "hermitian"):
             raise ConfigError(f"kind must be 'radial' or 'hermitian', got {kind!r}")
-        _check_exponents(c)
+        _, c = _check_exponents(c)
         spelled = radial_coeffs if kind == "radial" else hermitian_coeffs
         if not spelled or radial_coeffs and hermitian_coeffs:
             raise ConfigError(f"a {kind} potential needs {kind}_coeffs and no other coefficients")

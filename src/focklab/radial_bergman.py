@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, FitError
 from .potentials import (_check_exponents, _check_grid, _check_int, _check_overflow, _check_points, _check_scale,
-                         _log_power)
+                         _log_power, _real)
 
 __all__ = [
     "moments",
@@ -39,11 +39,10 @@ _BLOCK = 4096  # series elements summed at once: a block's term table stays with
 _HUGE = np.finfo(float).max
 
 
-def _validate(k: int, c: float, a: float) -> int:
-    """k as an int >= 1, with -1 < c < inf (_check_exponents) and the amplitude a finite and > 0 (_check_scale)."""
-    k = _check_exponents(c, k)
-    _check_scale(a, "amplitude")
-    return k
+def _validate(k: int, c: float, a: float) -> tuple[int, float, float]:
+    """k as an int >= 1, c as a float with -1 < c < inf (_check_exponents), the amplitude a as a float, finite and
+    > 0 (_check_scale)."""
+    return (*_check_exponents(c, k), _check_scale(a, "amplitude"))
 
 
 def _radii(c: float, r) -> np.ndarray:
@@ -156,7 +155,7 @@ def _log_moments(k: int, a: float, p: np.ndarray) -> np.ndarray:
 
 def moments(k: int, c: float, a: float, J: int) -> np.ndarray:
     """Log-moments ln m_j of the weight |z|^{2c} e^{-a|z|^{2k}}, j = 0..J, from the closed gamma form."""
-    k, J = _validate(k, c, a), _check_int(J, "J")
+    (k, c, a), J = _validate(k, c, a), _check_int(J, "J")
     return _log_moments(k, a, (np.arange(J + 1) + c + 1.0) / k)
 
 
@@ -169,7 +168,7 @@ def bergman_function_r0(k: int, c: float, a: float, r):
     the first k terms of the series plus the rest of each class.  Every
     summand is positive, so nothing cancels, and r = 0 needs no branch.
     """
-    k = _validate(k, c, a)
+    k, c, a = _validate(k, c, a)
     # points on axis 0 and the k classes on axis 1: every point's sum then
     # runs in the same order whatever the array size, so a scalar call gives
     # the same bits as its element of an array call
@@ -189,7 +188,7 @@ def bergman_function_r0(k: int, c: float, a: float, r):
 
 def delta_q0(k: int, c: float, a: float, r):
     """Flat-density limit Delta Q0 = a k^2 r^{2k-2} at radii r (_radii); c does not enter, so r = 0 is taken always."""
-    k = _validate(k, c, a)
+    k, c, a = _validate(k, c, a)
     rr = _radii(0.0, r)
     with np.errstate(over="ignore"):  # a value past the largest double is refused
         out = _check_overflow(a * k * k * rr ** (2 * k - 2), "deltaQ0")
@@ -203,10 +202,11 @@ def disk_mass(k: int, c: float, a: float, radius: float = 1.0) -> float:
     j = s + k m sums to (1+x) P(beta_s, x) - beta_s P(beta_s+1, x), the
     integral over [0, x] of P(beta_s, t) + t^{beta_s-1} e^{-t} / Gamma(beta_s).
     """
-    k = _validate(k, c, a)
-    if not radius >= 0:
+    k, c, a = _validate(k, c, a)
+    r = _real(radius)
+    if not r >= 0:
         raise ConfigError(f"radius must be >= 0, got {radius}")
-    x = a * radius ** (2 * k)
+    x = a * r ** (2 * k)
     beta = (np.arange(k) + c + 1.0) / k
     p = _incomplete_gamma(np.concatenate([beta, beta + 1.0]), x)[0]
     return float(np.sum((1.0 + x) * p[:k] - beta * p[k:]))
@@ -255,7 +255,7 @@ def decay_report(k: int, c: float, a: float, r_grid) -> DecayReport:
     from the fit; if fewer than 3 points survive the report carries
     fit_ok=False (and identically_zero when nothing survives at all).
     """
-    k = _validate(k, c, a)
+    k, c, a = _validate(k, c, a)
     r = _check_grid(r_grid, "r_grid", least=3)  # the fit has 3 parameters
     u = a * r ** (2 * k)
     if u[0] < 0.5 * (1.0 - 1e-9) or u[-1] > 40.0 * (1.0 + 1e-9):
@@ -264,20 +264,7 @@ def decay_report(k: int, c: float, a: float, r_grid) -> DecayReport:
     rel = r0 / delta_q0(k, c, a, r) - 1.0
     usable = np.abs(rel) >= _REL_ERR_FLOOR
     n_used = int(usable.sum())
-    n_excluded = int(r.size - n_used)
-    base = dict(
-        k=k, c=c, amplitude=a, r=r, u=u, rel_err=rel, usable=usable,
-        n_used=n_used, n_excluded=n_excluded,
-    )
-    if n_used < 3:
-        return DecayReport(**base, identically_zero=(n_used == 0), fit_ok=False)
-    C, s, p = _fit_error_model(u[usable], np.log(np.abs(rel[usable])))
-    return DecayReport(
-        **base,
-        identically_zero=False,
-        fit_ok=True,
-        slope=s,
-        ln_power=p,
-        intercept=C,
-        alpha=-s * a,
-    )
+    C, s, p = _fit_error_model(u[usable], np.log(np.abs(rel[usable]))) if n_used >= 3 else (None, None, None)
+    return DecayReport(k=k, c=c, amplitude=a, r=r, u=u, rel_err=rel, usable=usable, n_used=n_used,
+                       n_excluded=int(r.size - n_used), identically_zero=n_used == 0, fit_ok=s is not None,
+                       slope=s, ln_power=p, intercept=C, alpha=None if s is None else -s * a)

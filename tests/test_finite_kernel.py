@@ -270,9 +270,10 @@ class TestMassIntegral:
         assert mass_integral(fk) == pytest.approx(n, rel=1e-10)
 
     # at n = 1 and c = -0.9 the first bin ends near 3e-166: there r^{2c} alone overflows, so the rule
-    # integrates 2 r bR_n in the log domain; its far edge near r = e^380 overflows r^2 in nQ
+    # integrates 2 r bR_n in the log domain; its far edge near r = e^380 overflows r^2 in nQ.  At c = -0.99
+    # the rule runs in x = r^{2c+2}, where r^{2c+1} dr is bounded, and at n = 1 the far edges pass the largest double
     @pytest.mark.parametrize("n", [16, 64, 256, 1, 3])
-    @pytest.mark.parametrize("c", [-0.9, -0.55, 0.3, 0.8, 0.0])
+    @pytest.mark.parametrize("c", [-0.99, -0.9, -0.55, 0.3, 0.8, 0.0])
     @pytest.mark.parametrize("coeffs", [{1: 1.0}, {2: 1.0}, {3: 1.0}, {1: 1.0, 2: 1.0}, {2: 1.0, 3: 1.0},
                                         {1: 1.0, 2: -0.6, 3: 0.16}])
     def test_mass_is_n_across_potentials(self, coeffs, c, n):
@@ -353,7 +354,7 @@ class TestBinAveraged:
 
     # acceptance criterion 9's bins at n = 16, and one narrow bin at n = 8
     @pytest.mark.parametrize("c,n,edges", [(c, 16, np.linspace(0.0, 1.25, 37)) for c in (-0.75, 0.0, 0.3, 1.0)]
-                             + [(0.0, 8, np.array([0.8, 0.8001]))])
+                             + [(0.0, 8, np.array([0.8, 0.8001])), (-0.99, 16, np.linspace(0.0, 1.25, 37))])
     def test_matches_adaptive_quadrature(self, c, n, edges):
         fk = finite_moments(radial({1: 1.0}, c=c), c, n)
         np.testing.assert_allclose(bin_averaged_intensity(fk, edges), _quad_bin_means(fk, edges), rtol=1e-12)

@@ -425,6 +425,14 @@ def test_weight_near_the_largest_double_matches_mpmath(name, point):
     check_weight(*WEIGHT_EVALUATORS[name], point)
 
 
+@pytest.mark.parametrize("poly", [HomogeneousHermitianPoly(4, {(4, 0): 1, (0, 4): 1}).laplacian(),
+                                  HomogeneousHermitianPoly(2, {})], ids=["harmonic-laplacian", "empty"])
+def test_empty_map_evaluates_to_zero(poly):
+    # the Laplacian of a harmonic part has no terms: 0.0 for a scalar, zeros for an array
+    assert poly.coeffs == {}
+    assert check_weight(poly.evaluate, False, poly.coeffs, 0.5 + 0.25j) == 0
+
+
 def test_numpy_scalar_coefficients_evaluate_as_python_numbers():
     # the maps keep Python complex values, so a point runs in Python arithmetic: +inf with no warning past
     # the largest double, a float at a finite point, and the bits of the map spelled in Python numbers
@@ -707,6 +715,13 @@ INPUT_RULES = {
                                   SCALES, ConfigError, SCALE) for argv in WEIGHT_COMMANDS},
     "sample --rmax": ("--rmax", lambda v: _command(WEIGHT_COMMANDS[4] + ["--rmax", str(v)]),
                       (0.0, math.inf, math.nan), ConfigError, SCALE),
+    # a charge and a radius are one real number too: not a bool, an array, a string or a complex
+    **{f"c of {name}": ("c", call, (True, np.array([0.5, 0.6]), "0.5", 0.5 + 0j), ConfigError,
+                        " must be finite and > -1, got {v}") for name, call in [
+        ("MacroscopicPotential", lambda v: MacroscopicPotential(kind="radial", c=v, radial_coeffs={1: 1.0})),
+        ("bergman_function_r0", lambda v: bergman_function_r0(1, v, 1.0, 0.5))]},
+    "radius of disk_mass": ("radius", lambda v: disk_mass(2, 0.5, 1.0, v), (True, np.array([0.5, 0.6])), ConfigError,
+                            " must be >= 0, got {v}"),
 }
 
 
@@ -719,6 +734,25 @@ def test_every_other_input_is_one_rule(row, bad, tmp_path, monkeypatch):
     with pytest.raises(error, match=f"^{re.escape(what + text.format(v=bad))}$"):
         call(bad)
     assert not list(tmp_path.iterdir())
+
+
+def _charged(c):
+    return MacroscopicPotential(kind="radial", c=c, radial_coeffs={1: 1.0})
+
+
+# a real argument is kept as a Python float: a numpy float32 gives the value and type of the float call on its value
+FLOAT32_ARGUMENTS = {
+    "rn of rescaled_intensity": (lambda v: rescaled_intensity(finite_moments(GINIBRE, 0.0, 4), 0.5, v), 0.3),
+    "radius of disk_mass": (lambda v: disk_mass(2, 0.5, 1.0, v), 0.7),
+    "c of MacroscopicPotential": (lambda v: (_charged(v).c, microscopic_scale(_charged(v), v, 16),
+                                             normalize_potential(_charged(v), 1)[1]), 0.3),
+}
+
+
+@pytest.mark.parametrize("row", FLOAT32_ARGUMENTS)
+def test_a_float32_argument_is_its_float(row):
+    call, value = FLOAT32_ARGUMENTS[row]
+    assert_same_bits(call(np.float32(value)), call(float(np.float32(value))))
 
 
 class TestLoadPotentialConfig:
